@@ -10,13 +10,12 @@ x_j along field j for time delta*m_j.
 
 from .errors import (BoundaryWeightError, BranchLostError, ClosureError,
                      DimensionError, DomainError, DslError, FlowDomainError,
-                     InfeasibleWeightsError, KcycleError,
+                     InfeasibleWeightsError, InputError, KcycleError,
                      NewtonDivergenceError, RecordError, ScenarioError,
-                     SingularJacobianError, StepLimitError)
+                     SingularJacobianError, SolverError, StepLimitError)
 from .expr import (VectorField, eval_field, jacobian_field, parse_field,
                    unparse_field)
-from .flow import (FlowResult, IntegratorConfig, flow_endpoint,
-                   flow_sensitivity, integrate_flow)
+from .flow import FlowResult, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import (RegularityReport, StasisPoint, Weights,
                      check_regularity, find_stasis, find_weights,
                      stasis_residual, weight_hull_dimension,
@@ -34,15 +33,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryWeightError", "BranchLostError", "ClosureError", "CycleCheck",
     "CyclePoints", "DimensionError", "DomainError", "DslError",
-    "FlowDomainError", "FlowResult", "InfeasibleWeightsError",
+    "FlowDomainError", "FlowResult", "InfeasibleWeightsError", "InputError",
     "IntegratorConfig", "KCycle", "KcycleError", "NewtonDivergenceError",
     "RecordError", "RegularityReport", "Scenario", "ScenarioError",
-    "SingularJacobianError", "StasisPoint", "StepLimitError", "SweepRecord",
-    "SweepResult", "SweepSpec", "VectorField", "Weights",
+    "SingularJacobianError", "SolverError", "StasisPoint", "StepLimitError",
+    "SweepRecord", "SweepResult", "SweepSpec", "VectorField", "Weights",
     "average_velocity", "check_regularity", "cycle_jacobian",
     "cycle_residual", "eval_field", "find_stasis", "find_weights",
-    "flow_endpoint", "flow_sensitivity", "integrate_flow", "jacobian_field",
-    "load_scenario", "loglog_slope", "parse_field", "random_linear_scenario",
+    "flow_endpoint", "integrate_flow", "jacobian_field", "load_scenario",
+    "loglog_slope", "parse_field", "random_linear_scenario",
     "scenario_from_dict", "scenario_to_dict", "solve_cycle",
     "stasis_residual", "sweep_delta", "unparse_field", "verify_cycle",
     "weight_hull_dimension", "weighted_jacobian",

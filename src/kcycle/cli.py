@@ -21,14 +21,11 @@ import numpy as np
 from . import serialize
 from .cycle import (CyclePoints, KCycle, loglog_slope, solve_cycle,
                     sweep_delta, verify_cycle)
-from .errors import (BoundaryWeightError, BranchLostError, ClosureError,
-                     DomainError, DslError, FlowDomainError,
-                     InfeasibleWeightsError, KcycleError,
-                     NewtonDivergenceError, RecordError, ScenarioError,
-                     SingularJacobianError, StepLimitError)
+from .errors import (InputError, KcycleError, RecordError,
+                     SingularJacobianError, SolverError)
 from .flow import integrate_flow
-from .scenario import Scenario, load_scenario, scenario_from_dict, \
-    scenario_to_dict
+from .scenario import (Scenario, finite_number, load_scenario,
+                       scenario_from_dict, scenario_to_dict, whole_number)
 from .stasis import (StasisPoint, Weights, check_regularity, find_stasis,
                      find_weights, stasis_residual, weight_hull_dimension)
 
@@ -39,13 +36,8 @@ EXIT_FAILURE = 1
 EXIT_NON_REGULAR = 2
 EXIT_USAGE = 64
 
-_SOLVER_ERRORS = (NewtonDivergenceError, SingularJacobianError,
-                  InfeasibleWeightsError, BoundaryWeightError, ClosureError,
-                  BranchLostError, FlowDomainError, StepLimitError,
-                  DomainError)
 
-
-class _UsageError(KcycleError):
+class _UsageError(InputError):
     pass
 
 
@@ -111,11 +103,16 @@ def _resolve_stasis(scn: Scenario, tol: float):
     if scn.weights is not None:
         point = find_stasis(scn.fields, scn.weights, scn.guess_point(), tol)
         return point, "solve_point"
+    return _stasis_at_point(scn, tol), "solve_weights"
+
+
+def _stasis_at_point(scn: Scenario, tol: float) -> StasisPoint:
+    """Weights, residual and regularity at the scenario's pinned point."""
     x0 = scn.stasis_point
     weights = find_weights(scn.fields, x0, tol)
     residual = float(np.linalg.norm(stasis_residual(scn.fields, weights, x0)))
     report = check_regularity(scn.fields, weights, x0)
-    return StasisPoint(x0.copy(), weights, residual, report), "solve_weights"
+    return StasisPoint(x0.copy(), weights, residual, report)
 
 
 def _regularity_dict(report) -> dict:
@@ -169,28 +166,27 @@ def cmd_weights(args) -> int:
         raise _UsageError(
             "the 'weights' command needs 'stasis_point' in the scenario")
     tol = args.tol if args.tol is not None else scn.stasis_tol
-    x0 = scn.stasis_point
-    weights = find_weights(scn.fields, x0, tol)
-    residual = float(np.linalg.norm(stasis_residual(scn.fields, weights, x0)))
-    report = check_regularity(scn.fields, weights, x0)
-    hull_dim = weight_hull_dimension(scn.fields, x0)
+    point = _stasis_at_point(scn, tol)
+    hull_dim = weight_hull_dimension(scn.fields, point.x0)
+    regular = point.regularity.is_regular
     if args.json:
         payload = {
             "command": "weights",
             "scenario": scn.name,
-            "x0": [float(v) for v in x0],
-            "weights": list(weights.values),
-            "residual_norm": residual,
+            "x0": [float(v) for v in point.x0],
+            "weights": list(point.weights.values),
+            "residual_norm": point.residual_norm,
             "weight_hull_dimension": hull_dim,
-            "regularity": _regularity_dict(report),
+            "regularity": _regularity_dict(point.regularity),
         }
         sys.stdout.write(serialize.dumps(payload))
     else:
-        print("weights:         " + " ".join(f"{v:.12g}" for v in weights))
-        print(f"residual norm:   {residual:.6e}")
+        print("weights:         " + " ".join(f"{v:.12g}"
+                                             for v in point.weights))
+        print(f"residual norm:   {point.residual_norm:.6e}")
         print(f"hull dimension:  {hull_dim}")
-        print(f"regular:         {'yes' if report.is_regular else 'NO'}")
-    return EXIT_OK if report.is_regular else EXIT_NON_REGULAR
+        print(f"regular:         {'yes' if regular else 'NO'}")
+    return EXIT_OK if regular else EXIT_NON_REGULAR
 
 
 def _require_regular(point: StasisPoint):
@@ -330,7 +326,7 @@ def _load_record(path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise RecordError(f"cannot read record file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer
         raise RecordError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") != RECORD_KIND:
         raise RecordError(f"{path}: not a cycle record (kind != "
@@ -346,18 +342,27 @@ def cmd_verify(args) -> int:
     data = _load_record(args.record)
     scn = scenario_from_dict(data["scenario"], origin=args.record)
     try:
-        weights = Weights(tuple(float(v) for v in data["weights"]))
-        delta = float(data["delta"])
-        leg_times = [float(t) for t in data["leg_times"]]
-        pts = CyclePoints(tuple(np.array(p, dtype=float)
+        weights = Weights(tuple(finite_number(v, "weight")
+                                for v in data["weights"]))
+        delta = finite_number(data["delta"], "delta")
+        leg_times = [finite_number(t, "leg time") for t in data["leg_times"]]
+        pts = CyclePoints(tuple(np.array([finite_number(v, "point entry")
+                                          for v in p])
                                 for p in data["points"]))
-        cycle_tol = float(data["cycle_tol"])
+        cycle_tol = finite_number(data["cycle_tol"], "cycle_tol")
+        closure = finite_number(data.get("closure_residual", 0.0),
+                                "closure_residual")
+        newton_iters = whole_number(data.get("newton_iters", 0),
+                                    "newton_iters", 0)
     except (TypeError, ValueError, KcycleError) as exc:
         raise RecordError(f"{args.record}: bad record contents: {exc}") from exc
-    if len(leg_times) != len(weights) or len(pts) != len(weights):
-        raise RecordError(f"{args.record}: inconsistent record sizes")
-    if delta <= 0:
-        raise RecordError(f"{args.record}: delta must be positive")
+    if len(leg_times) != len(weights) or len(pts) != len(weights) \
+            or len(weights) != scn.k or pts[0].shape != (scn.dimension,):
+        raise RecordError(f"{args.record}: record sizes do not match its "
+                          "scenario")
+    if delta <= 0 or cycle_tol <= 0:
+        raise RecordError(f"{args.record}: delta and cycle_tol must be "
+                          "positive")
     # leg_times must be exactly delta*m_j as computed; an edited delta
     # cannot reproduce them
     for j, (t, m) in enumerate(zip(leg_times, weights), start=1):
@@ -365,9 +370,7 @@ def cmd_verify(args) -> int:
             raise RecordError(
                 f"{args.record}: leg_times[{j}] = {t!r} != delta*m_{j} = "
                 f"{delta * m!r}; record is inconsistent")
-    cycle = KCycle(pts, delta, tuple(leg_times),
-                   float(data.get("closure_residual", 0.0)),
-                   int(data.get("newton_iters", 0)))
+    cycle = KCycle(pts, delta, tuple(leg_times), closure, newton_iters)
     check = verify_cycle(scn.fields, weights, cycle, scn.integrator)
     budget = 10.0 * cycle_tol
     passed = check.max_mismatch <= budget
@@ -409,10 +412,10 @@ def main(argv=None) -> int:
             raise _UsageError("a command is required "
                               f"(one of {', '.join(_COMMANDS)})")
         return _COMMANDS[args.command](args)
-    except (_UsageError, ScenarioError, RecordError, DslError) as exc:
+    except InputError as exc:
         print(f"kcycle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"kcycle: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
                      FlowDomainError, NewtonDivergenceError,
-                     SingularJacobianError, StepLimitError)
+                     SingularJacobianError, SolverError, StepLimitError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import Weights, _check_family
 from .expr import eval_field, jacobian_field
@@ -130,7 +130,7 @@ def average_velocity(fields, weights: Weights, pts: CyclePoints,
     delta = 0 takes the removable-singularity limit sum_j m_j V_j(x_j),
     which coincides with the stasis residual when the points coincide.
     """
-    n, _ = _check_cycle_family(fields, weights, pts)
+    n, k = _check_cycle_family(fields, weights, pts)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta == 0.0:
@@ -139,16 +139,13 @@ def average_velocity(fields, weights: Weights, pts: CyclePoints,
             out += m * eval_field(f, x)
         return out
     ends = _leg_endpoints(fields, weights, pts, delta, cfg)
-    out = np.zeros(n)
-    for end, x in zip(ends, pts):  # fixed summation order: deterministic
-        out += end - x
-    return out / delta
+    return _residual_from_endpoints(ends, pts, delta, n, k)[:n]
 
 
 def _residual_from_endpoints(ends, pts, delta, n, k):
     res = np.empty(n * k)
     acc = np.zeros(n)
-    for end, x in zip(ends, pts):
+    for end, x in zip(ends, pts):  # fixed summation order: deterministic
         acc += end - x
     res[:n] = acc / delta
     for j in range(k - 1):
@@ -312,10 +309,6 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
 
 
-_SOLVER_FAILURES = (NewtonDivergenceError, SingularJacobianError,
-                    ClosureError, FlowDomainError, StepLimitError)
-
-
 def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
                 tol: float = DEFAULT_CYCLE_TOL,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> SweepResult:
@@ -380,14 +373,14 @@ def _predict_first(fields, weights, seed, delta, cfg):
         res = cycle_residual(fields, weights, seed, delta, cfg)
         jac0 = cycle_jacobian(fields, weights, seed, 0.0, cfg)
         step = np.linalg.solve(jac0, -res)
-    except (np.linalg.LinAlgError,) + _SOLVER_FAILURES:
+    except (np.linalg.LinAlgError, SolverError):
         return seed
     if not np.all(np.isfinite(step)):
         return seed
     predicted = CyclePoints.from_flat(seed.flat() + step, n, k)
     try:
         better = cycle_residual(fields, weights, predicted, delta, cfg)
-    except _SOLVER_FAILURES:
+    except SolverError:
         return seed
     if np.max(np.abs(better)) < np.max(np.abs(res)):
         return predicted
@@ -403,7 +396,7 @@ def _reach(fields, weights, seed, base_delta, target, tol, cfg):
         attempt = pending[-1]
         try:
             cycle = solve_cycle(fields, weights, seed, attempt, tol, cfg)
-        except _SOLVER_FAILURES as exc:
+        except SolverError as exc:
             bisections += 1
             mid = 0.5 * (base_delta + attempt)
             if bisections > MAX_BISECTIONS or mid <= base_delta * (1 + 1e-12) \

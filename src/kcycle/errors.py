@@ -1,11 +1,23 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules.
+
+Every error derives from exactly one of InputError (malformed input; the
+CLI exits 64) and SolverError (a solver failed; the CLI exits 1).
+"""
 
 
 class KcycleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DslError(KcycleError):
+class InputError(KcycleError):
+    """The input is malformed or inconsistent; nothing was solved."""
+
+
+class SolverError(KcycleError):
+    """A well-formed problem on which a solver or integrator failed."""
+
+
+class DslError(InputError):
     """Syntax or validation error in a vector-field expression.
 
     Carries the character offset plus 1-based line/column of the offending
@@ -21,7 +33,7 @@ class DslError(KcycleError):
         super().__init__(message)
 
 
-class DomainError(KcycleError):
+class DomainError(SolverError):
     """Expression evaluation left its domain (division by zero, sqrt of a
     negative, overflow). `component` and `subexpression` identify where."""
 
@@ -39,15 +51,15 @@ class DomainError(KcycleError):
         return msg
 
 
-class DimensionError(KcycleError):
+class DimensionError(InputError):
     """Inconsistent dimensions between fields, weights, or points."""
 
 
-class StepLimitError(KcycleError):
+class StepLimitError(SolverError):
     """The integrator ran out of steps (or the step size collapsed)."""
 
 
-class FlowDomainError(KcycleError):
+class FlowDomainError(SolverError):
     """Field evaluation failed somewhere along a trajectory."""
 
     def __init__(self, message, time=None):
@@ -55,7 +67,7 @@ class FlowDomainError(KcycleError):
         super().__init__(message)
 
 
-class NewtonDivergenceError(KcycleError):
+class NewtonDivergenceError(SolverError):
     """Newton iteration failed to reach the tolerance."""
 
     def __init__(self, message, residual_norm=None, iterations=None):
@@ -64,7 +76,7 @@ class NewtonDivergenceError(KcycleError):
         super().__init__(message)
 
 
-class SingularJacobianError(KcycleError):
+class SingularJacobianError(SolverError):
     """The Newton system matrix is numerically singular."""
 
     def __init__(self, message, sigma_min=None):
@@ -72,7 +84,7 @@ class SingularJacobianError(KcycleError):
         super().__init__(message)
 
 
-class InfeasibleWeightsError(KcycleError):
+class InfeasibleWeightsError(SolverError):
     """No probability weighting drives the residual below tolerance."""
 
     def __init__(self, message, residual=None):
@@ -80,7 +92,7 @@ class InfeasibleWeightsError(KcycleError):
         super().__init__(message)
 
 
-class BoundaryWeightError(KcycleError):
+class BoundaryWeightError(SolverError):
     """The best weighting pins some weight at the positivity floor."""
 
     def __init__(self, message, pinned=()):
@@ -88,11 +100,11 @@ class BoundaryWeightError(KcycleError):
         super().__init__(message)
 
 
-class ClosureError(KcycleError):
+class ClosureError(SolverError):
     """A solved cycle failed the independent final-leg closure check."""
 
 
-class BranchLostError(KcycleError):
+class BranchLostError(SolverError):
     """Continuation could not advance past the recorded delta."""
 
     def __init__(self, message, last_delta=None):
@@ -100,9 +112,9 @@ class BranchLostError(KcycleError):
         super().__init__(message)
 
 
-class ScenarioError(KcycleError):
+class ScenarioError(InputError):
     """Malformed scenario file or inconsistent scenario contents."""
 
 
-class RecordError(KcycleError):
+class RecordError(InputError):
     """Malformed or internally inconsistent cycle record file."""

@@ -168,6 +168,8 @@ class _Parser:
     def parse_atom(self):
         kind, text, off = self._next()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise _err(self.source, off, f"number {text} overflows")
             return Const(float(text))
         if kind == "name":
             if re.fullmatch(r"x\d+", text):

@@ -33,8 +33,8 @@ class IntegratorConfig:
     method: str = "dopri_adaptive"
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.method not in METHODS:
@@ -203,12 +203,6 @@ def integrate_flow(field: VectorField, x, t: float,
     y0 = np.concatenate([x, np.eye(n).reshape(-1)])
     y, steps, est = _run(rhs, y0, abs(t), cfg)
     return FlowResult(y[:n].copy(), y[n:].reshape(n, n).copy(), steps, est)
-
-
-def flow_sensitivity(field: VectorField, x, t: float,
-                     cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
-    """Alias of integrate_flow; named for callers after dF/dx."""
-    return integrate_flow(field, x, t, cfg)
 
 
 def flow_endpoint(field: VectorField, x, t: float,

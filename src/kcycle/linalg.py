@@ -1,9 +1,6 @@
 """Small dense helpers: singular values for regularity checks.
 
-The solver matrices here are desk-scale (weighted Jacobians n <= 16, Newton
-systems nk up to a few dozen), so a one-sided Jacobi iteration gives
-singular values to machine precision without any library dependence.
-Matrices larger than the crossover fall through to LAPACK.
+Singular values come from LAPACK through numpy (``np.linalg.svd``).
 """
 
 from __future__ import annotations
@@ -13,47 +10,10 @@ import numpy as np
 # relative floor under which a matrix counts as numerically singular
 SINGULAR_RTOL = 1e-10
 
-_JACOBI_CROSSOVER = 32
-
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of a real matrix, in descending order.
-
-    One-sided Jacobi: rotate column pairs until all are mutually
-    orthogonal; the singular values are then the column norms.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if min(a.shape) > _JACOBI_CROSSOVER:
-        return np.linalg.svd(a, compute_uv=False)
-    b = a.copy() if a.shape[0] >= a.shape[1] else a.T.copy()
-    m, n = b.shape
-    tol = np.finfo(float).eps
-    for _ in range(60):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(b[:, p] @ b[:, p])
-                aqq = float(b[:, q] @ b[:, q])
-                apq = float(b[:, p] @ b[:, q])
-                if app * aqq == 0.0 or abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                col_p = b[:, p].copy()
-                b[:, p] = c * col_p - s * b[:, q]
-                b[:, q] = s * col_p + c * b[:, q]
-        if not rotated:
-            break
-    sv = np.sqrt(np.sum(b * b, axis=0))
-    sv.sort()
-    return sv[::-1].copy()
+    """Singular values of a real matrix, in descending order."""
+    return np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
 
 
 def is_numerically_singular(sv: np.ndarray, rtol: float = SINGULAR_RTOL) -> bool:

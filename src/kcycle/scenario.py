@@ -10,6 +10,7 @@ solve for the weights, both pinned means the point seeds the Newton solve.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,17 +73,42 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data, origin=str(path))
 
 
+def finite_number(raw, label: str) -> float:
+    """A JSON number as a float; ValueError for NaN, +-Infinity, booleans,
+    strings and every other non-number."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or not abs(raw) <= sys.float_info.max:
+        raise ValueError(f"{label} must be a finite number, got {raw!r}")
+    return float(raw)
+
+
+def whole_number(raw, label: str, minimum: int) -> int:
+    """A JSON integer >= minimum; ValueError for 2.5, true, "3" and such."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
+        raise ValueError(f"{label} must be an integer >= {minimum}, "
+                         f"got {raw!r}")
+    return raw
+
+
+def _positive(raw, label: str) -> float:
+    value = finite_number(raw, label)
+    if value <= 0:
+        raise ValueError(f"{label} must be positive, got {raw!r}")
+    return value
+
+
 def _point(raw, n, label):
-    if not isinstance(raw, list) or len(raw) != n or \
-            not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in raw):
+    if not isinstance(raw, list) or len(raw) != n:
         raise ScenarioError(f"{label} must be a list of {n} numbers")
-    return np.array(raw, dtype=float)
+    try:
+        return np.array([finite_number(v, label) for v in raw])
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
@@ -120,7 +146,8 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
             raise ScenarioError(
                 f"{origin}: 'weights' must list one weight per field")
         try:
-            weights = Weights(tuple(float(v) for v in raw))
+            weights = Weights(tuple(finite_number(v, "weight")
+                                    for v in raw))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{origin}: bad weights: {exc}") from exc
 
@@ -141,21 +168,22 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
     if unknown:
         raise ScenarioError(
             f"{origin}: unknown tolerance keys {sorted(unknown)}")
-    stasis_tol = float(tols.get("stasis_tol", DEFAULT_STASIS_TOL))
-    cycle_tol = float(tols.get("cycle_tol", DEFAULT_CYCLE_TOL))
-    if stasis_tol <= 0 or cycle_tol <= 0:
-        raise ScenarioError(f"{origin}: tolerances must be positive")
     method = tols.get("method", "dopri_adaptive")
     if method not in METHODS:
         raise ScenarioError(f"{origin}: method must be one of {METHODS}")
     try:
+        stasis_tol = _positive(tols.get("stasis_tol", DEFAULT_STASIS_TOL),
+                               "stasis_tol")
+        cycle_tol = _positive(tols.get("cycle_tol", DEFAULT_CYCLE_TOL),
+                              "cycle_tol")
         integrator = IntegratorConfig(
-            rel_tol=float(tols.get("rel_tol", 1e-10)),
-            abs_tol=float(tols.get("abs_tol", 1e-12)),
-            max_steps=int(tols.get("max_steps", 10**6)),
+            rel_tol=_positive(tols.get("rel_tol", 1e-10), "rel_tol"),
+            abs_tol=_positive(tols.get("abs_tol", 1e-12), "abs_tol"),
+            max_steps=whole_number(tols.get("max_steps", 10**6),
+                                   "max_steps", 1),
             method=method)
     except ValueError as exc:
-        raise ScenarioError(f"{origin}: bad integrator settings: {exc}") from exc
+        raise ScenarioError(f"{origin}: bad tolerances: {exc}") from exc
 
     sweep = None
     if data.get("sweep") is not None:
@@ -166,13 +194,12 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
                 f"{sorted(_SWEEP_KEYS)}")
         if "delta_max" not in raw:
             raise ScenarioError(f"{origin}: sweep needs 'delta_max'")
-        delta_max = float(raw["delta_max"])
-        steps = raw.get("steps", 32)
-        if delta_max <= 0:
-            raise ScenarioError(f"{origin}: sweep delta_max must be positive")
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            raise ScenarioError(f"{origin}: sweep steps must be an int >= 1")
-        sweep = SweepSpec(delta_max, steps)
+        try:
+            sweep = SweepSpec(_positive(raw["delta_max"], "sweep delta_max"),
+                              whole_number(raw.get("steps", 32),
+                                           "sweep steps", 1))
+        except ValueError as exc:
+            raise ScenarioError(f"{origin}: {exc}") from exc
 
     return Scenario(name, dim, tuple(sources), tuple(fields), weights,
                     guess, point, stasis_tol, cycle_tol, integrator, sweep)

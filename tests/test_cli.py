@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from kcycle.cli import main
+from kcycle import InputError, KcycleError, SolverError, errors
+from kcycle.cli import _UsageError, main
 from kcycle.serialize import csv_lines, dumps
 
 from conftest import scenario_path
@@ -274,6 +275,76 @@ def test_verify_wrong_kind_exit64(tmp_path, capsys):
     p = tmp_path / "other.json"
     p.write_text(json.dumps({"kind": "other"}))
     assert run_cli("verify", str(p)) == 64
+
+
+# --- malformed input -------------------------------------------------------
+
+# (file, path of keys to the edited entry, bad value); each loads with exit
+# 64 instead of failing later as a solver error or escaping main uncaught
+MALFORMED = [
+    pytest.param("scenario", ("tolerances", "rel_tol"), math.nan,
+                 id="rel_tol-nan"),
+    pytest.param("scenario", ("tolerances", "stasis_tol"), math.nan,
+                 id="stasis_tol-nan"),
+    pytest.param("scenario", ("tolerances", "cycle_tol"), math.nan,
+                 id="cycle_tol-nan"),
+    pytest.param("scenario", ("tolerances", "cycle_tol"), "abc",
+                 id="cycle_tol-string"),
+    pytest.param("scenario", ("tolerances", "max_steps"), 2.5,
+                 id="max_steps-fraction"),
+    pytest.param("scenario", ("sweep", "delta_max"), math.inf,
+                 id="delta_max-infinity"),
+    pytest.param("scenario", ("sweep", "delta_max"), [1],
+                 id="delta_max-list"),
+    pytest.param("scenario", ("weights",), ["0.5", "0.5"],
+                 id="weights-strings"),
+    pytest.param("scenario", ("fields", 0), "1e999 - x1",
+                 id="field-literal-overflow"),
+    pytest.param("record", ("newton_iters",), "abc",
+                 id="newton_iters-string"),
+    pytest.param("record", ("closure_residual",), [1],
+                 id="closure_residual-list"),
+    pytest.param("record", ("points",), [[0.1, 0.2], [0.3, 0.4]],
+                 id="points-wrong-dimension"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, value", MALFORMED)
+def test_malformed_input_exit64(tmp_path, capsys, kind, keys, value):
+    if kind == "scenario":
+        path = tmp_path / "bad.json"
+        data = json.loads(scenario_path("pair_1d").read_text())
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path)]
+    else:
+        path = _make_record(tmp_path, capsys)
+        data = json.loads(path.read_text())
+        argv = ["verify", str(path)]
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(data))  # NaN and Infinity as json writes them
+    code = run_cli(*argv)  # an exception escaping main fails the test
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("kcycle: error: ")
+    assert "Traceback" not in err
+
+
+def test_every_error_class_has_one_exit_code():
+    classes = set()
+    pending = [KcycleError]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            classes.add(sub)
+            pending.append(sub)
+    module_errors = {c for c in vars(errors).values()
+                     if isinstance(c, type) and issubclass(c, KcycleError)}
+    assert module_errors - {KcycleError} <= classes
+    assert _UsageError in classes
+    for cls in classes - {InputError, SolverError}:
+        assert issubclass(cls, InputError) != issubclass(cls, SolverError), \
+            cls.__name__
 
 
 # --- serializer ------------------------------------------------------------

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kcycle import (FlowDomainError, IntegratorConfig, StepLimitError,
-                    flow_endpoint, flow_sensitivity, integrate_flow,
-                    parse_field)
+                    flow_endpoint, integrate_flow, parse_field)
 
 from oracles import affine_flow, central_fd_jacobian
 
@@ -35,13 +34,13 @@ def test_rotation_quarter_turn():
 
 def test_scalar_affine_sensitivity():
     f = parse_field("1 - x1", 1)
-    res = flow_sensitivity(f, [0.7], 0.1)
+    res = integrate_flow(f, [0.7], 0.1)
     assert res.sensitivity[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-12)
 
 
 def test_rotation_sensitivity_is_rotation_matrix():
     f = parse_field("x2; -x1", 2)
-    res = flow_sensitivity(f, [0.2, 0.5], 0.3)
+    res = integrate_flow(f, [0.2, 0.5], 0.3)
     want = [[math.cos(0.3), math.sin(0.3)],
             [-math.sin(0.3), math.cos(0.3)]]
     assert np.allclose(res.sensitivity, want, atol=1e-11)

@@ -181,15 +181,24 @@ def test_sigma_min_matches_svd_oracle():
         assert rep.smallest_singular_value == pytest.approx(want, abs=1e-12)
 
 
-def test_jacobi_svd_matches_lapack():
+def test_singular_values_match_gram_eigenvalues():
+    # checked without an SVD routine: a = U diag(s) V^T has singular values
+    # s by construction, and their squares are the largest eigenvalues of
+    # a^T a, which the symmetric eigensolver computes independently
     rng = np.random.default_rng(23)
-    for _ in range(25):
-        m = int(rng.integers(1, 13))
-        n = int(rng.integers(1, 13))
-        a = rng.standard_normal((m, n))
+    for m, n in ((1, 1), (3, 7), (7, 3), (5, 5), (2, 12), (12, 2), (9, 9),
+                 (24, 24)):
+        r = min(m, n)
+        s = np.sort(rng.uniform(1.0, 4.0, r))[::-1]
+        u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        a = u @ np.diag(s) @ v.T
         got = singular_values(a)
-        want = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(got, want, atol=1e-12 * max(1.0, want[0]))
+        assert got.shape == (r,)
+        assert np.all(np.diff(got) <= 0.0)
+        gram = np.sqrt(np.linalg.eigvalsh(a.T @ a)[::-1][:r])
+        assert np.allclose(got, gram, rtol=1e-12, atol=0.0)
+        assert np.allclose(got, s, rtol=1e-12, atol=0.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
