@@ -199,6 +199,23 @@ def _require_regular(point: StasisPoint):
             "weighted Jacobian", sigma_min=reg.smallest_singular_value)
 
 
+def _write_artifact(out_dir: str, name: str, text: str) -> str:
+    """Write text to out_dir/name, creating out_dir; returns the path.
+
+    An --out that names a file, lies under one or cannot be written is a
+    usage error.
+    """
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path} (--out {out_dir}): "
+                          f"{exc.strerror or exc}") from exc
+    return path
+
+
 def _cycle_record(scn: Scenario, point: StasisPoint, cycle: KCycle) -> dict:
     return {
         "schema_version": 1,
@@ -227,10 +244,8 @@ def cmd_cycle(args) -> int:
     cycle = solve_cycle(scn.fields, point.weights, seed, args.delta, tol,
                         scn.integrator)
     record = _cycle_record(scn, point, cycle)
-    out_path = os.path.join(args.out, f"{_slug(scn.name)}_cycle.json")
-    os.makedirs(args.out, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize.dumps(record))
+    out_path = _write_artifact(args.out, f"{_slug(scn.name)}_cycle.json",
+                               serialize.dumps(record))
     if args.json:
         sys.stdout.write(serialize.dumps(record))
     else:
@@ -281,11 +296,9 @@ def cmd_sweep(args) -> int:
                 rec.cycle.newton_iters]
         rows.append(row)
 
-    os.makedirs(args.out, exist_ok=True)
     base = _slug(scn.name)
-    csv_path = os.path.join(args.out, f"{base}_sweep.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize.csv_lines(header, rows))
+    csv_path = _write_artifact(args.out, f"{base}_sweep.csv",
+                               serialize.csv_lines(header, rows))
     summary = {
         "schema_version": 1,
         "kind": "sweep_summary",
@@ -300,9 +313,8 @@ def cmd_sweep(args) -> int:
         "x0": [float(v) for v in point.x0],
         "weights": list(point.weights.values),
     }
-    json_path = os.path.join(args.out, f"{base}_sweep.json")
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize.dumps(summary))
+    json_path = _write_artifact(args.out, f"{base}_sweep.json",
+                                serialize.dumps(summary))
     if args.json:
         sys.stdout.write(serialize.dumps(summary))
     else:

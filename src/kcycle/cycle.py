@@ -18,6 +18,11 @@ the G block (the leg displacements telescope) but is re-verified
 independently before a cycle is accepted, because floating point breaks
 exact telescoping.
 
+Each Newton iteration integrates the k legs once with sensitivities (the
+residual and the Jacobian) and then endpoint only for each line-search
+trial. The accepted trial's endpoints carry into the next iteration, so
+the iteration that finds a point converged integrates nothing.
+
 Newton systems are solved by dense LU with partial pivoting; the chain
 blocks would admit a block-structured elimination, noted here only as a
 possible optimization since the systems stay desk-scale (nk at most a few
@@ -46,31 +51,35 @@ MAX_BISECTIONS = 8
 SWEEP_LADDER_SPAN = 1024.0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CyclePoints:
-    points: tuple
+    """The k points of a cycle, stored as the rows of one (k, n) array.
+
+    Iteration and indexing yield the rows, so callers see a sequence of
+    points.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(np.asarray(p, dtype=float) for p in self.points)
-        if len(pts) < 2:
+        rows = [np.asarray(p, dtype=float) for p in self.points]
+        if len(rows) < 2:
             raise DimensionError("a cycle needs at least two points")
-        n = pts[0].shape
-        for p in pts:
-            if p.shape != n:
-                raise DimensionError("cycle points must share one dimension")
-        self.points = pts
+        if any(p.shape != rows[0].shape for p in rows):
+            raise DimensionError("cycle points must share one dimension")
+        self.points = np.array(rows)
 
     @classmethod
     def constant(cls, x0, k: int) -> "CyclePoints":
         x0 = np.asarray(x0, dtype=float)
-        return cls(tuple(x0.copy() for _ in range(k)))
+        return cls(np.broadcast_to(x0, (k,) + x0.shape))
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, n: int, k: int) -> "CyclePoints":
-        return cls(tuple(vec[j * n:(j + 1) * n].copy() for j in range(k)))
+        return cls(np.reshape(vec[:n * k], (k, n)))
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(self.points)
+        return self.points.flatten()
 
     def __len__(self):
         return len(self.points)
@@ -82,7 +91,7 @@ class CyclePoints:
         return self.points[j]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class KCycle:
     points: CyclePoints
     delta: float
@@ -91,14 +100,14 @@ class KCycle:
     newton_iters: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SweepRecord:
     delta: float
     cycle: KCycle
     max_distance_to_x0: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SweepResult:
     records: tuple
     largest_delta: float
@@ -216,29 +225,35 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> KCycle:
     """Damped Newton on the stacked cycle system for a fixed delta > 0.
 
-    One augmented integration per leg per iteration supplies both the
-    residual and the Jacobian. Convergence is on the max norm; the final
-    leg's closure F_k(x_k, delta*m_k) = x_1 is then re-verified explicitly
-    (10*tol budget) before the cycle is accepted.
+    An iteration integrates every leg once with sensitivities, which
+    supplies the residual and the Jacobian, and then integrates the
+    line-search trials endpoint only. The endpoints of the accepted trial
+    are kept: when their residual already meets the tolerance, the next
+    iteration returns on them without integrating again. Convergence is
+    on the max norm; the final leg's closure F_k(x_k, delta*m_k) = x_1 is
+    then re-verified explicitly (10*tol budget) before the cycle is
+    accepted.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, k = _check_cycle_family(fields, weights, seed)
-    x = seed.flat().copy()
+    x = seed.flat()
     mvals = list(weights)
+    rn = np.inf  # max-norm residual at x, known once x has been integrated
     for iteration in range(MAX_CYCLE_ITERS + 1):
         pts = [x[j * n:(j + 1) * n] for j in range(k)]
-        flows = [integrate_flow(f, p, delta * m, cfg)
-                 for f, p, m in zip(fields, pts, mvals)]
-        ends = [fl.endpoint for fl in flows]
-        res = _residual_from_endpoints(ends, pts, delta, n, k)
-        rn = float(np.max(np.abs(res)))
-        if not np.isfinite(rn):
-            raise NewtonDivergenceError(
-                "cycle residual became non-finite", residual_norm=rn,
-                iterations=iteration)
+        if rn > tol:
+            flows = [integrate_flow(f, p, delta * m, cfg)
+                     for f, p, m in zip(fields, pts, mvals)]
+            ends = [fl.endpoint for fl in flows]
+            res = _residual_from_endpoints(ends, pts, delta, n, k)
+            rn = float(np.max(np.abs(res)))
+            if not np.isfinite(rn):
+                raise NewtonDivergenceError(
+                    "cycle residual became non-finite", residual_norm=rn,
+                    iterations=iteration)
         if rn <= tol:
             closure = float(np.max(np.abs(ends[k - 1] - pts[0])))
             if closure > 10.0 * tol:
@@ -273,7 +288,7 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
             except (FlowDomainError, StepLimitError):
                 t_rn = np.inf
             if np.isfinite(t_rn) and t_rn <= (1.0 - 1e-4 * lam) * rn:
-                x = trial
+                x, ends, rn = trial, t_ends, t_rn
                 break
             lam *= 0.5
         else:
@@ -287,7 +302,7 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
         iterations=MAX_CYCLE_ITERS)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CycleCheck:
     """Re-integration report: per-leg mismatches, cyclically (leg k closes)."""
 

@@ -21,6 +21,14 @@ from .errors import DimensionError, DomainError, DslError
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")
 
+# Deepest nesting the parser takes, counted two ways: '(', function calls
+# and unary signs in the source (the parser recurses on them), and the
+# height of each component's tree (long chains of binary operators nest
+# there). A derivative tree is at most about three times as high, so both
+# the compiled evaluators and the recursive tree walks stay well inside
+# Python's parenthesis and recursion limits.
+MAX_DEPTH = 60
+
 
 @dataclass(frozen=True)
 class Const:
@@ -98,6 +106,21 @@ class _Parser:
                 self.tokens.append(("op" if kind == "sep" else kind, text, pos))
             pos = m.end()
         self.i = 0
+        self.depth = 0
+
+    def _nest(self, offset):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _err(self.source, offset,
+                       f"expression nested deeper than {MAX_DEPTH} levels")
+
+    def _component(self):
+        offset = self._peek()[2]
+        expr = self.parse_expr()
+        if _height(expr) > MAX_DEPTH:
+            raise _err(self.source, offset,
+                       f"expression tree deeper than {MAX_DEPTH} levels")
+        return expr
 
     def _peek(self):
         if self.i < len(self.tokens):
@@ -115,7 +138,7 @@ class _Parser:
             raise _err(self.source, off, f"expected '{text}'")
 
     def parse_components(self):
-        comps = [self.parse_expr()]
+        comps = [self._component()]
         while True:
             kind, text, off = self._peek()
             if kind == "eof":
@@ -125,7 +148,7 @@ class _Parser:
                     self._next()
                 if self._peek()[0] == "eof":
                     break
-                comps.append(self.parse_expr())
+                comps.append(self._component())
             else:
                 raise _err(self.source, off, f"unexpected token {text!r}")
         return comps
@@ -150,7 +173,9 @@ class _Parser:
         kind, text, off = self._peek()
         if kind == "op" and text in "+-":
             self._next()
+            self._nest(off)
             inner = self.parse_power()
+            self.depth -= 1
             return inner if text == "+" else Unary("neg", inner)
         return self.parse_power()
 
@@ -181,17 +206,37 @@ class _Parser:
                 return Var(index)
             if text in FUNCTIONS:
                 self._expect_op("(")
+                self._nest(off)
                 arg = self.parse_expr()
                 self._expect_op(")")
+                self.depth -= 1
                 return Unary(text, arg)
             raise _err(self.source, off, f"unknown identifier {text!r}")
         if kind == "op" and text == "(":
+            self._nest(off)
             inner = self.parse_expr()
             self._expect_op(")")
+            self.depth -= 1
             return inner
         raise _err(self.source, off,
                    "expected a number, variable, function call, or '('"
                    if kind != "eof" else "unexpected end of expression")
+
+
+def _height(e):
+    """Levels of nodes in the tree e, found without recursion."""
+    height = 0
+    pending = [(e, 1)]
+    while pending:
+        node, level = pending.pop()
+        height = max(height, level)
+        if isinstance(node, Binary):
+            pending += ((node.left, level + 1), (node.right, level + 1))
+        elif isinstance(node, Unary):
+            pending.append((node.arg, level + 1))
+        elif isinstance(node, Power):
+            pending.append((node.base, level + 1))
+    return height
 
 
 # ---------------------------------------------------------------------------

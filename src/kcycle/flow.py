@@ -56,21 +56,21 @@ class FlowResult:
     est_local_error: float
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# Dormand-Prince 5(4) tableau; row i of _DP_A holds the stage-i weights
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                   11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
 def _dopri(rhs, y0, span, cfg):
@@ -87,6 +87,7 @@ def _dopri(rhs, y0, span, cfg):
     est = 0.0
     err_prev = 1e-4
     h_min = 16.0 * np.finfo(float).eps * span
+    stages = np.empty((7, y.size))
     while t < span:
         if steps >= cfg.max_steps:
             raise StepLimitError(
@@ -95,16 +96,15 @@ def _dopri(rhs, y0, span, cfg):
             raise StepLimitError(f"step size collapsed at t={t:.6g}")
         h = min(h, span - t)
         try:
-            k = [rhs(y)]
+            stages[0] = rhs(y)
             for i in range(1, 7):
-                yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-                k.append(rhs(yi))
+                stages[i] = rhs(y + h * (_DP_A[i, :i] @ stages[:i]))
         except DomainError as exc:
             raise FlowDomainError(
                 f"field evaluation failed at t={t:.6g}: {exc}", time=t
             ) from exc
-        y_new = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        e_vec = h * sum(e * ki for e, ki in zip(_DP_E, k))
+        y_new = y + h * (_DP_B5 @ stages)
+        e_vec = h * (_DP_E @ stages)
         steps += 1
         if not np.all(np.isfinite(y_new)):
             h *= 0.2

@@ -72,6 +72,23 @@ def test_malformed_dsl_exit64(tmp_path, capsys):
     assert "field 2" in err and "column" in err
 
 
+@pytest.mark.parametrize("command", ["cycle", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_exit64(tmp_path, capsys, command, under):
+    existing = tmp_path / "taken"
+    existing.write_text("keep me\n")
+    out = existing / "sub" if under else existing
+    argv = [command, "--scenario", str(scenario_path("pair_1d")),
+            "--out", str(out)]
+    if command == "cycle":
+        argv += ["--delta", "0.2"]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("kcycle: error: cannot write")
+    assert existing.read_text() == "keep me\n"
+
+
 def test_missing_scenario_flag_exit64(capsys):
     assert run_cli("stasis") == 64
 
@@ -300,6 +317,14 @@ MALFORMED = [
                  id="weights-strings"),
     pytest.param("scenario", ("fields", 0), "1e999 - x1",
                  id="field-literal-overflow"),
+    pytest.param("scenario", ("fields", 0), "(" * 3000 + "x1" + ")" * 3000,
+                 id="field-nested-parentheses"),
+    pytest.param("scenario", ("fields", 0), "sin(" * 3000 + "x1" + ")" * 3000,
+                 id="field-nested-calls"),
+    pytest.param("scenario", ("fields", 0), "-(" * 3000 + "x1" + ")" * 3000,
+                 id="field-nested-signs"),
+    pytest.param("scenario", ("fields", 0), " + ".join(["x1"] * 3000),
+                 id="field-operator-chain"),
     pytest.param("record", ("newton_iters",), "abc",
                  id="newton_iters-string"),
     pytest.param("record", ("closure_residual",), [1],

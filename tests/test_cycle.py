@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kcycle import (BranchLostError, CyclePoints, IntegratorConfig,
-                    SingularJacobianError, Weights, average_velocity,
-                    cycle_jacobian, cycle_residual, find_stasis,
-                    flow_endpoint, loglog_slope, parse_field, solve_cycle,
-                    stasis_residual, sweep_delta, verify_cycle)
+import kcycle.cycle
+from kcycle import (BranchLostError, CyclePoints, DimensionError,
+                    IntegratorConfig, SingularJacobianError, Weights,
+                    average_velocity, cycle_jacobian, cycle_residual,
+                    find_stasis, flow_endpoint, loglog_slope, parse_field,
+                    solve_cycle, stasis_residual, sweep_delta, verify_cycle)
 
 from oracles import (central_fd_jacobian, cofactor_det, linear_cycle_points,
                      pair_cycle_x1, scipy_cycle_points)
@@ -40,6 +41,38 @@ def _linear_family(rng, n, k):
             fields.append(parse_field(comps, n))
         x0 = np.linalg.solve(wsum, -sum(wj * b for wj, b in zip(w, vecs)))
         return fields, Weights(tuple(w)), mats, vecs, x0
+
+
+# --- cycle points ----------------------------------------------------------
+
+def test_cycle_points_rejects_mixed_shapes_and_single_point():
+    with pytest.raises(DimensionError):
+        CyclePoints((np.zeros(2), np.zeros(3)))
+    with pytest.raises(DimensionError):
+        CyclePoints((np.zeros(2),))
+    with pytest.raises(DimensionError):
+        CyclePoints(())
+
+
+def test_cycle_points_flat_round_trip():
+    vec = np.arange(6.0)
+    pts = CyclePoints.from_flat(vec, 2, 3)
+    assert len(pts) == 3
+    assert [list(p) for p in pts] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert list(pts[2]) == [4.0, 5.0]
+    flat = pts.flat()
+    assert np.array_equal(flat, vec)
+    flat[0] = 9.0  # flat() and from_flat() copy
+    vec[1] = 9.0
+    assert pts[0][0] == 0.0 and pts[0][1] == 1.0
+
+
+def test_cycle_points_constant_rows_are_independent():
+    pts = CyclePoints.constant([0.5, -0.5], 3)
+    assert pts.points.shape == (3, 2)
+    assert all(np.array_equal(p, [0.5, -0.5]) for p in pts)
+    pts[0][0] = 1.0
+    assert pts[1][0] == 0.5
 
 
 # --- average velocity ------------------------------------------------------
@@ -274,6 +307,45 @@ def test_solve_cycle_trig_matches_scipy_shooting_oracle(corpus):
     # finite-difference steps degenerate on ~1e-13 coordinates
     live = scipy_cycle_points([v1, v2, v3], list(w), np.zeros(3), 0.2)
     assert np.max(np.abs(got - live)) <= 1e-9
+
+
+def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
+    # triad-2d is affine, so one Newton step lands on the cycle: k legs
+    # with sensitivities for the step, k endpoint-only legs for the
+    # accepted trial, and nothing more to find it converged
+    calls = {"sens": 0, "end": 0}
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kcycle.cycle, "integrate_flow",
+                        counted(kcycle.cycle.integrate_flow, "sens"))
+    monkeypatch.setattr(kcycle.cycle, "flow_endpoint",
+                        counted(kcycle.cycle.flow_endpoint, "end"))
+    scn = corpus["triad_2d"]
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    cyc = solve_cycle(scn.fields, sp.weights,
+                      CyclePoints.constant(sp.x0, scn.k), 0.2,
+                      scn.cycle_tol, scn.integrator)
+    assert cyc.newton_iters == 1
+    assert calls == {"sens": scn.k, "end": scn.k}
+
+
+def test_trig_ladder_newton_iterations_unchanged(corpus):
+    # frozen per-point Newton iterations of the trig-3d sweep, as they were
+    # when every converged point was integrated again; reusing the
+    # accepted trial's endpoints must not change them
+    scn = corpus["trig_3d"]
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    result = sweep_delta(scn.fields, sp.weights, sp.x0, scn.sweep.delta_max,
+                         scn.sweep.steps, scn.cycle_tol, scn.integrator)
+    assert [rec.cycle.newton_iters for rec in result.records] == \
+        [1] + [2] * 27 + [3] * 4
 
 
 def test_accepted_cycle_survives_tighter_reintegration(regular_corpus):

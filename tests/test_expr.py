@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kcycle import (DimensionError, DomainError, DslError, eval_field,
                     jacobian_field, parse_field, unparse_field)
-from kcycle.expr import (Binary, Const, Power, Unary, Var, diff_expr,
-                         eval_expr, unparse_expr)
+from kcycle.expr import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
+                         diff_expr, eval_expr, unparse_expr)
 
 from oracles import central_fd_jacobian
 
@@ -61,6 +61,35 @@ def test_non_integer_exponent():
 def test_unknown_identifier():
     with pytest.raises(DslError, match="unknown identifier 'foo'"):
         parse_field("foo(x1)", 1)
+
+
+# sources nested `depth` levels deep, in the parser (parentheses, calls,
+# signs) or in the tree (operator chains); a quotient's derivative nests
+# the divisor's derivative three levels down, the steepest growth of any
+# rule, so the quotient trees are the hardest to compile at the limit
+NESTED = {
+    "parentheses": lambda d: "(" * d + "x1 + 1" + ")" * d,
+    "function-calls": lambda d: "sin(" * d + "x1" + ")" * d,
+    "unary-signs": lambda d: "-(" * (d // 2) + "x1" + ")" * (d // 2),
+    "operator-chain": lambda d: " / ".join(["(x1 + 2)"] * d),
+    "quotients": lambda d: "x1 / (" * (d - 2) + "x1 + 2" + ")" * (d - 2),
+    "root-quotients": lambda d: ("x1 / sqrt(" * ((d - 2) // 3) + "x1 + 2"
+                                 + ")^2" * ((d - 2) // 3)),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_nesting_within_limit_compiles(kind):
+    f = parse_field(NESTED[kind](MAX_DEPTH - 1), 1)
+    assert np.all(np.isfinite(jacobian_field(f, [0.3])))
+    assert np.all(np.isfinite(eval_field(f, [0.3])))
+
+
+@pytest.mark.parametrize("kind", NESTED)
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 2, 3000])
+def test_nesting_past_limit_is_dsl_error(kind, depth):
+    with pytest.raises(DslError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_field(NESTED[kind](depth), 1)
 
 
 def test_eval_division_by_zero_identifies_component():
