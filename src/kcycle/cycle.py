@@ -8,25 +8,24 @@ are zeros of the stacked system
       F_{k-1}(x_{k-1}, delta*m_{k-1}) - x_k ]
 
 where G is the average velocity around the prospective loop,
-G = sum_j (F_j(x_j, delta*m_j) - x_j) / delta. G has a removable
-singularity at delta = 0 with limit sum_j m_j V_j(x_j), handled as an
-explicit branch; at delta = 0 the system's Jacobian is the analytic block
-matrix with top row m_j dV_j/dx(x_j) and identity chain blocks, whose
-determinant magnitude equals |det(sum_j m_j dV_j/dx)|. Newton continuation
-in delta rides this structure: the closure of the final leg is implied by
-the G block (the leg displacements telescope) but is re-verified
-independently before a cycle is accepted, because floating point breaks
-exact telescoping.
+G = sum_j (F_j(x_j, delta*m_j) - x_j) / delta, with a removable
+singularity at delta = 0 and limit sum_j m_j V_j(x_j). `_cycle_system`
+assembles the system for every caller on the (k, n) array of points, and
+delta = 0 is data there, not a branch: the endpoints are the points, the
+sensitivities the identity and the top Jacobian blocks m_j dV_j/dx(x_j),
+so the block matrix's determinant magnitude equals
+|det(sum_j m_j dV_j/dx)|. Newton continuation in delta rides this
+structure: the closure of the final leg is implied by the G block (the
+leg displacements telescope) but is re-verified independently before a
+cycle is accepted, because floating point breaks exact telescoping.
 
 Each Newton iteration integrates the k legs once with sensitivities (the
 residual and the Jacobian) and then endpoint only for each line-search
 trial. The accepted trial's endpoints carry into the next iteration, so
-the iteration that finds a point converged integrates nothing.
-
-Newton systems are solved by dense LU with partial pivoting; the chain
-blocks would admit a block-structured elimination, noted here only as a
-possible optimization since the systems stay desk-scale (nk at most a few
-hundred).
+the iteration that finds a point converged integrates nothing. A step is
+`linalg.newton_step`: an SVD singularity test, then dense LU; the chain
+blocks would admit a block-structured elimination, not needed while the
+systems stay desk-scale (nk at most a few hundred).
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
-                     FlowDomainError, NewtonDivergenceError,
-                     SingularJacobianError, SolverError, StepLimitError)
+                     FlowDomainError, NewtonDivergenceError, SolverError,
+                     StepLimitError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import Weights, _check_family
 from .expr import eval_field, jacobian_field
@@ -115,7 +114,8 @@ class SweepResult:
     failure_reason: Optional[str]
 
 
-def _check_cycle_family(fields, weights, pts):
+def _cycle_rows(fields, weights, pts: CyclePoints, delta: float = 0.0):
+    """The (k, n) array of `pts`, checked against the family and delta."""
     n = _check_family(fields, weights)
     if len(pts) != len(fields):
         raise DimensionError(
@@ -123,12 +123,55 @@ def _check_cycle_family(fields, weights, pts):
     if pts[0].shape != (n,):
         raise DimensionError(
             f"cycle points have shape {pts[0].shape}, expected ({n},)")
-    return n, len(fields)
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    return pts.points
 
 
-def _leg_endpoints(fields, weights, pts, delta, cfg):
-    return [flow_endpoint(f, x, delta * m, cfg)
-            for f, x, m in zip(fields, pts, weights)]
+def _cycle_system(fields, weights, pts, delta, cfg, residual=True,
+                  jacobian=False):
+    """The stacked cycle system at the (k, n) points `pts`.
+
+    Returns (ends, res, jac): the leg endpoints F_j(x_j, delta*m_j) as a
+    (k, n) array; the residual as a (k, n) array whose row 0 is the
+    average velocity and row j the mismatch F_j(x_j, delta*m_j) - x_{j+1};
+    and the (nk, nk) Jacobian. res and jac are None unless asked for.
+    """
+    k, n = pts.shape
+    eye = np.eye(n)
+    legs = list(zip(fields, pts, weights))
+    if delta == 0.0:
+        ends, sens = pts, np.broadcast_to(eye, (k, n, n))
+    elif jacobian:
+        flows = [integrate_flow(f, x, delta * m, cfg) for f, x, m in legs]
+        ends = np.array([fl.endpoint for fl in flows])
+        sens = np.array([fl.sensitivity for fl in flows])
+    else:
+        ends = np.array([flow_endpoint(f, x, delta * m, cfg)
+                         for f, x, m in legs])
+    res = jac = None
+    if residual:
+        velocity = np.zeros(n)
+        for (f, x, m), end in zip(legs, ends):  # fixed summation order
+            velocity += m * eval_field(f, x) if delta == 0.0 else end - x
+        # the delta = 0 limit is already a velocity: dividing by 1 is exact
+        res = np.vstack([velocity / (delta or 1.0), ends[:-1] - pts[1:]])
+    if jacobian:
+        top = (np.array([m * jacobian_field(f, x) for f, x, m in legs])
+               if delta == 0.0 else (sens - eye) / delta)
+        jac = np.zeros((k, n, k, n))
+        jac[0] = np.swapaxes(top, 0, 1)
+        for j in range(1, k):
+            jac[j, :, j - 1], jac[j, :, j] = sens[j - 1], -eye
+        jac = jac.reshape(k * n, k * n)
+    return ends, res, jac
+
+
+def _leg_mismatches(ends, pts) -> tuple:
+    """max|F_j(x_j, delta*m_j) - x_{j+1}| per leg, cyclically: the last
+    entry is the final leg's closure."""
+    gaps = np.abs(ends - np.vstack([pts[1:], pts[:1]]))
+    return tuple(float(v) for v in np.max(gaps, axis=1))
 
 
 def average_velocity(fields, weights: Weights, pts: CyclePoints,
@@ -139,27 +182,8 @@ def average_velocity(fields, weights: Weights, pts: CyclePoints,
     delta = 0 takes the removable-singularity limit sum_j m_j V_j(x_j),
     which coincides with the stasis residual when the points coincide.
     """
-    n, k = _check_cycle_family(fields, weights, pts)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if delta == 0.0:
-        out = np.zeros(n)
-        for m, f, x in zip(weights, fields, pts):
-            out += m * eval_field(f, x)
-        return out
-    ends = _leg_endpoints(fields, weights, pts, delta, cfg)
-    return _residual_from_endpoints(ends, pts, delta, n, k)[:n]
-
-
-def _residual_from_endpoints(ends, pts, delta, n, k):
-    res = np.empty(n * k)
-    acc = np.zeros(n)
-    for end, x in zip(ends, pts):  # fixed summation order: deterministic
-        acc += end - x
-    res[:n] = acc / delta
-    for j in range(k - 1):
-        res[(j + 1) * n:(j + 2) * n] = ends[j] - pts[j + 1]
-    return res
+    x = _cycle_rows(fields, weights, pts, delta)
+    return _cycle_system(fields, weights, x, delta, cfg)[1][0]
 
 
 def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
@@ -171,28 +195,8 @@ def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
     is implied: delta times the first block telescopes to
     F_k(x_k, delta*m_k) - x_1 once the chain blocks vanish.
     """
-    n, k = _check_cycle_family(fields, weights, pts)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if delta == 0.0:
-        res = np.empty(n * k)
-        res[:n] = average_velocity(fields, weights, pts, 0.0, cfg)
-        for j in range(k - 1):
-            res[(j + 1) * n:(j + 2) * n] = pts[j] - pts[j + 1]
-        return res
-    ends = _leg_endpoints(fields, weights, pts, delta, cfg)
-    return _residual_from_endpoints(ends, pts, delta, n, k)
-
-
-def _jacobian_from_sensitivities(sens, delta, n, k):
-    jac = np.zeros((n * k, n * k))
-    eye = np.eye(n)
-    for j in range(k):
-        jac[:n, j * n:(j + 1) * n] = (sens[j] - eye) / delta
-    for j in range(k - 1):
-        jac[(j + 1) * n:(j + 2) * n, j * n:(j + 1) * n] = sens[j]
-        jac[(j + 1) * n:(j + 2) * n, (j + 1) * n:(j + 2) * n] = -eye
-    return jac
+    x = _cycle_rows(fields, weights, pts, delta)
+    return _cycle_system(fields, weights, x, delta, cfg)[1].reshape(-1)
 
 
 def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
@@ -203,21 +207,9 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
     m_j dV_j/dx(x_j), chain blocks I and -I); delta > 0 uses the true flow
     sensitivities: top row (dF_j/dx - I)/delta, chain blocks dF_j/dx, -I.
     """
-    n, k = _check_cycle_family(fields, weights, pts)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    jac = np.zeros((n * k, n * k))
-    eye = np.eye(n)
-    if delta == 0.0:
-        for j, (m, f, x) in enumerate(zip(weights, fields, pts)):
-            jac[:n, j * n:(j + 1) * n] = m * jacobian_field(f, x)
-        for j in range(k - 1):
-            jac[(j + 1) * n:(j + 2) * n, j * n:(j + 1) * n] = eye
-            jac[(j + 1) * n:(j + 2) * n, (j + 1) * n:(j + 2) * n] = -eye
-        return jac
-    sens = [integrate_flow(f, x, delta * m, cfg).sensitivity
-            for f, x, m in zip(fields, pts, weights)]
-    return _jacobian_from_sensitivities(sens, delta, n, k)
+    x = _cycle_rows(fields, weights, pts, delta)
+    return _cycle_system(fields, weights, x, delta, cfg, residual=False,
+                         jacobian=True)[2]
 
 
 def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
@@ -238,52 +230,39 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
         raise ValueError("delta must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n, k = _check_cycle_family(fields, weights, seed)
-    x = seed.flat()
-    mvals = list(weights)
+    x = _cycle_rows(fields, weights, seed)
     rn = np.inf  # max-norm residual at x, known once x has been integrated
     for iteration in range(MAX_CYCLE_ITERS + 1):
-        pts = [x[j * n:(j + 1) * n] for j in range(k)]
         if rn > tol:
-            flows = [integrate_flow(f, p, delta * m, cfg)
-                     for f, p, m in zip(fields, pts, mvals)]
-            ends = [fl.endpoint for fl in flows]
-            res = _residual_from_endpoints(ends, pts, delta, n, k)
+            ends, res, jac = _cycle_system(fields, weights, x, delta, cfg,
+                                           jacobian=True)
             rn = float(np.max(np.abs(res)))
             if not np.isfinite(rn):
                 raise NewtonDivergenceError(
                     "cycle residual became non-finite", residual_norm=rn,
                     iterations=iteration)
         if rn <= tol:
-            closure = float(np.max(np.abs(ends[k - 1] - pts[0])))
-            if closure > 10.0 * tol:
+            mismatches = _leg_mismatches(ends, x)
+            if mismatches[-1] > 10.0 * tol:
                 raise ClosureError(
-                    f"final-leg closure {closure:.3e} exceeds "
+                    f"final-leg closure {mismatches[-1]:.3e} exceeds "
                     f"{10.0 * tol:.3e}; integration tolerance is too loose "
                     "relative to the Newton tolerance")
-            mismatches = [float(np.max(np.abs(ends[j] - pts[(j + 1) % k])))
-                          for j in range(k)]
-            return KCycle(
-                CyclePoints.from_flat(x, n, k), delta,
-                tuple(delta * m for m in mvals),
-                max(mismatches), iteration)
+            return KCycle(CyclePoints(x), delta,
+                          tuple(delta * m for m in weights),
+                          max(mismatches), iteration)
         if iteration == MAX_CYCLE_ITERS:
             break
-        jac = _jacobian_from_sensitivities(
-            [fl.sensitivity for fl in flows], delta, n, k)
-        sv = linalg.singular_values(jac)
-        if linalg.is_numerically_singular(sv):
-            raise SingularJacobianError(
-                f"cycle Jacobian numerically singular at delta={delta:.6g} "
-                f"(sigma_min {sv[-1]:.3e})", sigma_min=float(sv[-1]))
-        step = np.linalg.solve(jac, -res)
+        step = linalg.newton_step(
+            jac, res.reshape(-1),
+            f"cycle Jacobian numerically singular at delta={delta:.6g}"
+        ).reshape(x.shape)
         lam = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
             try:
-                t_pts = [trial[j * n:(j + 1) * n] for j in range(k)]
-                t_ends = _leg_endpoints(fields, mvals, t_pts, delta, cfg)
-                t_res = _residual_from_endpoints(t_ends, t_pts, delta, n, k)
+                t_ends, t_res, _ = _cycle_system(fields, weights, trial,
+                                                 delta, cfg)
                 t_rn = float(np.max(np.abs(t_res)))
             except (FlowDomainError, StepLimitError):
                 t_rn = np.inf
@@ -315,12 +294,10 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
                  cfg: IntegratorConfig = DEFAULT_CONFIG,
                  tighten: float = 10.0) -> CycleCheck:
     """Re-integrate every leg at tighter tolerance and report mismatches."""
-    n, k = _check_cycle_family(fields, weights, cycle.points)
-    tight = cfg.tightened(tighten)
-    ends = _leg_endpoints(fields, weights, cycle.points, cycle.delta, tight)
-    mismatches = tuple(
-        float(np.max(np.abs(ends[j] - cycle.points[(j + 1) % k])))
-        for j in range(k))
+    x = _cycle_rows(fields, weights, cycle.points)
+    ends = _cycle_system(fields, weights, x, cycle.delta,
+                         cfg.tightened(tighten), residual=False)[0]
+    mismatches = _leg_mismatches(ends, x)
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
 
 
@@ -338,8 +315,8 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     first ladder point raises BranchLostError (non-regular setup or a
     tolerance mismatch).
     """
-    if delta_max <= 0:
-        raise ValueError("delta_max must be positive")
+    if not delta_max >= np.finfo(float).tiny:
+        raise ValueError("delta_max must be a positive normal float")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
@@ -382,23 +359,23 @@ def _predict_first(fields, weights, seed, delta, cfg):
     matrix needs no integration at all. A singular matrix leaves the seed
     unchanged (the corrector will raise the proper diagnosis).
     """
-    n = seed[0].shape[0]
-    k = len(seed)
+    pts = _cycle_rows(fields, weights, seed)
     try:
-        res = cycle_residual(fields, weights, seed, delta, cfg)
-        jac0 = cycle_jacobian(fields, weights, seed, 0.0, cfg)
-        step = np.linalg.solve(jac0, -res)
+        _, res, _ = _cycle_system(fields, weights, pts, delta, cfg)
+        jac0 = _cycle_system(fields, weights, pts, 0.0, cfg, residual=False,
+                             jacobian=True)[2]
+        step = np.linalg.solve(jac0, -res.reshape(-1)).reshape(pts.shape)
     except (np.linalg.LinAlgError, SolverError):
         return seed
     if not np.all(np.isfinite(step)):
         return seed
-    predicted = CyclePoints.from_flat(seed.flat() + step, n, k)
+    predicted = pts + step
     try:
-        better = cycle_residual(fields, weights, predicted, delta, cfg)
+        better = _cycle_system(fields, weights, predicted, delta, cfg)[1]
     except SolverError:
         return seed
     if np.max(np.abs(better)) < np.max(np.abs(res)):
-        return predicted
+        return CyclePoints(predicted)
     return seed
 
 

@@ -187,7 +187,12 @@ class _Parser:
             if kind != "num" or not text.isdigit():
                 raise _err(self.source, off,
                            "exponent must be a non-negative integer literal")
-            return Power(base, int(text))
+            # a finite float has at most 309 digits, far below int()'s limit
+            digits = text.lstrip("0") or "0"
+            if len(digits) > 309 or not math.isfinite(float(digits)):
+                raise _err(self.source, off,
+                           f"exponent of {len(digits)} digits overflows")
+            return Power(base, int(digits))
         return base
 
     def parse_atom(self):

@@ -9,13 +9,18 @@ so both see the identical step sequence. Two steppers are provided: an
 adaptive Dormand-Prince 5(4) embedded pair with PI step-size control
 (default), and a uniform-step RK4 with per-step Richardson error estimates
 that refines the whole pass until the estimate meets tolerance (cross-check
-method). Backward time integrates the negated field; there is no separate
-code path.
+method). integrate_flow (state and sensitivity) and flow_endpoint (state
+only) share one body, `_leg`, and differ only in the right-hand side and
+the initial state. Backward time integrates the negated field; there is
+no separate code path. Overflow and NaN surface as non-finite steps,
+which both steppers reject, so numpy's floating-point warnings are
+silenced for the whole integration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +87,7 @@ def _dopri(rhs, y0, span, cfg):
     """
     y = y0.copy()
     t = 0.0
-    h = span / 64.0
+    h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
     steps = 0
     est = 0.0
     err_prev = 1e-4
@@ -173,9 +178,33 @@ def _rk4(rhs, y0, span, cfg):
 
 
 def _run(rhs, y0, t, cfg):
-    if cfg.method == "rk4_fixed":
-        return _rk4(rhs, y0, t, cfg)
-    return _dopri(rhs, y0, t, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.method == "rk4_fixed":
+            return _rk4(rhs, y0, t, cfg)
+        return _dopri(rhs, y0, t, cfg)
+
+
+def _state_and_sensitivity(field, y):
+    """dx/dt = V(x) and dP/dt = J(x) P for the augmented state (x, P)."""
+    n = field.dimension
+    xs = y[:n]
+    dx = eval_field(field, xs)
+    dphi = jacobian_field(field, xs) @ y[n:].reshape(n, n)
+    return np.concatenate([dx, dphi.reshape(-1)])
+
+
+def _leg(field, y0, t, cfg, rhs):
+    """Integrate dy/dt = rhs(field, y) from y0 over time t; (y, steps, est).
+
+    t = 0 returns a copy of y0 exactly; negative t integrates the negated
+    field over |t|.
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
+    if t == 0.0:
+        return y0.copy(), 0, 0.0
+    work = field if t > 0 else field.negated()
+    return _run(partial(rhs, work), y0, abs(t), cfg)
 
 
 def integrate_flow(field: VectorField, x, t: float,
@@ -186,38 +215,12 @@ def integrate_flow(field: VectorField, x, t: float,
     negated field over |t|.
     """
     n = field.dimension
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
-    if t == 0.0:
-        return FlowResult(x.copy(), np.eye(n), 0, 0.0)
-    work = field if t > 0 else field.negated()
-
-    def rhs(y):
-        xs = y[:n]
-        phi = y[n:].reshape(n, n)
-        dx = eval_field(work, xs)
-        dphi = jacobian_field(work, xs) @ phi
-        return np.concatenate([dx, dphi.reshape(-1)])
-
-    y0 = np.concatenate([x, np.eye(n).reshape(-1)])
-    y, steps, est = _run(rhs, y0, abs(t), cfg)
+    y0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
+    y, steps, est = _leg(field, y0, t, cfg, _state_and_sensitivity)
     return FlowResult(y[:n].copy(), y[n:].reshape(n, n).copy(), steps, est)
 
 
 def flow_endpoint(field: VectorField, x, t: float,
                   cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """State-only fast path: just F(x, t), no sensitivity co-integration."""
-    n = field.dimension
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
-    if t == 0.0:
-        return x.copy()
-    work = field if t > 0 else field.negated()
-
-    def rhs(y):
-        return eval_field(work, y)
-
-    y, _, _ = _run(rhs, x, abs(t), cfg)
-    return y
+    return _leg(field, np.asarray(x, dtype=float), t, cfg, eval_field)[0]

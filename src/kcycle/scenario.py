@@ -195,9 +195,12 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
         if "delta_max" not in raw:
             raise ScenarioError(f"{origin}: sweep needs 'delta_max'")
         try:
-            sweep = SweepSpec(_positive(raw["delta_max"], "sweep delta_max"),
-                              whole_number(raw.get("steps", 32),
-                                           "sweep steps", 1))
+            delta_max = _positive(raw["delta_max"], "sweep delta_max")
+            if delta_max < sys.float_info.min:
+                raise ValueError(f"sweep delta_max {delta_max!r} is below "
+                                 "the smallest normal float")
+            sweep = SweepSpec(delta_max, whole_number(raw.get("steps", 32),
+                                                      "sweep steps", 1))
         except ValueError as exc:
             raise ScenarioError(f"{origin}: {exc}") from exc
 

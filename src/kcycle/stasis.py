@@ -15,8 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (BoundaryWeightError, DimensionError,
-                     InfeasibleWeightsError, NewtonDivergenceError,
-                     SingularJacobianError)
+                     InfeasibleWeightsError, NewtonDivergenceError)
 from .expr import eval_field, jacobian_field
 
 # strict positivity floor for weights; hitting it is an error, not a clamp
@@ -155,13 +154,10 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
                                check_regularity(fields, weights, x))
         if iteration == MAX_NEWTON_ITERS:
             break
-        jac = weighted_jacobian(fields, weights, x)
-        sv = linalg.singular_values(jac)
-        if linalg.is_numerically_singular(sv):
-            raise SingularJacobianError(
-                "weighted Jacobian is numerically singular; likely a "
-                "non-regular stasis point", sigma_min=float(sv[-1]))
-        x = x + np.linalg.solve(jac, -r)
+        x = x + linalg.newton_step(
+            weighted_jacobian(fields, weights, x), r,
+            "weighted Jacobian is numerically singular; likely a "
+            "non-regular stasis point")
     raise NewtonDivergenceError(
         f"no stasis point within {MAX_NEWTON_ITERS} Newton steps "
         f"(last residual {rn:.3e})", residual_norm=rn,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -313,6 +314,8 @@ MALFORMED = [
                  id="delta_max-infinity"),
     pytest.param("scenario", ("sweep", "delta_max"), [1],
                  id="delta_max-list"),
+    pytest.param("scenario", ("sweep", "delta_max"), 1e-322,
+                 id="delta_max-subnormal"),
     pytest.param("scenario", ("weights",), ["0.5", "0.5"],
                  id="weights-strings"),
     pytest.param("scenario", ("fields", 0), "1e999 - x1",
@@ -325,6 +328,10 @@ MALFORMED = [
                  id="field-nested-signs"),
     pytest.param("scenario", ("fields", 0), " + ".join(["x1"] * 3000),
                  id="field-operator-chain"),
+    pytest.param("scenario", ("fields", 0), "x1^" + "9" * 400 + " + 1 - x1",
+                 id="field-exponent-overflow"),
+    pytest.param("scenario", ("fields", 0), "x1^" + "9" * 5000 + " + 1 - x1",
+                 id="field-exponent-past-int-limit"),
     pytest.param("record", ("newton_iters",), "abc",
                  id="newton_iters-string"),
     pytest.param("record", ("closure_residual",), [1],
@@ -354,6 +361,24 @@ def test_malformed_input_exit64(tmp_path, capsys, kind, keys, value):
     assert code == 64
     assert err.startswith("kcycle: error: ")
     assert "Traceback" not in err
+
+
+def test_overflowing_flow_emits_no_numpy_warning(tmp_path, capsys):
+    # the integrator rejects the non-finite steps itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("cycle", "--scenario", str(scenario_path("pair_1d")),
+                       "--delta", "1e300", "--out", str(tmp_path))
+    assert code == 1
+    assert "StepLimitError" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_subnormal_delta_cycle_terminates(tmp_path, capsys):
+    # leg times of a few subnormal units used to take zero-length steps
+    # until the step limit, about 10^6 of them per leg
+    assert run_cli("cycle", "--scenario", str(scenario_path("trig_3d")),
+                   "--delta", "1e-322", "--out", str(tmp_path)) == 0
 
 
 def test_every_error_class_has_one_exit_code():

@@ -359,6 +359,22 @@ def test_accepted_cycle_survives_tighter_reintegration(regular_corpus):
             <= 10.0 * scn.cycle_tol, name
 
 
+def test_verify_at_solve_tolerance_reproduces_closure_residual(corpus):
+    # a point reached by a line-search step ends on endpoint-only flows, so
+    # verify at the solve's own tolerance integrates the very same legs and
+    # must report the very same mismatches
+    scn = corpus["trig_3d"]
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    cyc = solve_cycle(scn.fields, sp.weights,
+                      CyclePoints.constant(sp.x0, scn.k), 0.2,
+                      scn.cycle_tol, scn.integrator)
+    assert cyc.newton_iters >= 1
+    check = verify_cycle(scn.fields, sp.weights, cyc, scn.integrator,
+                         tighten=1.0)
+    assert check.max_mismatch == cyc.closure_residual
+
+
 # --- sweep -----------------------------------------------------------------
 
 def test_sweep_pair_distances_follow_tanh(pair):
@@ -404,6 +420,14 @@ def test_sweep_immediate_failure_raises():
     w = Weights((0.5, 0.5))
     with pytest.raises(BranchLostError):
         sweep_delta(fields, w, [0.0], 0.4, 8)
+
+
+def test_sweep_rejects_subnormal_delta_max(pair):
+    # delta_max / 1024 would underflow to 0 and leave no ladder
+    fields, w = pair
+    for bad in (1e-322, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            sweep_delta(fields, w, [0.0], bad, 4)
 
 
 def test_sweep_mid_ladder_loss_flags_partial_result(pair):

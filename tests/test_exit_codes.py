@@ -29,9 +29,12 @@ DEEP_FIELDS = ["(" * 3000 + "x1" + ")" * 3000,
                "sin(" * 3000 + "x1" + ")" * 3000,
                "-(" * 3000 + "x1" + ")" * 3000]
 
+# a field whose exponent int() refuses to convert (over 4300 digits)
+HUGE_EXPONENT = "x1^" + "9" * 5000 + " + 1 - x1"
+
 BAD_VALUES = [None, True, 0, -1, 1e300, math.nan, math.inf, -math.inf, "",
               "abc", [], {}, [[0.5]], [0.1, 0.2, 0.3],
-              {"x": 1}] + DEEP_FIELDS
+              {"x": 1}, HUGE_EXPONENT] + DEEP_FIELDS
 
 SCENARIOS = ["pair_1d", "triad_2d", "linear_2d_a", "degenerate_vv"]
 RECORDS = ["pair_1d", "triad_2d"]

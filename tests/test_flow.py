@@ -133,6 +133,17 @@ def test_step_exhaustion():
         integrate_flow(f, [0.0], 10.0, cfg)
 
 
+def test_subnormal_time_advances():
+    # span / 64 underflows to 0 here; every step must still advance t
+    f = parse_field("1 - x1", 1)
+    cfg = IntegratorConfig(max_steps=10)
+    assert flow_endpoint(f, [0.0], 5e-323, cfg) == \
+        pytest.approx([5e-323], rel=0.2, abs=0.0)
+    res = integrate_flow(f, [0.0], -5e-323, cfg)
+    assert res.endpoint == pytest.approx([-5e-323], rel=0.2, abs=0.0)
+    assert res.sensitivity[0, 0] == pytest.approx(1.0)
+
+
 def test_domain_error_reports_time():
     # x' = -sqrt(x) from 0.04 hits zero at t = 0.4 and turns negative
     f = parse_field("0 - sqrt(x1)", 1)

@@ -8,7 +8,7 @@ from kcycle import (BoundaryWeightError, DimensionError,
                     SingularJacobianError, Weights, check_regularity,
                     find_stasis, find_weights, parse_field, stasis_residual,
                     weight_hull_dimension, weighted_jacobian)
-from kcycle.linalg import singular_values
+from kcycle.linalg import newton_step, singular_values
 from kcycle.stasis import WEIGHT_FLOOR
 
 
@@ -199,6 +199,20 @@ def test_singular_values_match_gram_eigenvalues():
         gram = np.sqrt(np.linalg.eigvalsh(a.T @ a)[::-1][:r])
         assert np.allclose(got, gram, rtol=1e-12, atol=0.0)
         assert np.allclose(got, s, rtol=1e-12, atol=0.0)
+
+
+def test_newton_step_refuses_singular_jacobians():
+    for jac, sigma_min in ((np.zeros((3, 3)), 0.0),
+                           (np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]), None)):
+        with pytest.raises(SingularJacobianError) as err:
+            newton_step(jac, np.ones(3), "test Jacobian")
+        assert str(err.value).startswith("test Jacobian (sigma_min ")
+        assert err.value.sigma_min == singular_values(jac)[-1]
+        if sigma_min is not None:
+            assert err.value.sigma_min == sigma_min
+    jac = np.array([[2.0, 1.0], [0.0, 4.0]])
+    assert np.array_equal(newton_step(jac, np.array([3.0, 8.0]), "ok"),
+                          np.linalg.solve(jac, -np.array([3.0, 8.0])))
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
