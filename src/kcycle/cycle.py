@@ -26,6 +26,14 @@ the iteration that finds a point converged integrates nothing. A step is
 `linalg.newton_step`: an SVD singularity test, then dense LU; the chain
 blocks would admit a block-structured elimination, not needed while the
 systems stay desk-scale (nk at most a few hundred).
+
+A sweep seeds each solve from the branch's own expansion (Euler-Newton
+continuation). At delta = 0 the branch leaves x0 along the tangent
+c = -H_x^-1 H_delta, which needs only the fields and their Jacobians at
+x0, so the first ladder point is seeded at x0 + delta*c. Later points,
+bisection retries included, are seeded by the secant or quadratic in
+delta through the last branch points; many of them then converge without
+a Newton step.
 """
 
 from __future__ import annotations
@@ -307,20 +315,20 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     """Continuation of the cycle branch up a geometric delta ladder.
 
     The ladder runs from delta_max/1024 to delta_max in `steps` geometric
-    steps; each solve is seeded with the previous cycle's points (the
-    first with all points at x0). A failed ladder step is retried through
-    up to MAX_BISECTIONS midpoint solves toward the last success before
-    the branch is declared lost; the result then flags the largest delta
-    reached and the failure reason instead of raising. Failure at the very
-    first ladder point raises BranchLostError (non-regular setup or a
-    tolerance mismatch).
+    steps. Each solve is seeded by `_predict` from the branch itself: the
+    first at x0 + delta*c with the analytic tangent c of `_tangent`, later
+    ones by extrapolation through the cycles already solved. A failed
+    ladder step is retried through up to MAX_BISECTIONS midpoint solves
+    toward the last success before the branch is declared lost; the
+    result then flags the largest delta reached and the failure reason
+    instead of raising. Failure at the very first ladder point raises
+    BranchLostError (non-regular setup or a tolerance mismatch).
     """
     if not delta_max >= np.finfo(float).tiny:
         raise ValueError("delta_max must be a positive normal float")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
-    k = len(fields)
     if steps == 1:
         ladder = [delta_max]
     else:
@@ -328,16 +336,15 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
         ratio = (delta_max / lo) ** (1.0 / (steps - 1))
         ladder = [lo * ratio ** i for i in range(steps)]
         ladder[-1] = delta_max
-    seed = CyclePoints.constant(x0, k)
-    seed = _predict_first(fields, weights, seed, ladder[0], cfg)
-    base_delta = 0.0
+    start = _cycle_rows(fields, weights, CyclePoints.constant(x0, len(fields)))
+    branch = [(0.0, start)]
+    tangent = _tangent(fields, weights, start, cfg)
     records = []
     branch_lost = False
     failure_reason = None
     for target in ladder:
         try:
-            cycle, seed, base_delta = _reach(fields, weights, seed,
-                                             base_delta, target, tol, cfg)
+            cycle = _reach(fields, weights, branch, tangent, target, tol, cfg)
         except BranchLostError as exc:
             if not records:
                 raise BranchLostError(
@@ -352,40 +359,65 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     return SweepResult(tuple(records), largest, branch_lost, failure_reason)
 
 
-def _predict_first(fields, weights, seed, delta, cfg):
-    """One quasi-Newton step with the analytic zero-delta Jacobian.
+def _tangent(fields, weights, start, cfg):
+    """The branch's first-order coefficient c at delta = 0, as (k, n).
 
-    Cheap predictor for the first ladder point: the zero-delta block
-    matrix needs no integration at all. A singular matrix leaves the seed
-    unchanged (the corrector will raise the proper diagnosis).
+    Cycles near the stasis point x0 are x_j = x0 + delta*c_j + O(delta^2)
+    with c = -H_x^-1 H_delta: H_x is the delta = 0 Jacobian of the cycle
+    system, and H_delta, its delta-derivative at the points x0, has
+    sum_j m_j^2 J_j V_j / 2 as its top block and m_j V_j as chain block
+    j (the Taylor terms of F_j(x0, delta*m_j)). Fields and Jacobians at x0
+    are all it needs. A singular H_x gives c = 0, so the corrector
+    reports the failure.
     """
-    pts = _cycle_rows(fields, weights, seed)
+    k, n = start.shape
+    x0 = start[0]
+    vel = [m * eval_field(f, x0) for f, m in zip(fields, weights)]
+    top = np.zeros(n)
+    for f, m, v in zip(fields, weights, vel):  # fixed summation order
+        top += 0.5 * m * (jacobian_field(f, x0) @ v)
+    h_delta = np.vstack([top] + vel[:-1])
+    jac = _cycle_system(fields, weights, start, 0.0, cfg, residual=False,
+                        jacobian=True)[2]
     try:
-        _, res, _ = _cycle_system(fields, weights, pts, delta, cfg)
-        jac0 = _cycle_system(fields, weights, pts, 0.0, cfg, residual=False,
-                             jacobian=True)[2]
-        step = np.linalg.solve(jac0, -res.reshape(-1)).reshape(pts.shape)
-    except (np.linalg.LinAlgError, SolverError):
-        return seed
-    if not np.all(np.isfinite(step)):
-        return seed
-    predicted = pts + step
-    try:
-        better = _cycle_system(fields, weights, predicted, delta, cfg)[1]
+        step = linalg.newton_step(jac, h_delta.reshape(-1),
+                                  "cycle Jacobian numerically singular at "
+                                  "delta=0")
     except SolverError:
-        return seed
-    if np.max(np.abs(better)) < np.max(np.abs(res)):
-        return CyclePoints(predicted)
-    return seed
+        return np.zeros((k, n))
+    return step.reshape(k, n)
 
 
-def _reach(fields, weights, seed, base_delta, target, tol, cfg):
-    """Solve at `target`, bisecting back toward base_delta on failure."""
+def _predict(branch, tangent, delta):
+    """Seed at `delta` from the branch points (delta_i, x_i) solved so far.
+
+    With only (0, x0) known it follows the tangent; otherwise it is the
+    polynomial in delta through the last two or three points (secant or
+    quadratic extrapolation).
+    """
+    if len(branch) == 1:
+        return CyclePoints(branch[0][1] + delta * tangent)
+    last = branch[-3:]
+    seed = 0.0
+    for i, (d_i, x_i) in enumerate(last):
+        weight = 1.0
+        for j, (d_j, _) in enumerate(last):
+            if j != i:
+                weight *= (delta - d_j) / (d_i - d_j)
+        seed = seed + weight * x_i
+    return CyclePoints(seed)
+
+
+def _reach(fields, weights, branch, tangent, target, tol, cfg):
+    """Solve at `target`, bisecting back toward the last branch point on
+    failure; every cycle solved on the way is appended to `branch`."""
     bisections = 0
     pending = [target]
     cycle = None
     while pending:
         attempt = pending[-1]
+        base_delta = branch[-1][0]
+        seed = _predict(branch, tangent, attempt)
         try:
             cycle = solve_cycle(fields, weights, seed, attempt, tol, cfg)
         except SolverError as exc:
@@ -400,9 +432,8 @@ def _reach(fields, weights, seed, base_delta, target, tol, cfg):
             pending.append(mid)
             continue
         pending.pop()
-        seed = cycle.points
-        base_delta = attempt
-    return cycle, seed, base_delta
+        branch.append((attempt, cycle.points.points))
+    return cycle
 
 
 def loglog_slope(result: SweepResult, points: int = 8) -> Optional[float]:

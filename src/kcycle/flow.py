@@ -7,11 +7,15 @@ jointly as one augmented system of dimension n + n^2,
 
 so both see the identical step sequence. Two steppers are provided: an
 adaptive Dormand-Prince 5(4) embedded pair with PI step-size control
-(default), and a uniform-step RK4 with per-step Richardson error estimates
-that refines the whole pass until the estimate meets tolerance (cross-check
-method). integrate_flow (state and sensitivity) and flow_endpoint (state
-only) share one body, `_leg`, and differ only in the right-hand side and
-the initial state. Backward time integrates the negated field; there is
+(default), and a uniform-step RK4 with per-step Richardson error
+estimates that refines the whole pass until the estimate meets tolerance
+(cross-check method). Dormand-Prince evaluates its last stage at the new
+state, which therefore serves as the next step's first stage (first same
+as last), and a rejected step keeps its first stage: every step after
+the first costs six right-hand-side evaluations instead of seven.
+integrate_flow (state and sensitivity) and flow_endpoint (state only)
+share one body, `_leg`, and differ only in the right-hand side and the
+initial state. Backward time integrates the negated field; there is
 no separate code path. Overflow and NaN surface as non-finite steps,
 which both steppers reject, so numpy's floating-point warnings are
 silenced for the whole integration.
@@ -61,7 +65,9 @@ class FlowResult:
     est_local_error: float
 
 
-# Dormand-Prince 5(4) tableau; row i of _DP_A holds the stage-i weights
+# Dormand-Prince 5(4) tableau; row i of _DP_A holds the stage-i weights.
+# Row 6 also holds the 5th-order solution's weights: the last stage is
+# evaluated at the new state (first same as last).
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -71,11 +77,9 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 
 
 def _dopri(rhs, y0, span, cfg):
@@ -83,7 +87,9 @@ def _dopri(rhs, y0, span, cfg):
 
     Error control is on the max norm of the per-component scaled embedded
     estimate, so on success every accepted step satisfies
-    |err_i| <= abs_tol + rel_tol*|y_i|.
+    |err_i| <= abs_tol + rel_tol*|y_i|. Stage 0 is rhs(y): an accepted
+    step hands over its last stage, a rejected one keeps it, so every
+    attempt after the first costs six evaluations of rhs.
     """
     y = y0.copy()
     t = 0.0
@@ -101,14 +107,15 @@ def _dopri(rhs, y0, span, cfg):
             raise StepLimitError(f"step size collapsed at t={t:.6g}")
         h = min(h, span - t)
         try:
-            stages[0] = rhs(y)
+            if steps == 0:
+                stages[0] = rhs(y)
             for i in range(1, 7):
-                stages[i] = rhs(y + h * (_DP_A[i, :i] @ stages[:i]))
+                y_new = y + h * (_DP_A[i, :i] @ stages[:i])
+                stages[i] = rhs(y_new)
         except DomainError as exc:
             raise FlowDomainError(
                 f"field evaluation failed at t={t:.6g}: {exc}", time=t
             ) from exc
-        y_new = y + h * (_DP_B5 @ stages)
         e_vec = h * (_DP_E @ stages)
         steps += 1
         if not np.all(np.isfinite(y_new)):
@@ -119,6 +126,7 @@ def _dopri(rhs, y0, span, cfg):
         if err <= 1.0:
             t += h
             y = y_new
+            stages[0] = stages[6]
             est = max(est, float(np.max(np.abs(e_vec))))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
@@ -134,7 +142,8 @@ def _rk4_step(rhs, y, h):
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # h times the mean slope: (h / 6) would underflow for a subnormal h
+    return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
 def _rk4(rhs, y0, span, cfg):
@@ -143,9 +152,12 @@ def _rk4(rhs, y0, span, cfg):
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
     what propagates. The whole pass is redone with doubled resolution
-    until the scaled estimate passes.
+    until the scaled estimate passes. The second half step is h - h/2,
+    so the halves always cover h. The first pass takes eight macro steps,
+    or one when the half steps of eight would be subnormal: a subnormal
+    span / 8 rounds to a few units of 5e-324, and its half to 0.
     """
-    n_steps = 8
+    n_steps = 8 if span / 16.0 >= np.finfo(float).tiny else 1
     while True:
         if 2 * n_steps > cfg.max_steps:
             raise StepLimitError(
@@ -159,7 +171,7 @@ def _rk4(rhs, y0, span, cfg):
             try:
                 y_big = _rk4_step(rhs, y, h)
                 y_half = _rk4_step(rhs, y, 0.5 * h)
-                y_fine = _rk4_step(rhs, y_half, 0.5 * h)
+                y_fine = _rk4_step(rhs, y_half, h - 0.5 * h)
             except DomainError as exc:
                 raise FlowDomainError(
                     f"field evaluation failed at t={i * h:.6g}: {exc}",

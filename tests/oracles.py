@@ -82,6 +82,30 @@ def linear_cycle_points(mats, vecs, weights, delta):
     return np.array(pts)
 
 
+def first_order_tangent(velocities, jacobians, weights):
+    """Coefficients c_j of x_j(delta) = x0 + delta*c_j + O(delta^2).
+
+    Built from V_j(x0) and J_j(x0) alone, by matching powers of delta
+    rather than through the stacked cycle system. At first order the chain
+    x_{j+1} = F_j(x_j, delta*m_j) gives c_{j+1} = c_j + m_j V_j. The leg
+    displacements of a cycle sum to zero; their delta^2 term,
+    sum_j m_j J_j (c_j + m_j V_j / 2), must vanish too, which fixes c_1
+    through the weighted Jacobian sum_j m_j J_j. Returns the c_j as rows.
+    """
+    offsets = []
+    shift = np.zeros(np.asarray(velocities[0]).shape)
+    for v, m in zip(velocities, weights):
+        offsets.append(shift)
+        shift = shift + m * np.asarray(v, dtype=float)
+    wsum = sum(m * np.asarray(jac, dtype=float)
+               for jac, m in zip(jacobians, weights))
+    rhs = -sum(m * np.asarray(jac, dtype=float) @ (s + 0.5 * m * np.asarray(v))
+               for v, jac, s, m in zip(velocities, jacobians, offsets,
+                                       weights))
+    c1 = np.linalg.solve(wsum, rhs)
+    return np.array([c1 + s for s in offsets])
+
+
 def cofactor_det(m):
     """Determinant by cofactor expansion; brute force, fine for n <= 8."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

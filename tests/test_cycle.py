@@ -5,15 +5,35 @@ import pytest
 
 import kcycle.cycle
 from kcycle import (BranchLostError, CyclePoints, DimensionError,
-                    IntegratorConfig, SingularJacobianError, Weights,
-                    average_velocity, cycle_jacobian, cycle_residual,
-                    find_stasis, flow_endpoint, loglog_slope, parse_field,
+                    IntegratorConfig, NewtonDivergenceError,
+                    SingularJacobianError, Weights, average_velocity,
+                    cycle_jacobian, cycle_residual, eval_field, find_stasis,
+                    flow_endpoint, jacobian_field, loglog_slope, parse_field,
                     solve_cycle, stasis_residual, sweep_delta, verify_cycle)
 
-from oracles import (central_fd_jacobian, cofactor_det, linear_cycle_points,
-                     pair_cycle_x1, scipy_cycle_points)
+from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
+                     linear_cycle_points, pair_cycle_x1, scipy_cycle_points)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def regular_sweeps(regular_corpus):
+    """(stasis point, sweep result) of every regular corpus scenario."""
+    out = {}
+    for name, scn in regular_corpus.items():
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        out[name] = sp, sweep_delta(scn.fields, sp.weights, sp.x0,
+                                    scn.sweep.delta_max, scn.sweep.steps,
+                                    scn.cycle_tol, scn.integrator)
+    return out
+
+
+def _oracle_tangent(scn, sp):
+    return first_order_tangent([eval_field(f, sp.x0) for f in scn.fields],
+                               [jacobian_field(f, sp.x0) for f in scn.fields],
+                               list(sp.weights))
 
 
 @pytest.fixture
@@ -335,17 +355,98 @@ def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
     assert calls == {"sens": scn.k, "end": scn.k}
 
 
-def test_trig_ladder_newton_iterations_unchanged(corpus):
-    # frozen per-point Newton iterations of the trig-3d sweep, as they were
-    # when every converged point was integrated again; reusing the
-    # accepted trial's endpoints must not change them
-    scn = corpus["trig_3d"]
-    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
-                     scn.stasis_tol)
-    result = sweep_delta(scn.fields, sp.weights, sp.x0, scn.sweep.delta_max,
-                         scn.sweep.steps, scn.cycle_tol, scn.integrator)
+def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):
+    # frozen per-point Newton iterations of the trig-3d sweep, each point
+    # seeded by the branch predictor (tangent, then secant, then quadratic
+    # extrapolation); the zeros are points whose prediction already met
+    # the tolerance
+    result = regular_sweeps["trig_3d"][1]
     assert [rec.cycle.newton_iters for rec in result.records] == \
-        [1] + [2] * 27 + [3] * 4
+        [1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0] + [1] * 18 + [2]
+
+
+def test_cycles_approach_oracle_tangent_at_first_order(corpus):
+    # x_j(delta) = x0 + delta*c_j + O(delta^2): the first-order error falls
+    # at least tenfold per decade of delta (a hundredfold for pair-1d,
+    # whose branch -tanh(delta/4) is odd in delta)
+    for name in ("trig_3d", "triad_2d", "pair_1d", "linear_3d_b"):
+        scn = corpus[name]
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        c = _oracle_tangent(scn, sp)
+        errs = []
+        for delta in (1e-3, 1e-2, 1e-1):
+            cyc = solve_cycle(scn.fields, sp.weights,
+                              CyclePoints.constant(sp.x0, scn.k), delta,
+                              scn.cycle_tol, scn.integrator)
+            errs.append(np.max(np.abs((cyc.points.points - sp.x0) / delta
+                                      - c)))
+        assert errs[2] <= 0.01, (name, errs)
+        assert errs[1] >= 9.0 * errs[0] and errs[2] >= 9.0 * errs[1], \
+            (name, errs)
+
+
+def _record_solves(monkeypatch, fail_at=None):
+    """Wrap solve_cycle to log [delta, seed, cycle or None] per call; the
+    call with index `fail_at` raises NewtonDivergenceError instead."""
+    calls = []
+    solve = kcycle.cycle.solve_cycle
+
+    def wrapped(fields, weights, seed, delta, *args):
+        calls.append([delta, seed.points.copy(), None])
+        if len(calls) - 1 == fail_at:
+            raise NewtonDivergenceError("forced failure")
+        calls[-1][2] = solve(fields, weights, seed, delta, *args)
+        return calls[-1][2]
+
+    monkeypatch.setattr(kcycle.cycle, "solve_cycle", wrapped)
+    return calls
+
+
+def test_sweep_first_seed_is_oracle_tangent_prediction(corpus, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    for name in ("trig_3d", "triad_2d", "pair_1d", "linear_3d_b"):
+        scn = corpus[name]
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        calls.clear()
+        sweep_delta(scn.fields, sp.weights, sp.x0, scn.sweep.delta_max, 2,
+                    scn.cycle_tol, scn.integrator)
+        delta, seed, _ = calls[0]
+        assert delta == scn.sweep.delta_max / 1024
+        want = sp.x0 + delta * _oracle_tangent(scn, sp)
+        assert np.max(np.abs(seed - want)) <= 1e-15, name
+
+
+def _lagrange(points, delta):
+    """Polynomial through the (delta_i, x_i) pairs, evaluated at delta."""
+    total = 0.0
+    for i, (d_i, x_i) in enumerate(points):
+        basis = np.prod([(delta - d_j) / (d_i - d_j)
+                         for j, (d_j, _) in enumerate(points) if j != i])
+        total = total + basis * x_i
+    return total
+
+
+def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
+    # the first attempt at the third ladder point fails and is retried at
+    # the midpoint; after the first solve, every seed (the midpoint's
+    # included) is the secant or quadratic through the last branch points,
+    # x0 at delta = 0 and every cycle solved so far, the midpoint's too
+    fields, w = pair
+    calls = _record_solves(monkeypatch, fail_at=2)
+    result = sweep_delta(fields, w, [0.0], 0.8, 4)
+    assert len(result.records) == 4 and not result.branch_lost
+    ladder = [rec.delta for rec in result.records]
+    assert [c[0] for c in calls] == \
+        ladder[:3] + [0.5 * (ladder[1] + ladder[2])] + ladder[2:]
+    branch = [(0.0, np.zeros((2, 1)))]
+    for delta, seed, cycle in calls:
+        if len(branch) > 1:
+            want = _lagrange(branch[-3:], delta)
+            assert np.max(np.abs(seed - want)) <= 1e-15, delta
+        if cycle is not None:
+            branch.append((delta, cycle.points.points))
 
 
 def test_accepted_cycle_survives_tighter_reintegration(regular_corpus):
@@ -443,15 +544,29 @@ def test_sweep_mid_ladder_loss_flags_partial_result(pair):
     assert result.largest_delta == result.records[-1].delta < 50.0
 
 
-def test_sweep_monotone_tail_and_slope_on_regulars(regular_corpus):
-    for name, scn in regular_corpus.items():
-        w = scn.weights
-        sp = find_stasis(scn.fields, w, scn.guess_point(), scn.stasis_tol)
-        result = sweep_delta(scn.fields, w, sp.x0, scn.sweep.delta_max,
-                             scn.sweep.steps, scn.cycle_tol, scn.integrator)
+def test_sweep_monotone_tail_and_slope_on_regulars(regular_sweeps):
+    for name, (_, result) in regular_sweeps.items():
         assert not result.branch_lost, name
         tail = result.records[:8]
         dists = [rec.max_distance_to_x0 for rec in tail]
         assert all(a < b for a, b in zip(dists, dists[1:])), name
         slope = loglog_slope(result)
         assert 0.9 <= slope <= 1.5, (name, slope)
+
+
+def test_every_sweep_record_verifies(regular_corpus, regular_sweeps):
+    # a predicted seed may already meet the tolerance and be accepted
+    # without a Newton step; every record, those included, must still pass
+    # verify (10x tighter integration, 10*cycle_tol budget)
+    at_zero = 0
+    for name, (sp, result) in regular_sweeps.items():
+        scn = regular_corpus[name]
+        assert len(result.records) == scn.sweep.steps, name
+        assert abs(loglog_slope(result) - 1.0) <= 0.05, name
+        for rec in result.records:
+            check = verify_cycle(scn.fields, sp.weights, rec.cycle,
+                                 scn.integrator)
+            assert check.max_mismatch <= 10.0 * scn.cycle_tol, \
+                (name, rec.delta, check.max_mismatch)
+            at_zero += rec.cycle.newton_iters == 0
+    assert at_zero > 0

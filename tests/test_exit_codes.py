@@ -4,8 +4,10 @@ malformed, ends in exit code 0, 1, 2 or 64 and never in a traceback.
 Corpus scenarios and cycle records get up to three edits, each at a
 node chosen from the whole document: keys dropped, values replaced by
 wrong types, NaN and +-Inf, wrong shapes, empty containers and deeply
-nested field expressions. `sweep` is left out to keep the test fast: it
-loads scenarios exactly as `cycle` does and then solves 32 ladder points.
+nested field expressions. Scenarios go through `stasis`, `weights` and
+`cycle`, and through `sweep` in a test of their own, whose scenarios ask
+for SWEEP_STEPS ladder points before they are edited so that a sweep
+stays fast.
 """
 
 import contextlib
@@ -40,6 +42,8 @@ SCENARIOS = ["pair_1d", "triad_2d", "linear_2d_a", "degenerate_vv"]
 RECORDS = ["pair_1d", "triad_2d"]
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+SWEEP_STEPS = 4
 
 
 def _quiet_main(argv):
@@ -132,3 +136,15 @@ def test_mutated_record_exit_code(workdir, records, data, name):
     path = workdir / "record.json"
     path.write_text(json.dumps(doc))
     assert _quiet_main(["verify", str(path)]) in EXIT_CODES
+
+
+@SETTINGS
+@given(data=st.data(), name=st.sampled_from(SCENARIOS))
+def test_mutated_sweep_exit_code(workdir, data, name):
+    base = json.loads(scenario_path(name).read_text())
+    base["sweep"]["steps"] = SWEEP_STEPS
+    doc = data.draw(_mutated(base))
+    path = workdir / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--scenario", str(path), "--out", str(workdir)]
+    assert _quiet_main(argv) in EXIT_CODES

@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import kcycle.flow as flow
 from kcycle import (FlowDomainError, IntegratorConfig, StepLimitError,
-                    flow_endpoint, integrate_flow, parse_field)
+                    eval_field, flow_endpoint, integrate_flow, parse_field)
 
 from oracles import affine_flow, central_fd_jacobian
 
@@ -142,6 +144,46 @@ def test_subnormal_time_advances():
     res = integrate_flow(f, [0.0], -5e-323, cfg)
     assert res.endpoint == pytest.approx([-5e-323], rel=0.2, abs=0.0)
     assert res.sensitivity[0, 0] == pytest.approx(1.0)
+
+
+def test_rk4_subnormal_time_advances():
+    # eight steps of span / 8 have half steps that underflow to 0 here, so
+    # the pass used to return the initial state while claiming 16 steps
+    f = parse_field("1 - x1", 1)
+    cfg = IntegratorConfig(method="rk4_fixed")
+    assert flow_endpoint(f, [0.0], 5e-323, cfg) == [5e-323]
+    res = integrate_flow(f, [0.0], -5e-323, cfg)
+    assert res.endpoint == [-5e-323]
+    assert res.steps_taken == 2
+    assert res.sensitivity[0, 0] == pytest.approx(1.0)
+
+
+def _stage_log(rhs, log):
+    """rhs that appends a copy of each input state to `log`."""
+    def wrapped(y):
+        log.append(y.copy())
+        return rhs(y)
+    return wrapped
+
+
+@pytest.mark.parametrize("source, rejects", [("1; cos(x1)", False),
+                                             ("1; sin(40*x1)", True)])
+def test_dopri_reuses_first_stage(source, rejects):
+    # x1 is time, so each attempt's first new stage sits at t + h/5 and its
+    # last at t + h; a retry from the same t starts below the previous end
+    f = parse_field(source, 2)
+    log = []
+    y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
+                              np.zeros(2), 1.0, IntegratorConfig())
+    assert y[0] == pytest.approx(1.0)
+    assert len(log) == 1 + 6 * steps
+    attempts = [log[1 + 6 * a:7 + 6 * a] for a in range(steps)]
+    retries = sum(nxt[0][0] < cur[-1][0]
+                  for cur, nxt in zip(attempts, attempts[1:]))
+    assert (retries > 0) == rejects
+    # an accepted step's last stage and a rejected step's first are never
+    # evaluated again
+    assert len({p.tobytes() for p in log}) == len(log)
 
 
 def test_domain_error_reports_time():
