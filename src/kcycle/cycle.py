@@ -19,13 +19,14 @@ structure: the closure of the final leg is implied by the G block (the
 leg displacements telescope) but is re-verified independently before a
 cycle is accepted, because floating point breaks exact telescoping.
 
-Each Newton iteration integrates the k legs once with sensitivities (the
-residual and the Jacobian) and then endpoint only for each line-search
-trial. The accepted trial's endpoints carry into the next iteration, so
-the iteration that finds a point converged integrates nothing. A step is
-`linalg.newton_step`: an SVD singularity test, then dense LU; the chain
-blocks would admit a block-structured elimination, not needed while the
-systems stay desk-scale (nk at most a few hundred).
+`solve_cycle` runs `linalg.damped_newton`, the Newton driver of the
+stasis solve too: evaluations with the Jacobian integrate the k legs with
+sensitivities, line-search trials endpoint only, and the accepted trial's
+endpoints come back, so the iteration that finds a point converged
+integrates nothing. A step is `linalg.newton_step`: an SVD singularity
+test, then dense LU; the chain blocks would admit a block-structured
+elimination, not needed while the systems stay desk-scale (nk at most a
+few hundred).
 
 A sweep seeds each solve from the branch's own expansion (Euler-Newton
 continuation). At delta = 0 the branch leaves x0 along the tangent
@@ -45,15 +46,13 @@ import numpy as np
 
 from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
-                     FlowDomainError, NewtonDivergenceError, SolverError,
-                     StepLimitError)
+                     SolverError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import Weights, _check_family
 from .expr import eval_field, jacobian_field
 
 DEFAULT_CYCLE_TOL = 1e-10
 MAX_CYCLE_ITERS = 25
-MAX_BACKTRACKS = 8
 MAX_BISECTIONS = 8
 SWEEP_LADDER_SPAN = 1024.0
 
@@ -80,13 +79,6 @@ class CyclePoints:
     def constant(cls, x0, k: int) -> "CyclePoints":
         x0 = np.asarray(x0, dtype=float)
         return cls(np.broadcast_to(x0, (k,) + x0.shape))
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, n: int, k: int) -> "CyclePoints":
-        return cls(np.reshape(vec[:n * k], (k, n)))
-
-    def flat(self) -> np.ndarray:
-        return self.points.flatten()
 
     def __len__(self):
         return len(self.points)
@@ -223,70 +215,33 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
 def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
                 tol: float = DEFAULT_CYCLE_TOL,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> KCycle:
-    """Damped Newton on the stacked cycle system for a fixed delta > 0.
+    """Damped Newton (`linalg.damped_newton`, max norm, MAX_CYCLE_ITERS
+    steps) on the stacked cycle system for a fixed delta > 0.
 
-    An iteration integrates every leg once with sensitivities, which
-    supplies the residual and the Jacobian, and then integrates the
-    line-search trials endpoint only. The endpoints of the accepted trial
-    are kept: when their residual already meets the tolerance, the next
-    iteration returns on them without integrating again. Convergence is
-    on the max norm; the final leg's closure F_k(x_k, delta*m_k) = x_1 is
-    then re-verified explicitly (10*tol budget) before the cycle is
-    accepted.
+    The final leg's closure F_k(x_k, delta*m_k) = x_1 is then re-verified
+    explicitly (10*tol budget) before the cycle is accepted.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = _cycle_rows(fields, weights, seed)
-    rn = np.inf  # max-norm residual at x, known once x has been integrated
-    for iteration in range(MAX_CYCLE_ITERS + 1):
-        if rn > tol:
-            ends, res, jac = _cycle_system(fields, weights, x, delta, cfg,
-                                           jacobian=True)
-            rn = float(np.max(np.abs(res)))
-            if not np.isfinite(rn):
-                raise NewtonDivergenceError(
-                    "cycle residual became non-finite", residual_norm=rn,
-                    iterations=iteration)
-        if rn <= tol:
-            mismatches = _leg_mismatches(ends, x)
-            if mismatches[-1] > 10.0 * tol:
-                raise ClosureError(
-                    f"final-leg closure {mismatches[-1]:.3e} exceeds "
-                    f"{10.0 * tol:.3e}; integration tolerance is too loose "
-                    "relative to the Newton tolerance")
-            return KCycle(CyclePoints(x), delta,
-                          tuple(delta * m for m in weights),
-                          max(mismatches), iteration)
-        if iteration == MAX_CYCLE_ITERS:
-            break
-        step = linalg.newton_step(
-            jac, res.reshape(-1),
-            f"cycle Jacobian numerically singular at delta={delta:.6g}"
-        ).reshape(x.shape)
-        lam = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            trial = x + lam * step
-            try:
-                t_ends, t_res, _ = _cycle_system(fields, weights, trial,
-                                                 delta, cfg)
-                t_rn = float(np.max(np.abs(t_res)))
-            except (FlowDomainError, StepLimitError):
-                t_rn = np.inf
-            if np.isfinite(t_rn) and t_rn <= (1.0 - 1e-4 * lam) * rn:
-                x, ends, rn = trial, t_ends, t_rn
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDivergenceError(
-                f"line search found no decrease at delta={delta:.6g} "
-                f"(residual {rn:.3e})", residual_norm=rn,
-                iterations=iteration)
-    raise NewtonDivergenceError(
-        f"cycle Newton did not converge in {MAX_CYCLE_ITERS} iterations at "
-        f"delta={delta:.6g} (residual {rn:.3e})", residual_norm=rn,
-        iterations=MAX_CYCLE_ITERS)
+
+    def evaluate(x, jacobian):
+        ends, res, jac = _cycle_system(fields, weights, x, delta, cfg,
+                                       jacobian=jacobian)
+        return float(np.max(np.abs(res))), res, jac, ends
+
+    x, _, ends, iters = linalg.damped_newton(
+        evaluate, _cycle_rows(fields, weights, seed), tol, MAX_CYCLE_ITERS,
+        f"cycle at delta={delta:.6g}")
+    mismatches = _leg_mismatches(ends, x)
+    if mismatches[-1] > 10.0 * tol:
+        raise ClosureError(
+            f"final-leg closure {mismatches[-1]:.3e} exceeds "
+            f"{10.0 * tol:.3e}; integration tolerance is too loose "
+            "relative to the Newton tolerance")
+    return KCycle(CyclePoints(x), delta, tuple(delta * m for m in weights),
+                  max(mismatches), iters)
 
 
 @dataclass(eq=False, slots=True)

@@ -541,15 +541,7 @@ def eval_field(field: VectorField, x) -> np.ndarray:
         return np.array(field._eval_fn(x.tolist()), dtype=float)
     except (ZeroDivisionError, ValueError, OverflowError):
         pass
-    # re-walk the trees to find and report the offending component
-    out = np.empty(field.dimension)
-    for i, comp in enumerate(field.components):
-        try:
-            out[i] = eval_expr(comp, x)
-        except DomainError as err:
-            err.component = i + 1
-            raise
-    return out
+    return _walk_rows([(c,) for c in field.components], x).reshape(-1)
 
 
 def jacobian_field(field: VectorField, x) -> np.ndarray:
@@ -567,8 +559,15 @@ def jacobian_field(field: VectorField, x) -> np.ndarray:
         return np.array(flat, dtype=float).reshape(n, n)
     except (ZeroDivisionError, ValueError, OverflowError):
         pass
-    out = np.empty((n, n))
-    for i, row in enumerate(exprs):
+    return _walk_rows(exprs, x)
+
+
+def _walk_rows(rows, x) -> np.ndarray:
+    """Re-walk the trees after a compiled lambda raised: the array of the
+    values of `rows` (row i holds component i's expressions), or the
+    DomainError of the offending expression tagged with its component."""
+    out = np.empty((len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
         for l, e in enumerate(row):
             try:
                 out[i, l] = eval_expr(e, x)

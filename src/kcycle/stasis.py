@@ -3,7 +3,7 @@
 A point x0 is a stasis point for fields V_1..V_k when some probability
 weighting m (each m_j > 0, sum 1) gives sum_j m_j V_j(x0) = 0; it is
 regular when the same weighting of the Jacobians, sum_j m_j dV_j/dx(x0),
-is non-singular. Two entry modes: weights pinned -> Newton for x0;
+is non-singular. Two entry modes: weights pinned -> damped Newton for x0;
 point pinned -> simplex-constrained least squares for the weights.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (BoundaryWeightError, DimensionError,
-                     InfeasibleWeightsError, NewtonDivergenceError)
+                     InfeasibleWeightsError)
 from .expr import eval_field, jacobian_field
 
 # strict positivity floor for weights; hitting it is an error, not a clamp
@@ -129,39 +129,24 @@ def check_regularity(fields, weights: Weights, x) -> RegularityReport:
 
 
 def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
-    """Newton on x -> sum_j m_j V_j(x) from x_guess.
+    """Damped Newton (`linalg.damped_newton`, 2-norm, MAX_NEWTON_ITERS
+    steps) on x -> sum_j m_j V_j(x) from x_guess.
 
-    Accepts as soon as the residual 2-norm is <= tol and attaches the
-    regularity report (a zero-residual point with a singular weighted
-    Jacobian is still returned, flagged non-regular). Raises
-    SingularJacobianError when a step is needed but the weighted Jacobian
-    is numerically singular, NewtonDivergenceError after
-    MAX_NEWTON_ITERS steps.
+    Attaches the regularity report (a zero-residual point with a singular
+    weighted Jacobian is still returned, flagged non-regular).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x_guess, dtype=float).copy()
-    rn = np.inf
-    for iteration in range(MAX_NEWTON_ITERS + 1):
+
+    def evaluate(x, jacobian):
         r = stasis_residual(fields, weights, x)
-        rn = float(np.linalg.norm(r))
-        if not np.isfinite(rn):
-            raise NewtonDivergenceError(
-                "stasis residual became non-finite", residual_norm=rn,
-                iterations=iteration)
-        if rn <= tol:
-            return StasisPoint(x, weights, rn,
-                               check_regularity(fields, weights, x))
-        if iteration == MAX_NEWTON_ITERS:
-            break
-        x = x + linalg.newton_step(
-            weighted_jacobian(fields, weights, x), r,
-            "weighted Jacobian is numerically singular; likely a "
-            "non-regular stasis point")
-    raise NewtonDivergenceError(
-        f"no stasis point within {MAX_NEWTON_ITERS} Newton steps "
-        f"(last residual {rn:.3e})", residual_norm=rn,
-        iterations=MAX_NEWTON_ITERS)
+        jac = weighted_jacobian(fields, weights, x) if jacobian else None
+        return float(np.linalg.norm(r)), r, jac, None
+
+    x, rn, _, _ = linalg.damped_newton(
+        evaluate, np.asarray(x_guess, dtype=float).copy(), tol,
+        MAX_NEWTON_ITERS, "stasis")
+    return StasisPoint(x, weights, rn, check_regularity(fields, weights, x))
 
 
 def find_weights(fields, x, tol: float, m_min: float = WEIGHT_FLOOR) -> Weights:

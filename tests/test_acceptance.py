@@ -239,11 +239,12 @@ def test_criterion_6_numerical_hygiene(corpus, regular_corpus):
 
         def res_at(z, scn=scn, n=n, k=k, delta=delta):
             return cycle_residual(scn.fields, scn.weights,
-                                  CyclePoints.from_flat(z, n, k), delta,
-                                  TIGHT)
+                                  CyclePoints(np.reshape(z, (k, n))),
+                                  delta, TIGHT)
 
         jac = cycle_jacobian(scn.fields, scn.weights,
-                             CyclePoints.from_flat(flat, n, k), delta, TIGHT)
+                             CyclePoints(np.reshape(flat, (k, n))), delta,
+                             TIGHT)
         fd = central_fd_jacobian(res_at, flat, h=1e-6)
         worst["cyc_jac"] = max(worst["cyc_jac"],
                                float(np.max(np.abs(jac - fd))))

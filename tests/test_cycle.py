@@ -74,25 +74,21 @@ def test_cycle_points_rejects_mixed_shapes_and_single_point():
         CyclePoints(())
 
 
-def test_cycle_points_flat_round_trip():
-    vec = np.arange(6.0)
-    pts = CyclePoints.from_flat(vec, 2, 3)
-    assert len(pts) == 3
-    assert [list(p) for p in pts] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-    assert list(pts[2]) == [4.0, 5.0]
-    flat = pts.flat()
-    assert np.array_equal(flat, vec)
-    flat[0] = 9.0  # flat() and from_flat() copy
-    vec[1] = 9.0
-    assert pts[0][0] == 0.0 and pts[0][1] == 1.0
-
-
 def test_cycle_points_constant_rows_are_independent():
     pts = CyclePoints.constant([0.5, -0.5], 3)
     assert pts.points.shape == (3, 2)
     assert all(np.array_equal(p, [0.5, -0.5]) for p in pts)
     pts[0][0] = 1.0
     assert pts[1][0] == 0.5
+    # a reshaped flat vector: iteration and indexing yield its rows, and
+    # the points are a copy of it
+    vec = np.arange(6.0)
+    pts = CyclePoints(np.reshape(vec, (3, 2)))
+    assert len(pts) == 3
+    assert [list(p) for p in pts] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert list(pts[2]) == [4.0, 5.0]
+    vec[1] = 9.0
+    assert pts[0][0] == 0.0 and pts[0][1] == 1.0
 
 
 # --- average velocity ------------------------------------------------------
@@ -221,11 +217,11 @@ def test_jacobian_delta0_top_row_matches_fd_of_average_velocity(corpus):
     flat = rng.uniform(-0.2, 0.2, n * k)
 
     def avg_at(z):
-        pts = CyclePoints.from_flat(z, n, k)
+        pts = CyclePoints(np.reshape(z, (k, n)))
         return average_velocity(scn.fields, w, pts, 0.0)
 
-    top = cycle_jacobian(scn.fields, w, CyclePoints.from_flat(flat, n, k),
-                         0.0)[:n, :]
+    top = cycle_jacobian(scn.fields, w,
+                         CyclePoints(np.reshape(flat, (k, n))), 0.0)[:n, :]
     fd = central_fd_jacobian(avg_at, flat, h=1e-6)
     assert np.max(np.abs(top - fd)) <= 1e-8
 
@@ -242,11 +238,12 @@ def test_jacobian_matches_fd_of_residual(corpus):
 
         def res_at(z):
             return cycle_residual(scn.fields, w,
-                                  CyclePoints.from_flat(z, n, k), delta,
-                                  TIGHT)
+                                  CyclePoints(np.reshape(z, (k, n))),
+                                  delta, TIGHT)
 
-        jac = cycle_jacobian(scn.fields, w, CyclePoints.from_flat(flat, n, k),
-                             delta, TIGHT)
+        jac = cycle_jacobian(scn.fields, w,
+                             CyclePoints(np.reshape(flat, (k, n))), delta,
+                             TIGHT)
         fd = central_fd_jacobian(res_at, flat, h=1e-6)
         assert np.max(np.abs(jac - fd)) <= 1e-5, name
 

@@ -100,6 +100,15 @@ def test_eval_division_by_zero_identifies_component():
     assert "1.0 / x1" in str(err.value)
 
 
+def test_jacobian_domain_error_identifies_component():
+    f = parse_field("x2; sqrt(x1)", 2)
+    with pytest.raises(DomainError) as err:
+        jacobian_field(f, [0.0, 1.0])
+    assert err.value.component == 2
+    assert str(err.value) == \
+        "component 2: division by zero in '1.0 / (2.0 * sqrt(x1))'"
+
+
 def test_eval_sqrt_negative():
     f = parse_field("sqrt(x1)", 1)
     with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from kcycle import (BoundaryWeightError, DimensionError,
                     SingularJacobianError, Weights, check_regularity,
                     find_stasis, find_weights, parse_field, stasis_residual,
                     weight_hull_dimension, weighted_jacobian)
-from kcycle.linalg import newton_step, singular_values
+from kcycle.linalg import damped_newton, newton_step, singular_values
 from kcycle.stasis import WEIGHT_FLOOR
 
 
@@ -106,6 +106,44 @@ def test_find_stasis_divergence():
     fields = [parse_field("x1^2 + 1", 1), parse_field("x1^2 + 1", 1)]
     with pytest.raises((NewtonDivergenceError, SingularJacobianError)):
         find_stasis(fields, Weights((0.5, 0.5)), [2.0], 1e-12)
+
+
+def test_find_stasis_backtracks_off_a_flat_tail():
+    # the full Newton step from 3 lands near -10.6, where tanh(x1 - 1) is
+    # flat to 1e-10 and the next undamped step is lost; halving the step
+    # keeps the iteration on the regular root x1 = 1
+    fields = [parse_field("tanh(x1 - 1)", 1)] * 2
+    sp = find_stasis(fields, Weights((0.5, 0.5)), [3.0], 1e-12)
+    assert abs(sp.x0[0] - 1.0) <= 1e-12
+    assert sp.regularity.is_regular
+
+
+def test_find_stasis_backtracks_out_of_a_domain_error():
+    # the full Newton step from 9 lands at -3, where sqrt raises; that
+    # trial is rejected and the half step (x1 = 3) is taken
+    fields = [parse_field("sqrt(x1) - 1", 1)] * 2
+    sp = find_stasis(fields, Weights((0.5, 0.5)), [9.0], 1e-12)
+    assert abs(sp.x0[0] - 1.0) <= 1e-12
+    assert sp.regularity.is_regular
+
+
+def test_damped_newton_returns_the_accepted_trial():
+    # x^2 - 4 from 3: every full step is accepted; the Jacobian is asked
+    # for only while the carried norm is above tol, and the norm and data
+    # returned are the last accepted trial's
+    calls = []
+
+    def evaluate(x, jacobian):
+        calls.append(jacobian)
+        r = x * x - 4.0
+        jac = np.diag(2.0 * x) if jacobian else None
+        return float(abs(r[0])), r, jac, float(x[0])
+
+    x, rn, data, iters = damped_newton(evaluate, np.array([3.0]), 1e-12, 10,
+                                       "square")
+    assert abs(x[0] - 2.0) <= 1e-12 and rn == abs(x[0] * x[0] - 4.0)
+    assert data == x[0] and rn <= 1e-12
+    assert iters >= 3 and calls == [True, False] * iters
 
 
 def test_find_weights_three_constants():
