@@ -477,8 +477,8 @@ def diff_expr(e: Expr, index: int) -> Expr:
 class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
-    Immutable after construction; the symbolic Jacobian and the compiled
-    evaluators are memoized on first use.
+    Immutable after construction; the symbolic Jacobian, the compiled
+    evaluators and the negated field are memoized on first use.
     """
 
     def __init__(self, dimension: int, components):
@@ -493,6 +493,7 @@ class VectorField:
         self._jac_exprs = None
         self._eval_fn = None
         self._jac_fn = None
+        self._negated = None
 
     def jacobian_exprs(self):
         """n x n grid of partial-derivative trees, built once."""
@@ -503,9 +504,28 @@ class VectorField:
             )
         return self._jac_exprs
 
+    def evaluator(self):
+        """Compiled map from a list of n floats to the tuple of the n
+        component values, built once. It raises ZeroDivisionError,
+        ValueError or OverflowError where eval_field raises DomainError."""
+        if self._eval_fn is None:
+            self._eval_fn = _compile(self.components)
+        return self._eval_fn
+
+    def jacobian_evaluator(self):
+        """Compiled map from a list of n floats to the n*n Jacobian entries
+        in row-major order, built once; it raises like evaluator()."""
+        if self._jac_fn is None:
+            self._jac_fn = _compile(
+                [e for row in self.jacobian_exprs() for e in row])
+        return self._jac_fn
+
     def negated(self) -> "VectorField":
-        return VectorField(self.dimension,
-                           tuple(_neg(c) for c in self.components))
+        """The field -V, built once."""
+        if self._negated is None:
+            self._negated = VectorField(
+                self.dimension, tuple(_neg(c) for c in self.components))
+        return self._negated
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"
@@ -527,18 +547,23 @@ def unparse_field(field: VectorField) -> str:
     return "; ".join(unparse_expr(c) for c in field.components)
 
 
-def eval_field(field: VectorField, x) -> np.ndarray:
-    """Evaluate all components at x, returning a length-n vector."""
+def as_point(field: VectorField, x) -> np.ndarray:
+    """x as a float array of shape (n,); DimensionError for any other shape."""
     x = np.asarray(x, dtype=float)
     if x.shape != (field.dimension,):
         raise DimensionError(
             f"point has shape {x.shape}, field dimension is {field.dimension}")
-    if field._eval_fn is None:
-        field._eval_fn = _compile(field.components)
+    return x
+
+
+def eval_field(field: VectorField, x) -> np.ndarray:
+    """Evaluate all components at x, returning a length-n vector."""
+    x = as_point(field, x)
+    values = field.evaluator()
     try:
         # plain Python floats: numpy scalars would turn div-by-zero and
         # sqrt(negative) into warnings instead of exceptions
-        return np.array(field._eval_fn(x.tolist()), dtype=float)
+        return np.array(values(x.tolist()), dtype=float)
     except (ZeroDivisionError, ValueError, OverflowError):
         pass
     return _walk_rows([(c,) for c in field.components], x).reshape(-1)
@@ -546,20 +571,14 @@ def eval_field(field: VectorField, x) -> np.ndarray:
 
 def jacobian_field(field: VectorField, x) -> np.ndarray:
     """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dimension,):
-        raise DimensionError(
-            f"point has shape {x.shape}, field dimension is {field.dimension}")
+    x = as_point(field, x)
     n = field.dimension
-    exprs = field.jacobian_exprs()
-    if field._jac_fn is None:
-        field._jac_fn = _compile([e for row in exprs for e in row])
+    entries = field.jacobian_evaluator()
     try:
-        flat = field._jac_fn(x.tolist())
-        return np.array(flat, dtype=float).reshape(n, n)
+        return np.array(entries(x.tolist()), dtype=float).reshape(n, n)
     except (ZeroDivisionError, ValueError, OverflowError):
         pass
-    return _walk_rows(exprs, x)
+    return _walk_rows(field.jacobian_exprs(), x)
 
 
 def _walk_rows(rows, x) -> np.ndarray:

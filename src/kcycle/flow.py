@@ -15,8 +15,11 @@ as last), and a rejected step keeps its first stage: every step after
 the first costs six right-hand-side evaluations instead of seven.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
-initial state. Backward time integrates the negated field; there is
-no separate code path. Overflow and NaN surface as non-finite steps,
+initial state. `_leg` checks the point's shape once and binds the
+right-hand side once per leg, on the field's compiled evaluators, so a
+stage is one call of each on plain floats and, with sensitivities, one
+J·P matrix product. Backward time integrates the negated field; there
+is no separate code path. Overflow and NaN surface as non-finite steps,
 which both steppers reject, so numpy's floating-point warnings are
 silenced for the whole integration.
 """
@@ -24,12 +27,11 @@ silenced for the whole integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, FlowDomainError, StepLimitError
-from .expr import VectorField, eval_field, jacobian_field
+from .expr import VectorField, as_point, eval_field, jacobian_field
 
 METHODS = ("dopri_adaptive", "rk4_fixed")
 
@@ -80,6 +82,8 @@ _DP_A = np.array([
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+# row i's weights of stages 0..i-1, as views built once
+_DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 
 def _dopri(rhs, y0, span, cfg):
@@ -88,10 +92,12 @@ def _dopri(rhs, y0, span, cfg):
     Error control is on the max norm of the per-component scaled embedded
     estimate, so on success every accepted step satisfies
     |err_i| <= abs_tol + rel_tol*|y_i|. Stage 0 is rhs(y): an accepted
-    step hands over its last stage, a rejected one keeps it, so every
-    attempt after the first costs six evaluations of rhs.
+    step hands over its last stage and |y_new|, a rejected one keeps
+    them, so every attempt after the first costs six evaluations of rhs.
     """
+    abs_tol, rel_tol, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.max_steps
     y = y0.copy()
+    abs_y = np.abs(y)
     t = 0.0
     h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
     steps = 0
@@ -99,10 +105,11 @@ def _dopri(rhs, y0, span, cfg):
     err_prev = 1e-4
     h_min = 16.0 * np.finfo(float).eps * span
     stages = np.empty((7, y.size))
+    heads = [stages[:i] for i in range(7)]  # stages 0..i-1 feed stage i
     while t < span:
-        if steps >= cfg.max_steps:
+        if steps >= max_steps:
             raise StepLimitError(
-                f"integration exceeded {cfg.max_steps} steps at t={t:.6g}")
+                f"integration exceeded {max_steps} steps at t={t:.6g}")
         if h < h_min:
             raise StepLimitError(f"step size collapsed at t={t:.6g}")
         h = min(h, span - t)
@@ -110,24 +117,26 @@ def _dopri(rhs, y0, span, cfg):
             if steps == 0:
                 stages[0] = rhs(y)
             for i in range(1, 7):
-                y_new = y + h * (_DP_A[i, :i] @ stages[:i])
+                y_new = y + h * (_DP_ROWS[i] @ heads[i])
                 stages[i] = rhs(y_new)
         except DomainError as exc:
             raise FlowDomainError(
                 f"field evaluation failed at t={t:.6g}: {exc}", time=t
             ) from exc
-        e_vec = h * (_DP_E @ stages)
+        abs_e = np.abs(h * (_DP_E @ stages))
         steps += 1
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             h *= 0.2
             continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(e_vec) / scale))
+        abs_new = np.abs(y_new)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        err = float((abs_e / scale).max())
         if err <= 1.0:
             t += h
             y = y_new
+            abs_y = abs_new
             stages[0] = stages[6]
-            est = max(est, float(np.max(np.abs(e_vec))))
+            est = max(est, float(abs_e.max()))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
@@ -196,27 +205,59 @@ def _run(rhs, y0, t, cfg):
         return _dopri(rhs, y0, t, cfg)
 
 
-def _state_and_sensitivity(field, y):
-    """dx/dt = V(x) and dP/dt = J(x) P for the augmented state (x, P)."""
+def _rhs(field, sensitivity):
+    """The right-hand side of one leg of `field`, bound once: y -> V(y),
+    or (x, P) -> (V(x), J(x) P) on the augmented state y = (x, P) when
+    `sensitivity`.
+
+    Each call runs the field's compiled evaluators on plain floats. Where
+    they raise, it calls eval_field and jacobian_field instead, whose tree
+    walk raises the DomainError that names the component.
+    """
     n = field.dimension
-    xs = y[:n]
-    dx = eval_field(field, xs)
-    dphi = jacobian_field(field, xs) @ y[n:].reshape(n, n)
-    return np.concatenate([dx, dphi.reshape(-1)])
+    values = field.evaluator()
+    if not sensitivity:
+        def rhs(y):
+            try:
+                return np.array(values(y.tolist()), dtype=float)
+            except (ZeroDivisionError, ValueError, OverflowError):
+                return eval_field(field, y)
+        return rhs
+
+    entries = field.jacobian_evaluator()
+
+    def rhs(y):
+        xs = y[:n].tolist()
+        out = np.empty(n + n * n)
+        try:
+            out[:n] = values(xs)
+            jac = np.array(entries(xs), dtype=float).reshape(n, n)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            out[:n] = eval_field(field, y[:n])
+            jac = jacobian_field(field, y[:n])
+        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
+        return out
+    return rhs
 
 
-def _leg(field, y0, t, cfg, rhs):
-    """Integrate dy/dt = rhs(field, y) from y0 over time t; (y, steps, est).
+def _leg(field, x, t, cfg, sensitivity):
+    """Integrate one leg of `field` from the point x over time t;
+    (y, steps, est) with y = x(t), or (x(t), P(t)) flattened when
+    `sensitivity`.
 
-    t = 0 returns a copy of y0 exactly; negative t integrates the negated
+    x must have shape (n,) (DimensionError otherwise, at every t). t = 0
+    returns the initial state exactly; negative t integrates the negated
     field over |t|.
     """
+    n = field.dimension
+    x = as_point(field, x)
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
+    y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     if t == 0.0:
         return y0.copy(), 0, 0.0
     work = field if t > 0 else field.negated()
-    return _run(partial(rhs, work), y0, abs(t), cfg)
+    return _run(_rhs(work, sensitivity), y0, abs(t), cfg)
 
 
 def integrate_flow(field: VectorField, x, t: float,
@@ -227,12 +268,11 @@ def integrate_flow(field: VectorField, x, t: float,
     negated field over |t|.
     """
     n = field.dimension
-    y0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
-    y, steps, est = _leg(field, y0, t, cfg, _state_and_sensitivity)
+    y, steps, est = _leg(field, x, t, cfg, True)
     return FlowResult(y[:n].copy(), y[n:].reshape(n, n).copy(), steps, est)
 
 
 def flow_endpoint(field: VectorField, x, t: float,
                   cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """State-only fast path: just F(x, t), no sensitivity co-integration."""
-    return _leg(field, np.asarray(x, dtype=float), t, cfg, eval_field)[0]
+    return _leg(field, x, t, cfg, False)[0]

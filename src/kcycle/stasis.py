@@ -138,8 +138,14 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    # the driver re-evaluates an accepted trial with the Jacobian: keep the
+    # last point evaluate() was given, with its residual
+    last = (None, None)
+
     def evaluate(x, jacobian):
-        r = stasis_residual(fields, weights, x)
+        nonlocal last
+        r = last[1] if x is last[0] else stasis_residual(fields, weights, x)
+        last = x, r
         jac = weighted_jacobian(fields, weights, x) if jacobian else None
         return float(np.linalg.norm(r)), r, jac, None
 

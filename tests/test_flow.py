@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import kcycle.flow as flow
-from kcycle import (FlowDomainError, IntegratorConfig, StepLimitError,
-                    eval_field, flow_endpoint, integrate_flow, parse_field)
+from kcycle import (DimensionError, DomainError, FlowDomainError,
+                    IntegratorConfig, StepLimitError, eval_field,
+                    flow_endpoint, integrate_flow, jacobian_field, parse_field,
+                    random_linear_scenario, scenario_from_dict)
 
 from oracles import affine_flow, central_fd_jacobian
 
@@ -54,6 +56,21 @@ def test_backward_flow_inverts_forward():
     fwd = flow_endpoint(f, x, 0.37)
     back = flow_endpoint(f, fwd, -0.37)
     assert np.allclose(back, x, atol=1e-9)
+
+
+def test_negated_field_is_built_once():
+    f = parse_field("sin(x1) + x2; cos(x2) - x1", 2)
+    assert f.negated() is f.negated()
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [0.1]],
+                         ids=["too-long", "too-short"])
+def test_wrong_length_point_is_a_dimension_error(run, t, x):
+    f = parse_field("x2; -x1", 2)
+    with pytest.raises(DimensionError):
+        run(f, x, t)
 
 
 def test_semigroup_property(corpus):
@@ -211,3 +228,75 @@ def test_est_local_error_within_tolerance(corpus):
         res = integrate_flow(f, np.zeros(3), 0.3, cfg)
         bound = cfg.abs_tol + cfg.rel_tol * (3.0 + np.max(np.abs(res.endpoint)))
         assert res.est_local_error <= bound
+
+
+def _reference_rhs(field, sensitivity):
+    """A leg's right-hand side built from the public evaluators alone."""
+    n = field.dimension
+    if not sensitivity:
+        return partial(eval_field, field)
+
+    def rhs(y):
+        dphi = jacobian_field(field, y[:n]) @ y[n:].reshape(n, n)
+        return np.concatenate([eval_field(field, y[:n]), dphi.reshape(-1)])
+    return rhs
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+@pytest.mark.parametrize("sensitivity", [True, False],
+                         ids=["sensitivity", "endpoint"])
+@pytest.mark.parametrize("t", [0.3, -0.3], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", ["trig_3d", "wide"])
+def test_bound_rhs_is_bit_identical_to_public_evaluators(
+        corpus, name, t, sensitivity, method):
+    if name == "wide":
+        scn = scenario_from_dict(random_linear_scenario(
+            np.random.default_rng(0), 6, 4, "wide"))
+        field, x = scn.fields[0], scn.stasis_guess
+    else:
+        field, x = corpus[name].fields[0], np.array([0.1, -0.2, 0.3])
+    n = field.dimension
+    cfg = IntegratorConfig(method=method)
+    stepper = flow._dopri if method == "dopri_adaptive" else flow._rk4
+    work = field if t > 0 else field.negated()
+    y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
+    want, steps, est = stepper(_reference_rhs(work, sensitivity), y0,
+                               abs(t), cfg)
+    if sensitivity:
+        got = integrate_flow(field, x, t, cfg)
+        assert np.array_equal(got.endpoint, want[:n])
+        assert np.array_equal(got.sensitivity, want[n:].reshape(n, n))
+        assert (got.steps_taken, got.est_local_error) == (steps, est)
+    else:
+        assert np.array_equal(flow_endpoint(field, x, t, cfg), want)
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_domain_error_mid_leg_names_the_component(run):
+    # x2' = -sqrt(x2) from 0.04 reaches zero at t = 0.4, inside the leg
+    f = parse_field("1; 0 - sqrt(x2)", 2)
+    with pytest.raises(FlowDomainError) as err:
+        run(f, [0.0, 0.04], 1.0)
+    assert 0.3 < err.value.time <= 0.4
+    cause = err.value.__cause__
+    assert isinstance(cause, DomainError)
+    assert cause.component == 2 and "sqrt" in str(cause)
+
+
+def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(flow, "eval_field", counting(eval_field))
+    monkeypatch.setattr(flow, "jacobian_field", counting(jacobian_field))
+    f = parse_field("sin(x2); -x1 + tanh(x2)", 2)
+    res = integrate_flow(f, [0.3, 0.1], 0.3)
+    flow_endpoint(f, [0.3, 0.1], 0.3)
+    assert res.steps_taken >= 20
+    assert calls.count("eval_field") <= 1
+    assert calls.count("jacobian_field") <= 1

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcycle.stasis
 from kcycle import (BoundaryWeightError, DimensionError,
                     InfeasibleWeightsError, NewtonDivergenceError,
                     SingularJacobianError, Weights, check_regularity,
-                    find_stasis, find_weights, parse_field, stasis_residual,
+                    eval_field, find_stasis, find_weights, parse_field, stasis_residual,
                     weight_hull_dimension, weighted_jacobian)
 from kcycle.linalg import damped_newton, newton_step, singular_values
-from kcycle.stasis import WEIGHT_FLOOR
+from kcycle.stasis import MAX_NEWTON_ITERS, WEIGHT_FLOOR
 
 
 @pytest.fixture
@@ -144,6 +145,50 @@ def test_damped_newton_returns_the_accepted_trial():
     assert abs(x[0] - 2.0) <= 1e-12 and rn == abs(x[0] * x[0] - 4.0)
     assert data == x[0] and rn <= 1e-12
     assert iters >= 3 and calls == [True, False] * iters
+
+
+@pytest.mark.parametrize("name", ["flat_tail", "trig_3d"])
+def test_find_stasis_evaluates_each_point_once(name, corpus, monkeypatch):
+    # the accepted trial's residual is reused when the driver asks for the
+    # Jacobian there, so the fields are evaluated at the guess and at each
+    # line-search trial only, and the iterates are those of a driver whose
+    # every evaluation is fresh
+    if name == "flat_tail":
+        fields = [parse_field("tanh(x1 - 1)", 1)] * 2
+        weights, guess, tol = Weights((0.5, 0.5)), [3.0], 1e-12
+    else:
+        scn = corpus[name]
+        fields, weights, guess, tol = (scn.fields, scn.weights,
+                                       scn.stasis_guess, scn.stasis_tol)
+    evals, trials = [], []
+
+    def counting_eval(field, x):
+        evals.append(x)
+        return eval_field(field, x)
+
+    def counting_newton(evaluate, x, *args):
+        def counted(x, jacobian):
+            if not jacobian:
+                trials.append(x)
+            return evaluate(x, jacobian)
+        return damped_newton(counted, x, *args)
+
+    monkeypatch.setattr(kcycle.stasis, "eval_field", counting_eval)
+
+    monkeypatch.setattr(kcycle.stasis.linalg, "damped_newton",
+                        counting_newton)
+    sp = find_stasis(fields, weights, guess, tol)
+    assert len(trials) >= 2
+    assert len(evals) == len(fields) * (1 + len(trials))
+
+    def fresh(x, jacobian):
+        r = stasis_residual(fields, weights, x)
+        jac = weighted_jacobian(fields, weights, x) if jacobian else None
+        return float(np.linalg.norm(r)), r, jac, None
+
+    x, rn, _, _ = damped_newton(fresh, np.array(guess, dtype=float), tol,
+                                MAX_NEWTON_ITERS, "stasis")
+    assert np.array_equal(sp.x0, x) and sp.residual_norm == rn
 
 
 def test_find_weights_three_constants():
