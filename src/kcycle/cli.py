@@ -10,7 +10,6 @@ fixed key order, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -24,7 +23,7 @@ from .cycle import (CyclePoints, KCycle, loglog_slope, solve_cycle,
 from .errors import (InputError, KcycleError, RecordError,
                      SingularJacobianError, SolverError)
 from .flow import integrate_flow
-from .scenario import (Scenario, finite_number, load_scenario,
+from .scenario import (Scenario, finite_number, load_scenario, read_json,
                        scenario_from_dict, scenario_to_dict, whole_number)
 from .stasis import (StasisPoint, Weights, check_regularity, find_stasis,
                      find_weights, stasis_residual, weight_hull_dimension)
@@ -333,13 +332,7 @@ def cmd_sweep(args) -> int:
 
 
 def _load_record(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise RecordError(f"cannot read record file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer
-        raise RecordError(f"invalid JSON in {path}: {exc}") from exc
+    data = read_json(path, RecordError, "record")
     if not isinstance(data, dict) or data.get("kind") != RECORD_KIND:
         raise RecordError(f"{path}: not a cycle record (kind != "
                           f"'{RECORD_KIND}')")

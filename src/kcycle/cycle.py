@@ -128,14 +128,13 @@ def _cycle_rows(fields, weights, pts: CyclePoints, delta: float = 0.0):
     return pts.points
 
 
-def _cycle_system(fields, weights, pts, delta, cfg, residual=True,
-                  jacobian=False):
+def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     """The stacked cycle system at the (k, n) points `pts`.
 
     Returns (ends, res, jac): the leg endpoints F_j(x_j, delta*m_j) as a
     (k, n) array; the residual as a (k, n) array whose row 0 is the
     average velocity and row j the mismatch F_j(x_j, delta*m_j) - x_{j+1};
-    and the (nk, nk) Jacobian. res and jac are None unless asked for.
+    and the (nk, nk) Jacobian, None unless asked for.
     """
     k, n = pts.shape
     eye = np.eye(n)
@@ -149,13 +148,12 @@ def _cycle_system(fields, weights, pts, delta, cfg, residual=True,
     else:
         ends = np.array([flow_endpoint(f, x, delta * m, cfg)
                          for f, x, m in legs])
-    res = jac = None
-    if residual:
-        velocity = np.zeros(n)
-        for (f, x, m), end in zip(legs, ends):  # fixed summation order
-            velocity += m * eval_field(f, x) if delta == 0.0 else end - x
-        # the delta = 0 limit is already a velocity: dividing by 1 is exact
-        res = np.vstack([velocity / (delta or 1.0), ends[:-1] - pts[1:]])
+    velocity = np.zeros(n)
+    for (f, x, m), end in zip(legs, ends):  # fixed summation order
+        velocity += m * eval_field(f, x) if delta == 0.0 else end - x
+    # the delta = 0 limit is already a velocity: dividing by 1 is exact
+    res = np.vstack([velocity / (delta or 1.0), ends[:-1] - pts[1:]])
+    jac = None
     if jacobian:
         top = (np.array([m * jacobian_field(f, x) for f, x, m in legs])
                if delta == 0.0 else (sens - eye) / delta)
@@ -208,8 +206,7 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
     sensitivities: top row (dF_j/dx - I)/delta, chain blocks dF_j/dx, -I.
     """
     x = _cycle_rows(fields, weights, pts, delta)
-    return _cycle_system(fields, weights, x, delta, cfg, residual=False,
-                         jacobian=True)[2]
+    return _cycle_system(fields, weights, x, delta, cfg, jacobian=True)[2]
 
 
 def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
@@ -259,7 +256,7 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
     """Re-integrate every leg at tighter tolerance and report mismatches."""
     x = _cycle_rows(fields, weights, cycle.points)
     ends = _cycle_system(fields, weights, x, cycle.delta,
-                         cfg.tightened(tighten), residual=False)[0]
+                         cfg.tightened(tighten))[0]
     mismatches = _leg_mismatches(ends, x)
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
 
@@ -332,8 +329,7 @@ def _tangent(fields, weights, start, cfg):
     for f, m, v in zip(fields, weights, vel):  # fixed summation order
         top += 0.5 * m * (jacobian_field(f, x0) @ v)
     h_delta = np.vstack([top] + vel[:-1])
-    jac = _cycle_system(fields, weights, start, 0.0, cfg, residual=False,
-                        jacobian=True)[2]
+    jac = _cycle_system(fields, weights, start, 0.0, cfg, jacobian=True)[2]
     try:
         step = linalg.newton_step(jac, h_delta.reshape(-1),
                                   "cycle Jacobian numerically singular at "

@@ -41,19 +41,20 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
     """Damped Newton from x until the caller's residual norm is <= tol.
 
     `evaluate(x, jacobian)` returns (norm, res, jac, data): the norm, the
-    residual, the Jacobian (None unless asked for) and what the caller
-    needs back from the accepted iterate; returns (x, norm, data,
-    iterations). x is evaluated with the Jacobian unless the norm carried
-    from the accepted trial meets tol. The full step is tried first and
-    halved up to MAX_BACKTRACKS times until the trial's norm is <=
-    (1 - ARMIJO_C*lam) times the current one; a trial whose evaluation
-    raises SolverError is rejected. Raises NewtonDivergenceError on a
-    non-finite norm at x, a failed line search or max_iters steps;
-    `label` names the solve in the messages.
+    residual, the Jacobian (may be None unless asked for) and what the
+    caller needs back from the accepted iterate; returns (x, norm, data,
+    iterations). An accepted trial hands all four to the new iterate,
+    which is evaluated again only when its Jacobian is None and its norm
+    misses tol. The full step is tried first and halved up to
+    MAX_BACKTRACKS times until the trial's norm is <= (1 - ARMIJO_C*lam)
+    times the current one; a trial whose evaluation raises SolverError is
+    rejected. Raises NewtonDivergenceError on a non-finite norm at x, a
+    failed line search or max_iters steps; `label` names the solve in the
+    messages.
     """
-    rn = np.inf  # residual norm at x, known once x has been evaluated
+    rn, jac = np.inf, None  # x's norm and Jacobian, once evaluated
     for iteration in range(max_iters + 1):
-        if rn > tol:
+        if rn > tol and jac is None:
             rn, res, jac, data = evaluate(x, True)
             if not np.isfinite(rn):
                 raise NewtonDivergenceError(
@@ -70,11 +71,11 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
             try:
-                t_rn, _, _, t_data = evaluate(trial, False)
+                t_rn, t_res, t_jac, t_data = evaluate(trial, False)
             except SolverError:
                 t_rn = np.inf
             if np.isfinite(t_rn) and t_rn <= (1.0 - ARMIJO_C * lam) * rn:
-                x, rn, data = trial, t_rn, t_data
+                x, rn, res, jac, data = trial, t_rn, t_res, t_jac, t_data
                 break
             lam *= 0.5
         else:

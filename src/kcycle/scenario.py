@@ -5,6 +5,11 @@ pinned weighting and/or a stasis point or guess, tolerance overrides, and
 an optional sweep block. At least one of weights / stasis_point must be
 present: weights pinned means solve for the point, point pinned means
 solve for the weights, both pinned means the point seeds the Newton solve.
+
+Types are checked here, but solver defaults are owned elsewhere: an
+omitted integrator key takes its `flow.DEFAULT_CONFIG` value (checked by
+`IntegratorConfig`), an omitted cycle_tol `cycle.DEFAULT_CYCLE_TOL`.
+`read_json` reads both scenario and record files.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from .cycle import DEFAULT_CYCLE_TOL
 from .errors import DslError, ScenarioError
 from .expr import parse_field
-from .flow import METHODS, IntegratorConfig
+from .flow import DEFAULT_CONFIG, IntegratorConfig
 from .stasis import Weights
 
 SCHEMA_VERSION = 1
@@ -30,13 +36,13 @@ _TOL_KEYS = {"stasis_tol", "cycle_tol", "rel_tol", "abs_tol", "max_steps",
 _SWEEP_KEYS = {"delta_max", "steps"}
 
 DEFAULT_STASIS_TOL = 1e-10
-DEFAULT_CYCLE_TOL = 1e-10
+DEFAULT_SWEEP_STEPS = 32
 
 
 @dataclass(eq=False)
 class SweepSpec:
     delta_max: float
-    steps: int = 32
+    steps: int = DEFAULT_SWEEP_STEPS
 
 
 @dataclass(eq=False)
@@ -67,15 +73,21 @@ class Scenario:
         return np.zeros(self.dimension)
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path, error_cls, what: str):
+    """The JSON value in the file at path; error_cls when the `what` file
+    cannot be read or holds no valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise error_cls(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer
-        raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(data, origin=str(path))
+        raise error_cls(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_json(path, ScenarioError, "scenario"),
+                              origin=str(path))
 
 
 def finite_number(raw, label: str) -> float:
@@ -168,20 +180,18 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
     if unknown:
         raise ScenarioError(
             f"{origin}: unknown tolerance keys {sorted(unknown)}")
-    method = tols.get("method", "dopri_adaptive")
-    if method not in METHODS:
-        raise ScenarioError(f"{origin}: method must be one of {METHODS}")
     try:
         stasis_tol = _positive(tols.get("stasis_tol", DEFAULT_STASIS_TOL),
                                "stasis_tol")
         cycle_tol = _positive(tols.get("cycle_tol", DEFAULT_CYCLE_TOL),
                               "cycle_tol")
+        base = DEFAULT_CONFIG
         integrator = IntegratorConfig(
-            rel_tol=_positive(tols.get("rel_tol", 1e-10), "rel_tol"),
-            abs_tol=_positive(tols.get("abs_tol", 1e-12), "abs_tol"),
-            max_steps=whole_number(tols.get("max_steps", 10**6),
+            rel_tol=_positive(tols.get("rel_tol", base.rel_tol), "rel_tol"),
+            abs_tol=_positive(tols.get("abs_tol", base.abs_tol), "abs_tol"),
+            max_steps=whole_number(tols.get("max_steps", base.max_steps),
                                    "max_steps", 1),
-            method=method)
+            method=tols.get("method", base.method))
     except ValueError as exc:
         raise ScenarioError(f"{origin}: bad tolerances: {exc}") from exc
 
@@ -199,8 +209,8 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
             if delta_max < sys.float_info.min:
                 raise ValueError(f"sweep delta_max {delta_max!r} is below "
                                  "the smallest normal float")
-            sweep = SweepSpec(delta_max, whole_number(raw.get("steps", 32),
-                                                      "sweep steps", 1))
+            sweep = SweepSpec(delta_max, whole_number(
+                raw.get("steps", DEFAULT_SWEEP_STEPS), "sweep steps", 1))
         except ValueError as exc:
             raise ScenarioError(f"{origin}: {exc}") from exc
 
@@ -234,7 +244,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def random_linear_scenario(rng: np.random.Generator, n: int, k: int,
-                           name: str, sweep_delta_max: float = 0.5) -> dict:
+                           name: str) -> dict:
     """Random affine fields A_j x + b_j with a regular dyadic weighting.
 
     Rejection-samples until the weighted Jacobian sum is well-conditioned
@@ -289,6 +299,7 @@ def random_linear_scenario(rng: np.random.Generator, n: int, k: int,
         "weights": [float(v) for v in m],
         "stasis_guess": [float(v) for v in x0 + rng.uniform(-0.05, 0.05, n)],
         "stasis_point": None,
-        "tolerances": {"stasis_tol": 1e-10, "cycle_tol": 1e-10},
-        "sweep": {"delta_max": sweep_delta_max, "steps": 32},
+        "tolerances": {"stasis_tol": DEFAULT_STASIS_TOL,
+                       "cycle_tol": DEFAULT_CYCLE_TOL},
+        "sweep": {"delta_max": 0.5, "steps": DEFAULT_SWEEP_STEPS},
     }

@@ -25,17 +25,17 @@ def csv_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text (trailing newline included)."""
+def dumps(obj) -> str:
+    """Deterministic JSON text, indented by 2 (trailing newline included)."""
     pieces: list = []
-    _emit(obj, pieces, 0, indent)
+    _emit(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(obj, out, level, indent):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out, level):
+    pad = "  " * level
+    pad_in = pad + "  "
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -57,7 +57,7 @@ def _emit(obj, out, level, indent):
             out.append(pad_in)
             out.append(json.dumps(key, ensure_ascii=True))
             out.append(": ")
-            _emit(val, out, level + 1, indent)
+            _emit(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -67,7 +67,7 @@ def _emit(obj, out, level, indent):
         out.append("[\n")
         for i, val in enumerate(obj):
             out.append(pad_in)
-            _emit(val, out, level + 1, indent)
+            _emit(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:

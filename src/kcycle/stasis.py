@@ -132,21 +132,17 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     """Damped Newton (`linalg.damped_newton`, 2-norm, MAX_NEWTON_ITERS
     steps) on x -> sum_j m_j V_j(x) from x_guess.
 
-    Attaches the regularity report (a zero-residual point with a singular
-    weighted Jacobian is still returned, flagged non-regular).
+    Every evaluation, line-search trials included, returns the cheap
+    weighted Jacobian, so the driver never evaluates an accepted trial
+    twice. Attaches the regularity report (a zero-residual point with a
+    singular weighted Jacobian is still returned, flagged non-regular).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # the driver re-evaluates an accepted trial with the Jacobian: keep the
-    # last point evaluate() was given, with its residual
-    last = (None, None)
-
     def evaluate(x, jacobian):
-        nonlocal last
-        r = last[1] if x is last[0] else stasis_residual(fields, weights, x)
-        last = x, r
-        jac = weighted_jacobian(fields, weights, x) if jacobian else None
+        r = stasis_residual(fields, weights, x)
+        jac = weighted_jacobian(fields, weights, x)
         return float(np.linalg.norm(r)), r, jac, None
 
     x, rn, _, _ = linalg.damped_newton(
@@ -155,22 +151,21 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     return StasisPoint(x, weights, rn, check_regularity(fields, weights, x))
 
 
-def find_weights(fields, x, tol: float, m_min: float = WEIGHT_FLOOR) -> Weights:
+def find_weights(fields, x, tol: float) -> Weights:
     """Best probability weighting at a fixed point x.
 
-    Minimizes ||sum_j m_j V_j(x)|| over the simplex {m_j >= m_min,
+    Minimizes ||sum_j m_j V_j(x)|| over the simplex {m_j >= WEIGHT_FLOOR,
     sum m_j = 1} by active-set least squares over the bound constraints.
     Raises InfeasibleWeightsError when the optimum residual exceeds tol,
-    BoundaryWeightError when the optimum pins a weight at m_min (strict
-    positivity is required, boundary hits are not clamped away).
+    BoundaryWeightError when the optimum pins a weight at WEIGHT_FLOOR
+    (strict positivity is required, boundary hits are not clamped away).
     """
-    n = _check_family(fields)
-    k = len(fields)
-    if k < 2:
+    _check_family(fields)
+    if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
     cols = np.column_stack([eval_field(f, np.asarray(x, dtype=float))
                             for f in fields])
-    m, pinned = _simplex_least_squares(cols, m_min)
+    m, pinned = _simplex_least_squares(cols)
     residual = float(np.linalg.norm(cols @ m))
     if residual > tol:
         raise InfeasibleWeightsError(
@@ -180,13 +175,13 @@ def find_weights(fields, x, tol: float, m_min: float = WEIGHT_FLOOR) -> Weights:
         labels = sorted(j + 1 for j in pinned)
         raise BoundaryWeightError(
             f"optimal weighting pins weight(s) {labels} at the positivity "
-            f"floor {m_min}; strictly positive weights required",
+            f"floor {WEIGHT_FLOOR}; strictly positive weights required",
             pinned=labels)
     return Weights(tuple(float(v) for v in m))
 
 
-def _simplex_least_squares(cols: np.ndarray, m_min: float):
-    """min ||cols @ m|| s.t. sum(m) = 1, m >= m_min.
+def _simplex_least_squares(cols: np.ndarray):
+    """min ||cols @ m|| s.t. sum(m) = 1, m >= WEIGHT_FLOOR.
 
     Classic active-set on the bounds: equality-constrained KKT solves via
     lstsq (minimum-norm when the Gram matrix is rank-deficient), pin the
@@ -200,11 +195,11 @@ def _simplex_least_squares(cols: np.ndarray, m_min: float):
             raise InfeasibleWeightsError(
                 "all weights pinned at the floor; simplex is degenerate")
         a_free = cols[:, free]
-        target = 1.0 - m_min * len(pinned)
+        target = 1.0 - WEIGHT_FLOOR * len(pinned)
         gram = 2.0 * (a_free.T @ a_free)
         if pinned:
-            rhs_top = -2.0 * (a_free.T @ (cols[:, sorted(pinned)]
-                                          @ np.full(len(pinned), m_min)))
+            rhs_top = -2.0 * (a_free.T @ (cols[:, sorted(pinned)] @ np.full(
+                len(pinned), WEIGHT_FLOOR)))
         else:
             rhs_top = np.zeros(len(free))
         kkt = np.zeros((len(free) + 1, len(free) + 1))
@@ -215,12 +210,12 @@ def _simplex_least_squares(cols: np.ndarray, m_min: float):
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         m_free = sol[:len(free)]
         lam = sol[-1]
-        if np.min(m_free) < m_min - 1e-13:
+        if np.min(m_free) < WEIGHT_FLOOR - 1e-13:
             worst = free[int(np.argmin(m_free))]
             pinned.add(worst)
             continue
-        m = np.full(k, m_min)
-        m[free] = np.maximum(m_free, m_min)
+        m = np.full(k, WEIGHT_FLOOR)
+        m[free] = np.maximum(m_free, WEIGHT_FLOOR)
         if pinned:
             grad = 2.0 * (cols.T @ (cols @ m))
             mults = {j: grad[j] - lam for j in pinned}
