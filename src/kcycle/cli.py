@@ -26,7 +26,8 @@ from .flow import integrate_flow
 from .scenario import (Scenario, finite_number, load_scenario, read_json,
                        scenario_from_dict, scenario_to_dict, whole_number)
 from .stasis import (StasisPoint, Weights, check_regularity, find_stasis,
-                     find_weights, stasis_residual, weight_hull_dimension)
+                     find_weights, residual_norm, stasis_residual,
+                     weight_hull_dimension)
 
 RECORD_KIND = "kcycle_record"
 
@@ -109,7 +110,7 @@ def _stasis_at_point(scn: Scenario, tol: float) -> StasisPoint:
     """Weights, residual and regularity at the scenario's pinned point."""
     x0 = scn.stasis_point
     weights = find_weights(scn.fields, x0, tol)
-    residual = float(np.linalg.norm(stasis_residual(scn.fields, weights, x0)))
+    residual = residual_norm(stasis_residual(scn.fields, weights, x0))
     report = check_regularity(scn.fields, weights, x0)
     return StasisPoint(x0.copy(), weights, residual, report)
 

@@ -9,6 +9,7 @@ point pinned -> simplex-constrained least squares for the weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     def evaluate(x, jacobian):
         r = stasis_residual(fields, weights, x)
         jac = weighted_jacobian(fields, weights, x)
-        return float(np.linalg.norm(r)), r, jac, None
+        return residual_norm(r), r, jac, None
 
     x, rn, _, _ = linalg.damped_newton(
         evaluate, np.asarray(x_guess, dtype=float).copy(), tol,
@@ -151,22 +152,43 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     return StasisPoint(x, weights, rn, check_regularity(fields, weights, x))
 
 
+def residual_norm(r) -> float:
+    """The 2-norm of r; rescaled only where the plain norm overflows on a
+    finite vector, so every finite plain norm is returned as it is."""
+    with np.errstate(over="ignore"):
+        rn = float(np.linalg.norm(r))
+        if rn == np.inf and np.isfinite(r).all():
+            big = np.max(np.abs(r))
+            rn = float(big * np.linalg.norm(r / big))
+    return rn
+
+
 def find_weights(fields, x, tol: float) -> Weights:
     """Best probability weighting at a fixed point x.
 
     Minimizes ||sum_j m_j V_j(x)|| over the simplex {m_j >= WEIGHT_FLOOR,
     sum m_j = 1} by active-set least squares over the bound constraints.
-    Raises InfeasibleWeightsError when the optimum residual exceeds tol,
-    BoundaryWeightError when the optimum pins a weight at WEIGHT_FLOOR
-    (strict positivity is required, boundary hits are not clamped away).
+    Field values above 2^500 in magnitude are solved scaled by a power of
+    two, which keeps the Gram matrix finite; the residual is reported
+    unscaled. Raises InfeasibleWeightsError when a field value at x is not
+    finite or the optimum residual exceeds tol, BoundaryWeightError when
+    the optimum pins a weight at WEIGHT_FLOOR (strict positivity is
+    required, boundary hits are not clamped away).
     """
     _check_family(fields)
     if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
     cols = np.column_stack([eval_field(f, np.asarray(x, dtype=float))
                             for f in fields])
+    if not np.isfinite(cols).all():
+        raise InfeasibleWeightsError(
+            "a field value at the point is not finite; not a stasis point",
+            residual=np.inf)
+    big = float(np.max(np.abs(cols)))
+    shift = math.frexp(big)[1] if big > 2.0 ** 500 else 0
+    cols = np.ldexp(cols, -shift)  # exact: a power of two
     m, pinned = _simplex_least_squares(cols)
-    residual = float(np.linalg.norm(cols @ m))
+    residual = math.ldexp(float(np.linalg.norm(cols @ m)), shift)
     if residual > tol:
         raise InfeasibleWeightsError(
             f"no probability weighting reaches ||residual|| <= {tol:.3e} "

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -295,6 +299,35 @@ def test_verify_wrong_kind_exit64(tmp_path, capsys):
     assert run_cli("verify", str(p)) == 64
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read record file"),
+    ("{not json", "invalid JSON in"),
+    (b"\xff\xfe", "invalid JSON in"),
+], ids=["unreadable", "not-json", "not-utf8"])
+def test_unreadable_or_non_json_record_exit64(tmp_path, capsys, content,
+                                              message):
+    path = tmp_path / "record.json"
+    if content is None:
+        path.mkdir()  # opening a directory is an OSError
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert run_cli("verify", str(path)) == 64
+    assert capsys.readouterr().err.startswith(f"kcycle: error: {message}")
+
+
+def test_bad_integrator_method_exit64(tmp_path, capsys):
+    data = json.loads(scenario_path("pair_1d").read_text())
+    data["tolerances"]["method"] = "euler"
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("stasis", "--scenario", str(path)) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("kcycle: error: ")
+    assert "method must be one of ('dopri_adaptive', 'rk4_fixed')" in err
+
+
 # --- malformed input -------------------------------------------------------
 
 # (file, path of keys to the edited entry, bad value); each loads with exit
@@ -372,6 +405,55 @@ def test_overflowing_flow_emits_no_numpy_warning(tmp_path, capsys):
     assert code == 1
     assert "StepLimitError" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# scenarios that once hung (an infinite Gram matrix sent LAPACK's least
+# squares spinning) or reported an overflowing norm as non-finite
+HUGE_PINNED = {"schema_version": 1, "name": "huge-pinned", "dimension": 1,
+               "fields": ["1e200 - x1", "-1e200 - x1"],
+               "stasis_point": [0.0]}
+OVERFLOWING_NORM = {"schema_version": 1, "name": "overflowing-norm",
+                    "dimension": 1, "fields": ["exp(x1) - 2", "-1 - x1"],
+                    "weights": [0.5, 0.5], "stasis_guess": [700]}
+
+
+def _run_child(tmp_path, scenario, *argv):
+    """kcycle in a child process: a regression that hangs fails the
+    timeout instead of stalling the suite."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "kcycle", *argv, "--scenario", str(path)],
+        capture_output=True, text=True, timeout=10, env=env)
+
+
+@pytest.mark.parametrize("scenario, command, message", [
+    (HUGE_PINNED, "weights", "InfeasibleWeightsError: no probability "
+                             "weighting reaches ||residual|| <= 1.000e-10 "
+                             "(optimum 1.371e+184)"),
+    (HUGE_PINNED, "stasis", "InfeasibleWeightsError"),
+    (OVERFLOWING_NORM, "stasis", "NewtonDivergenceError: stasis: no "
+                                 "convergence in 50 Newton steps"),
+], ids=["huge-pinned-weights", "huge-pinned-stasis", "overflowing-norm"])
+def test_huge_field_values_exit1_quietly(tmp_path, scenario, command,
+                                         message):
+    proc = _run_child(tmp_path, scenario, command)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"kcycle: {message}")
+    assert proc.stderr.count("\n") == 1  # nothing from numpy or LAPACK
+
+
+def test_huge_pinned_point_reports_a_finite_residual(tmp_path):
+    # a tolerance loose enough to accept the weights: the reported norm of
+    # a residual near 1e184 squares past the float range
+    proc = _run_child(tmp_path, HUGE_PINNED, "weights", "--json",
+                      "--tol", "1e300")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert 1e180 < json.loads(proc.stdout)["residual_norm"] < 1e190
 
 
 def test_subnormal_delta_cycle_terminates(tmp_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import kcycle.cycle
-from kcycle import (BranchLostError, CyclePoints, DimensionError,
+from kcycle import (BranchLostError, ClosureError, CyclePoints,
+                    DimensionError,
                     IntegratorConfig, NewtonDivergenceError,
                     SingularJacobianError, Weights, average_velocity,
                     cycle_jacobian, cycle_residual, eval_field, find_stasis,
@@ -280,6 +281,26 @@ def test_solve_cycle_constant_pair_singular():
     with pytest.raises(SingularJacobianError) as err:
         solve_cycle(fields, w, CyclePoints.constant([0.0], 2), 0.3)
     assert err.value.sigma_min == pytest.approx(0.0, abs=1e-14)
+
+
+def test_solve_cycle_rejects_a_converged_cycle_that_does_not_close(
+        pair, monkeypatch):
+    # the final leg's endpoint is moved after the residual is formed, as
+    # an integration too loose for the Newton tolerance can leave it: the
+    # solve converges, and the independent closure check refuses it
+    fields, w = pair
+    system = kcycle.cycle._cycle_system
+
+    def gapped(*args, **kwargs):
+        ends, res, jac = system(*args, **kwargs)
+        ends = ends.copy()
+        ends[-1] += 1e-6
+        return ends, res, jac
+
+    monkeypatch.setattr(kcycle.cycle, "_cycle_system", gapped)
+    with pytest.raises(ClosureError) as err:
+        solve_cycle(fields, w, CyclePoints.constant([0.0], 2), 0.2)
+    assert "final-leg closure 1.000e-06 exceeds 1.000e-09" in str(err.value)
 
 
 def test_solve_cycle_rejects_nonpositive_delta(pair):

@@ -283,6 +283,20 @@ def test_domain_error_mid_leg_names_the_component(run):
     assert cause.component == 2 and "sqrt" in str(cause)
 
 
+def test_jacobian_failure_alone_falls_back_to_the_tree_walk():
+    # at x1 = 0, sqrt(x1) evaluates but its derivative 0.5/sqrt(x1)
+    # divides by zero: the sensitivity leg fails with the walk's
+    # DomainError, and the endpoint-only leg stays at the equilibrium
+    f = parse_field("0 - sqrt(x1)", 1)
+    with pytest.raises(FlowDomainError) as err:
+        integrate_flow(f, [0.0], 1.0)
+    assert err.value.time == 0.0
+    cause = err.value.__cause__
+    assert isinstance(cause, DomainError) and cause.component == 1
+    assert "division by zero" in str(cause)
+    assert flow_endpoint(f, [0.0], 1.0).tolist() == [0.0]
+
+
 def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
     calls = []
 

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from kcycle import (BoundaryWeightError, DimensionError,
                     eval_field, find_stasis, find_weights, parse_field, stasis_residual,
                     weight_hull_dimension, weighted_jacobian)
 from kcycle.linalg import damped_newton, newton_step, singular_values
-from kcycle.stasis import MAX_NEWTON_ITERS, WEIGHT_FLOOR
+from kcycle.stasis import (MAX_NEWTON_ITERS, WEIGHT_FLOOR,
+                           _simplex_least_squares, residual_norm)
 
 
 @pytest.fixture
@@ -149,10 +153,10 @@ def test_damped_newton_returns_the_accepted_trial():
 
 @pytest.mark.parametrize("name", ["flat_tail", "trig_3d"])
 def test_find_stasis_evaluates_each_point_once(name, corpus, monkeypatch):
-    # the accepted trial's residual is reused when the driver asks for the
-    # Jacobian there, so the fields are evaluated at the guess and at each
-    # line-search trial only, and the iterates are those of a driver whose
-    # every evaluation is fresh
+    # every evaluation returns the Jacobian, so the driver keeps an
+    # accepted trial's instead of evaluating that point again: the fields
+    # are evaluated at the guess and at each line-search trial only, and
+    # the iterates are those of a driver that re-evaluates every iterate
     if name == "flat_tail":
         fields = [parse_field("tanh(x1 - 1)", 1)] * 2
         weights, guess, tol = Weights((0.5, 0.5)), [3.0], 1e-12
@@ -189,6 +193,147 @@ def test_find_stasis_evaluates_each_point_once(name, corpus, monkeypatch):
     x, rn, _, _ = damped_newton(fresh, np.array(guess, dtype=float), tol,
                                 MAX_NEWTON_ITERS, "stasis")
     assert np.array_equal(sp.x0, x) and sp.residual_norm == rn
+
+
+def _square_root_of_4(calls):
+    """evaluate() of x^2 - 4 for damped_newton, logging its jacobian flags."""
+    def evaluate(x, jacobian):
+        calls.append(jacobian)
+        r = x * x - 4.0
+        jac = np.diag(2.0 * x) if jacobian else None
+        return float(abs(r[0])), r, jac, None
+    return evaluate
+
+
+def test_damped_newton_non_finite_residual_at_start():
+    def evaluate(x, jacobian):
+        return np.inf, np.array([np.inf]), np.eye(1), None
+
+    with pytest.raises(NewtonDivergenceError) as err:
+        damped_newton(evaluate, np.array([1.0]), 1e-12, 10, "probe")
+    assert "probe: residual became non-finite" in str(err.value)
+    assert err.value.iterations == 0
+
+
+def test_damped_newton_stops_after_max_iters():
+    # two full steps from 3 leave x^2 - 4 far above 1e-15; the third
+    # iterate is evaluated, not stepped from
+    calls = []
+    with pytest.raises(NewtonDivergenceError) as err:
+        damped_newton(_square_root_of_4(calls), np.array([3.0]), 1e-15, 2,
+                      "probe")
+    x2 = 3.0 - (9.0 - 4.0) / 6.0
+    x2 -= (x2 * x2 - 4.0) / (2.0 * x2)
+    assert "no convergence in 2 Newton steps" in str(err.value)
+    assert err.value.iterations == 2
+    assert err.value.residual_norm == pytest.approx(x2 * x2 - 4.0, rel=1e-12)
+    assert calls == [True, False, True, False, True]
+
+
+def test_damped_newton_keeps_an_accepted_trials_jacobian():
+    # a trial that returns its Jacobian is never evaluated again
+    calls = []
+    evaluate = _square_root_of_4(calls)
+
+    def with_jacobian(x, jacobian):
+        return evaluate(x, True)
+
+    x, rn, _, iters = damped_newton(with_jacobian, np.array([3.0]), 1e-12,
+                                    10, "probe")
+    assert abs(x[0] - 2.0) <= 1e-12 and rn <= 1e-12
+    assert len(calls) == 1 + iters
+
+
+def test_find_stasis_norm_overflow_is_not_called_non_finite():
+    # 0.5*(e^700 - 2) - 350.5 is finite but squares past the float range;
+    # Newton walks down one unit per step and runs out of steps
+    fields = [parse_field("exp(x1) - 2", 1), parse_field("-1 - x1", 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergenceError) as err:
+            find_stasis(fields, Weights((0.5, 0.5)), [700.0], 1e-10)
+    assert "non-finite" not in str(err.value)
+    assert "no convergence" in str(err.value)
+    assert 1e250 < err.value.residual_norm < np.inf
+
+
+def test_residual_norm_keeps_every_finite_norm_and_rescales_an_overflow():
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e150):
+        r = rng.normal(size=4) * scale
+        assert residual_norm(r) == float(np.linalg.norm(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert residual_norm(np.array([3e200, -4e200])) == pytest.approx(
+            5e200, rel=1e-15)
+        assert residual_norm(np.array([np.inf, 1.0])) == np.inf
+        assert residual_norm(np.array([1.5e308, 1.5e308])) == np.inf
+
+
+def test_find_weights_non_finite_field_value_is_infeasible(monkeypatch):
+    def never(cols):  # an infinite Gram matrix hangs the least squares
+        raise AssertionError("non-finite values reached the solve")
+
+    monkeypatch.setattr(kcycle.stasis, "_simplex_least_squares", never)
+    fields = [parse_field("1e200*1e200 - x1", 1), parse_field("-1 - x1", 1)]
+    with pytest.raises(InfeasibleWeightsError) as err:
+        find_weights(fields, [0.0], 1e-10)
+    assert "not finite" in str(err.value)
+
+
+def test_find_weights_huge_values_are_solved_scaled(monkeypatch):
+    # field values 2^600 and 2^601: the optimum pins field 2 at the floor,
+    # and its residual 2^600*(1 + 1e-9) is reported unscaled
+    seen = []
+
+    def checked(cols):
+        seen.append(float(np.max(np.abs(cols))))
+        assert seen[-1] <= 2.0 ** 500  # an overflowing Gram matrix hangs
+        return _simplex_least_squares(cols)
+
+    monkeypatch.setattr(kcycle.stasis, "_simplex_least_squares", checked)
+    fields = [parse_field("2^600 + x1", 1), parse_field("2^601 + x1", 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleWeightsError) as err:
+            find_weights(fields, [0.0], 1e-10)
+    assert seen == [0.5]  # 2^601 scaled into [0.5, 1)
+    assert err.value.residual == pytest.approx(2.0 ** 600 * (1 + 1e-9),
+                                               rel=1e-12)
+
+
+def _simplex_oracle(cols):
+    """Least ||cols @ m|| over the floored simplex by enumerating which
+    weights sit at the floor: a KKT solve for the rest, kept if feasible."""
+    k = cols.shape[1]
+    best = np.inf
+    for size in range(k):
+        for pinned in itertools.combinations(range(k), size):
+            free = [j for j in range(k) if j not in pinned]
+            m = np.full(k, WEIGHT_FLOOR)
+            a = cols[:, free]
+            b = cols[:, list(pinned)].sum(axis=1) * WEIGHT_FLOOR
+            kkt = np.block([[2 * a.T @ a, np.ones((len(free), 1))],
+                            [np.ones((1, len(free))), np.zeros((1, 1))]])
+            rhs = np.append(-2 * a.T @ b, 1.0 - WEIGHT_FLOOR * size)
+            m[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+            if m.min() >= WEIGHT_FLOOR - 1e-12:
+                best = min(best, float(np.linalg.norm(cols @ m)))
+    return best
+
+
+def test_simplex_least_squares_releases_a_pinned_weight():
+    # the KKT solves pin field 1, then field 3; field 1's multiplier is
+    # then negative, so it is released and only field 3 ends at the floor
+    cols = np.array([[-1.1, 0.6, 3.0], [-0.6, 0.8, 2.9]])
+    m, pinned = _simplex_least_squares(cols)
+    assert pinned == {2}
+    assert float(np.linalg.norm(cols @ m)) == pytest.approx(
+        _simplex_oracle(cols), rel=1e-9)
+    fields = [parse_field(f"{a}; {b}", 2) for a, b in cols.T]
+    with pytest.raises(BoundaryWeightError) as err:
+        find_weights(fields, [0.0, 0.0], 10.0)
+    assert err.value.pinned == (3,)
 
 
 def test_find_weights_three_constants():
