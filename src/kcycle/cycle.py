@@ -32,9 +32,11 @@ A sweep seeds each solve from the branch's own expansion (Euler-Newton
 continuation). At delta = 0 the branch leaves x0 along the tangent
 c = -H_x^-1 H_delta, which needs only the fields and their Jacobians at
 x0, so the first ladder point is seeded at x0 + delta*c. Later points,
-bisection retries included, are seeded by the secant or quadratic in
-delta through the last branch points; many of them then converge without
-a Newton step.
+bisection retries included, are seeded by the polynomial in delta through
+the last four branch points (the secant, then the quadratic, while fewer
+are known); many of them then converge without a Newton step. The legs'
+sensitivities, which only the Jacobian uses, ride the steps that error
+control chooses for the states (see `flow`).
 """
 
 from __future__ import annotations
@@ -343,12 +345,14 @@ def _predict(branch, tangent, delta):
     """Seed at `delta` from the branch points (delta_i, x_i) solved so far.
 
     With only (0, x0) known it follows the tangent; otherwise it is the
-    polynomial in delta through the last two or three points (secant or
-    quadratic extrapolation).
+    polynomial in delta through the last four points, or through all of
+    them while fewer are known (secant, quadratic, then cubic
+    extrapolation; Allgower and Georg, Introduction to Numerical
+    Continuation Methods, ch. 2).
     """
     if len(branch) == 1:
         return CyclePoints(branch[0][1] + delta * tangent)
-    last = branch[-3:]
+    last = branch[-4:]
     seed = 0.0
     for i, (d_i, x_i) in enumerate(last):
         weight = 1.0

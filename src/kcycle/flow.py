@@ -5,14 +5,20 @@ jointly as one augmented system of dimension n + n^2,
 
     dx/dt = V(x),    dP/dt = J(x(t)) P,    P(0) = I,
 
-so both see the identical step sequence. Two steppers are provided: an
-adaptive Dormand-Prince 5(4) embedded pair with PI step-size control
-(default), and a uniform-step RK4 with per-step Richardson error
-estimates that refines the whole pass until the estimate meets tolerance
-(cross-check method). Dormand-Prince evaluates its last stage at the new
-state, which therefore serves as the next step's first stage (first same
-as last), and a rejected step keeps its first stage: every step after
-the first costs six right-hand-side evaluations instead of seven.
+on one step sequence. Step-size control looks at the state only: P rides
+the state's accepted steps and is not error-controlled, as in CVODES
+with its sensitivities left out of error control (Hindmarsh et al.,
+ACM TOMS 31, 2005). Only Jacobians are formed from P, and the cycle
+residual, which decides convergence, comes from the state. A step with
+a non-finite entry anywhere in the augmented state is still rejected.
+Two steppers are provided: an adaptive Dormand-Prince 5(4) embedded pair
+with PI step-size control (default), and a uniform-step RK4 with
+per-step Richardson error estimates that refines the whole pass until
+the estimate meets tolerance (cross-check method). Dormand-Prince
+evaluates its last stage at the new state, which therefore serves as the
+next step's first stage (first same as last), and a rejected step keeps
+its first stage: every step after the first costs six right-hand-side
+evaluations instead of seven.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
 initial state. `_leg` checks the point's shape once and binds the
@@ -61,6 +67,9 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(eq=False)
 class FlowResult:
+    """One leg's endpoint and sensitivity; est_local_error is the largest
+    accepted local-error estimate of the state (the endpoint's entries)."""
+
     endpoint: np.ndarray
     sensitivity: np.ndarray
     steps_taken: int
@@ -86,18 +95,21 @@ _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 _DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 
-def _dopri(rhs, y0, span, cfg):
+def _dopri(rhs, y0, span, cfg, n=None):
     """Integrate dy/dt = rhs(y) over [0, span], span > 0.
 
     Error control is on the max norm of the per-component scaled embedded
-    estimate, so on success every accepted step satisfies
-    |err_i| <= abs_tol + rel_tol*|y_i|. Stage 0 is rhs(y): an accepted
-    step hands over its last stage and |y_new|, a rejected one keeps
-    them, so every attempt after the first costs six evaluations of rhs.
+    estimate of the controlled entries y[:n] (all of y for n = None), so
+    on success every accepted step satisfies |err_i| <= abs_tol +
+    rel_tol*|y_i| for i < n; est is the largest |err_i| accepted. The
+    remaining entries ride the accepted steps, and a non-finite entry
+    anywhere rejects the step. Stage 0 is rhs(y): an accepted step hands
+    over its last stage and |y_new[:n]|, a rejected one keeps them, so
+    every attempt after the first costs six evaluations of rhs.
     """
     abs_tol, rel_tol, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.max_steps
     y = y0.copy()
-    abs_y = np.abs(y)
+    abs_y = np.abs(y[:n])
     t = 0.0
     h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
     steps = 0
@@ -106,6 +118,7 @@ def _dopri(rhs, y0, span, cfg):
     h_min = 16.0 * np.finfo(float).eps * span
     stages = np.empty((7, y.size))
     heads = [stages[:i] for i in range(7)]  # stages 0..i-1 feed stage i
+    controlled = stages[:, :n]
     while t < span:
         if steps >= max_steps:
             raise StepLimitError(
@@ -123,12 +136,12 @@ def _dopri(rhs, y0, span, cfg):
             raise FlowDomainError(
                 f"field evaluation failed at t={t:.6g}: {exc}", time=t
             ) from exc
-        abs_e = np.abs(h * (_DP_E @ stages))
+        abs_e = np.abs(h * (_DP_E @ controlled))
         steps += 1
         if not np.isfinite(y_new).all():
             h *= 0.2
             continue
-        abs_new = np.abs(y_new)
+        abs_new = np.abs(y_new[:n])
         scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
         err = float((abs_e / scale).max())
         if err <= 1.0:
@@ -155,16 +168,18 @@ def _rk4_step(rhs, y, h):
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-def _rk4(rhs, y0, span, cfg):
+def _rk4(rhs, y0, span, cfg, n=None):
     """Uniform-step RK4 with Richardson comparison per step.
 
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
     what propagates. The whole pass is redone with doubled resolution
-    until the scaled estimate passes. The second half step is h - h/2,
-    so the halves always cover h. The first pass takes eight macro steps,
-    or one when the half steps of eight would be subnormal: a subnormal
-    span / 8 rounds to a few units of 5e-324, and its half to 0.
+    until the scaled estimate of the controlled entries y[:n] (all of y
+    for n = None) passes; a non-finite entry anywhere fails the pass. The
+    second half step is h - h/2, so the halves always cover h. The first
+    pass takes eight macro steps, or one when the half steps of eight
+    would be subnormal: a subnormal span / 8 rounds to a few units of
+    5e-324, and its half to 0.
     """
     n_steps = 8 if span / 16.0 >= np.finfo(float).tiny else 1
     while True:
@@ -185,11 +200,11 @@ def _rk4(rhs, y0, span, cfg):
                 raise FlowDomainError(
                     f"field evaluation failed at t={i * h:.6g}: {exc}",
                     time=i * h) from exc
-            diff = np.abs(y_big - y_fine) / 15.0
+            diff = np.abs(y_big[:n] - y_fine[:n]) / 15.0
             if not np.all(np.isfinite(y_fine)):
                 ok = False
                 break
-            scale = cfg.abs_tol + cfg.rel_tol * np.abs(y_fine)
+            scale = cfg.abs_tol + cfg.rel_tol * np.abs(y_fine[:n])
             worst = max(worst, float(np.max(diff / scale)))
             est = max(est, float(np.max(diff)))
             y = y_fine
@@ -198,11 +213,11 @@ def _rk4(rhs, y0, span, cfg):
         n_steps *= 2
 
 
-def _run(rhs, y0, t, cfg):
+def _run(rhs, y0, t, cfg, n):
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.method == "rk4_fixed":
-            return _rk4(rhs, y0, t, cfg)
-        return _dopri(rhs, y0, t, cfg)
+            return _rk4(rhs, y0, t, cfg, n)
+        return _dopri(rhs, y0, t, cfg, n)
 
 
 def _rhs(field, sensitivity):
@@ -243,7 +258,7 @@ def _rhs(field, sensitivity):
 def _leg(field, x, t, cfg, sensitivity):
     """Integrate one leg of `field` from the point x over time t;
     (y, steps, est) with y = x(t), or (x(t), P(t)) flattened when
-    `sensitivity`.
+    `sensitivity`. Step-size control and est cover the state x(t) only.
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
     returns the initial state exactly; negative t integrates the negated
@@ -257,15 +272,17 @@ def _leg(field, x, t, cfg, sensitivity):
     if t == 0.0:
         return y0.copy(), 0, 0.0
     work = field if t > 0 else field.negated()
-    return _run(_rhs(work, sensitivity), y0, abs(t), cfg)
+    return _run(_rhs(work, sensitivity), y0, abs(t), cfg, n)
 
 
 def integrate_flow(field: VectorField, x, t: float,
                    cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow endpoint F(x, t) together with its sensitivity dF/dx.
 
-    t = 0 returns x and the identity exactly. Negative t integrates the
-    negated field over |t|.
+    The sensitivity rides the steps that error control chooses for the
+    state and is not error-controlled itself; est_local_error is the
+    state's estimate. t = 0 returns x and the identity exactly. Negative
+    t integrates the negated field over |t|.
     """
     n = field.dimension
     y, steps, est = _leg(field, x, t, cfg, True)

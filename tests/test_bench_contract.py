@@ -1,24 +1,37 @@
-"""The names the benchmark's tracer wraps still exist in the package.
+"""The benchmark still runs on the package.
 
 `bench/tracing.py` replaces module globals of kcycle with counting
 wrappers; a wrapped name the package no longer has is skipped there, and
 the metrics that need it go missing from the benchmark's report. These
 tests read that file (without importing it as a module, so nothing is
 written next to it) and fail instead when a change to the package drops
-or unbinds a traced name.
+or unbinds a traced name. `bench/worker.py` times every solve of its
+sweep passes through the module global `kcycle.cycle.solve_cycle`; the
+smoke test runs it as the benchmark does, in a child process, so that a
+worker that fails or times nothing shows here and not as a benchmark
+run without a result.
 """
 
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
+import numpy as np
 import pytest
 
 import kcycle.cycle
-from kcycle import find_stasis
+from kcycle import find_stasis, random_linear_scenario
 
-TRACING = (pathlib.Path(__file__).resolve().parent.parent / "bench"
-           / "tracing.py")
+from conftest import scenario_path
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+WORKER = ROOT / "bench" / "worker.py"
+SWEEP_POINTS = 32
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +69,26 @@ def test_traced_sweep_calls_solve_cycle_once_per_ladder_point(tracing,
     solves = [span for span in tracer.spans if span[0] == "cycle.solve_cycle"]
     assert len(result.records) == 4
     assert len(solves) == 4
+
+
+def test_worker_sweep_times_every_solve_and_checks_out(tmp_path):
+    scenarios = [json.loads(scenario_path("pair_1d").read_text("utf-8")),
+                 random_linear_scenario(np.random.default_rng(1), 3, 3,
+                                        "random-3x3")]
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps({"scenarios": scenarios}), "utf-8")
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, str(WORKER), "sweep", str(inputs), "--seconds", "0",
+         "--result", str(result)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(result.read_text("utf-8"))
+    assert out["failed"] == 0 and out["problems"] == []
+    assert out["passes"]
+    assert [len(solves) for solves in out["jobs"]] == \
+        [SWEEP_POINTS * len(scenarios)] * len(out["passes"])
+    assert out["verify_ratio_max"] <= 1.0

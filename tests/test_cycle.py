@@ -375,12 +375,13 @@ def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
 
 def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):
     # frozen per-point Newton iterations of the trig-3d sweep, each point
-    # seeded by the branch predictor (tangent, then secant, then quadratic
-    # extrapolation); the zeros are points whose prediction already met
-    # the tolerance
+    # seeded by the branch predictor (tangent, then secant, quadratic and
+    # cubic extrapolation); the zeros are points whose prediction already
+    # met the tolerance
     result = regular_sweeps["trig_3d"][1]
     assert [rec.cycle.newton_iters for rec in result.records] == \
-        [1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0] + [1] * 18 + [2]
+        [1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0] + \
+        [1] * 12
 
 
 def test_cycles_approach_oracle_tangent_at_first_order(corpus):
@@ -449,8 +450,9 @@ def _lagrange(points, delta):
 def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
     # the first attempt at the third ladder point fails and is retried at
     # the midpoint; after the first solve, every seed (the midpoint's
-    # included) is the secant or quadratic through the last branch points,
-    # x0 at delta = 0 and every cycle solved so far, the midpoint's too
+    # included) is the polynomial through the last four branch points, or
+    # all of them while fewer are known: x0 at delta = 0 and every cycle
+    # solved so far, the midpoint's too
     fields, w = pair
     calls = _record_solves(monkeypatch, fail_at=2)
     result = sweep_delta(fields, w, [0.0], 0.8, 4)
@@ -461,7 +463,7 @@ def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
     branch = [(0.0, np.zeros((2, 1)))]
     for delta, seed, cycle in calls:
         if len(branch) > 1:
-            want = _lagrange(branch[-3:], delta)
+            want = _lagrange(branch[-4:], delta)
             assert np.max(np.abs(seed - want)) <= 1e-15, delta
         if cycle is not None:
             branch.append((delta, cycle.points.points))
