@@ -34,9 +34,7 @@ c = -H_x^-1 H_delta, which needs only the fields and their Jacobians at
 x0, so the first ladder point is seeded at x0 + delta*c. Later points,
 bisection retries included, are seeded by the polynomial in delta through
 the last four branch points (the secant, then the quadratic, while fewer
-are known); many of them then converge without a Newton step. The legs'
-sensitivities, which only the Jacobian uses, ride the steps that error
-control chooses for the states (see `flow`).
+are known); many of them then converge without a Newton step.
 """
 
 from __future__ import annotations
@@ -204,8 +202,9 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
     """Jacobian of cycle_residual with respect to the stacked points.
 
     delta = 0 assembles the analytic block matrix (top row
-    m_j dV_j/dx(x_j), chain blocks I and -I); delta > 0 uses the true flow
-    sensitivities: top row (dF_j/dx - I)/delta, chain blocks dF_j/dx, -I.
+    m_j dV_j/dx(x_j), chain blocks I and -I); delta > 0 uses the flow
+    sensitivities, error-controlled relative to their largest entry (see
+    `flow`): top row (dF_j/dx - I)/delta, chain blocks dF_j/dx, -I.
     """
     x = _cycle_rows(fields, weights, pts, delta)
     return _cycle_system(fields, weights, x, delta, cfg, jacobian=True)[2]

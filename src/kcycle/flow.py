@@ -5,12 +5,13 @@ jointly as one augmented system of dimension n + n^2,
 
     dx/dt = V(x),    dP/dt = J(x(t)) P,    P(0) = I,
 
-on one step sequence. Step-size control looks at the state only: P rides
-the state's accepted steps and is not error-controlled, as in CVODES
-with its sensitivities left out of error control (Hindmarsh et al.,
-ACM TOMS 31, 2005). Only Jacobians are formed from P, and the cycle
-residual, which decides convergence, comes from the state. A step with
-a non-finite entry anywhere in the augmented state is still rejected.
+on one step sequence. Step-size control measures the state entry by
+entry and P as a whole: each entry of P's local error is scaled by the
+largest entry of P, not by its own. An entry of P near zero then does
+not force the steps down to abs_tol, and P stays accurate relative to
+its norm, which is what its Jacobians need, even where the state's own
+error is 0 (at an equilibrium). A step with a non-finite entry anywhere
+in the augmented state is rejected.
 Two steppers are provided: an adaptive Dormand-Prince 5(4) embedded pair
 with PI step-size control (default), and a uniform-step RK4 with
 per-step Richardson error estimates that refines the whole pass until
@@ -68,7 +69,8 @@ DEFAULT_CONFIG = IntegratorConfig()
 @dataclass(eq=False)
 class FlowResult:
     """One leg's endpoint and sensitivity; est_local_error is the largest
-    accepted local-error estimate of the state (the endpoint's entries)."""
+    accepted local-error estimate of the state (the endpoint's entries);
+    the sensitivity's error is controlled relative to its largest entry."""
 
     endpoint: np.ndarray
     sensitivity: np.ndarray
@@ -95,21 +97,29 @@ _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 _DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))
 
 
-def _dopri(rhs, y0, span, cfg, n=None):
+def _error_scale(peak, n, cfg):
+    """abs_tol + rel_tol * peak, where peak holds |y_i| and the entries
+    past the state's n take their largest (the sensitivity's norm).
+    Overwrites peak."""
+    peak[n:] = peak[n:].max(initial=0.0)
+    return cfg.abs_tol + cfg.rel_tol * peak
+
+
+def _dopri(rhs, y0, span, cfg, n):
     """Integrate dy/dt = rhs(y) over [0, span], span > 0.
 
-    Error control is on the max norm of the per-component scaled embedded
-    estimate of the controlled entries y[:n] (all of y for n = None), so
-    on success every accepted step satisfies |err_i| <= abs_tol +
-    rel_tol*|y_i| for i < n; est is the largest |err_i| accepted. The
-    remaining entries ride the accepted steps, and a non-finite entry
-    anywhere rejects the step. Stage 0 is rhs(y): an accepted step hands
-    over its last stage and |y_new[:n]|, a rejected one keeps them, so
-    every attempt after the first costs six evaluations of rhs.
+    Error control is on the max norm of the scaled embedded estimate
+    (`_error_scale`), so on success every accepted step satisfies
+    |err_i| <= abs_tol + rel_tol*|y_i| for the state's entries i < n and
+    |err_i| <= abs_tol + rel_tol*max_{j>=n}|y_j| for the rest; est is the
+    largest state |err_i| accepted. A non-finite entry anywhere rejects
+    the step. Stage 0 is rhs(y): an accepted step hands over its last
+    stage and |y_new|, a rejected one keeps them, so every attempt after
+    the first costs six evaluations of rhs.
     """
-    abs_tol, rel_tol, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.max_steps
+    max_steps = cfg.max_steps
     y = y0.copy()
-    abs_y = np.abs(y[:n])
+    abs_y = np.abs(y)
     t = 0.0
     h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
     steps = 0
@@ -118,7 +128,6 @@ def _dopri(rhs, y0, span, cfg, n=None):
     h_min = 16.0 * np.finfo(float).eps * span
     stages = np.empty((7, y.size))
     heads = [stages[:i] for i in range(7)]  # stages 0..i-1 feed stage i
-    controlled = stages[:, :n]
     while t < span:
         if steps >= max_steps:
             raise StepLimitError(
@@ -136,20 +145,20 @@ def _dopri(rhs, y0, span, cfg, n=None):
             raise FlowDomainError(
                 f"field evaluation failed at t={t:.6g}: {exc}", time=t
             ) from exc
-        abs_e = np.abs(h * (_DP_E @ controlled))
+        abs_e = np.abs(h * (_DP_E @ stages))
         steps += 1
         if not np.isfinite(y_new).all():
             h *= 0.2
             continue
-        abs_new = np.abs(y_new[:n])
-        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        abs_new = np.abs(y_new)
+        scale = _error_scale(np.maximum(abs_y, abs_new), n, cfg)
         err = float((abs_e / scale).max())
         if err <= 1.0:
             t += h
             y = y_new
             abs_y = abs_new
             stages[0] = stages[6]
-            est = max(est, float(abs_e.max()))
+            est = max(est, float(abs_e[:n].max()))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
@@ -168,14 +177,15 @@ def _rk4_step(rhs, y, h):
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-def _rk4(rhs, y0, span, cfg, n=None):
+def _rk4(rhs, y0, span, cfg, n):
     """Uniform-step RK4 with Richardson comparison per step.
 
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
     what propagates. The whole pass is redone with doubled resolution
-    until the scaled estimate of the controlled entries y[:n] (all of y
-    for n = None) passes; a non-finite entry anywhere fails the pass. The
+    until the estimate, scaled as in `_dopri` with the state's n entries
+    first, passes; est is the state's; a non-finite entry anywhere fails
+    the pass. The
     second half step is h - h/2, so the halves always cover h. The first
     pass takes eight macro steps, or one when the half steps of eight
     would be subnormal: a subnormal span / 8 rounds to a few units of
@@ -200,13 +210,13 @@ def _rk4(rhs, y0, span, cfg, n=None):
                 raise FlowDomainError(
                     f"field evaluation failed at t={i * h:.6g}: {exc}",
                     time=i * h) from exc
-            diff = np.abs(y_big[:n] - y_fine[:n]) / 15.0
+            diff = np.abs(y_big - y_fine) / 15.0
             if not np.all(np.isfinite(y_fine)):
                 ok = False
                 break
-            scale = cfg.abs_tol + cfg.rel_tol * np.abs(y_fine[:n])
+            scale = _error_scale(np.abs(y_fine), n, cfg)
             worst = max(worst, float(np.max(diff / scale)))
-            est = max(est, float(np.max(diff)))
+            est = max(est, float(np.max(diff[:n])))
             y = y_fine
         if ok and worst <= 1.0:
             return y, 2 * n_steps, est
@@ -258,7 +268,7 @@ def _rhs(field, sensitivity):
 def _leg(field, x, t, cfg, sensitivity):
     """Integrate one leg of `field` from the point x over time t;
     (y, steps, est) with y = x(t), or (x(t), P(t)) flattened when
-    `sensitivity`. Step-size control and est cover the state x(t) only.
+    `sensitivity`; est is the state's estimate.
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
     returns the initial state exactly; negative t integrates the negated
@@ -279,10 +289,10 @@ def integrate_flow(field: VectorField, x, t: float,
                    cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow endpoint F(x, t) together with its sensitivity dF/dx.
 
-    The sensitivity rides the steps that error control chooses for the
-    state and is not error-controlled itself; est_local_error is the
-    state's estimate. t = 0 returns x and the identity exactly. Negative
-    t integrates the negated field over |t|.
+    The sensitivity's local error is controlled relative to its largest
+    entry; est_local_error is the state's estimate. t = 0 returns x and
+    the identity exactly. Negative t integrates the negated field over
+    |t|.
     """
     n = field.dimension
     y, steps, est = _leg(field, x, t, cfg, True)

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kcycle.flow as flow
 from kcycle import (DimensionError, DomainError, FlowDomainError,
@@ -191,7 +192,7 @@ def test_dopri_reuses_first_stage(source, rejects):
     f = parse_field(source, 2)
     log = []
     y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
-                              np.zeros(2), 1.0, IntegratorConfig())
+                              np.zeros(2), 1.0, IntegratorConfig(), 2)
     assert y[0] == pytest.approx(1.0)
     assert len(log) == 1 + 6 * steps
     attempts = [log[1 + 6 * a:7 + 6 * a] for a in range(steps)]
@@ -210,6 +211,24 @@ def test_domain_error_reports_time():
         flow_endpoint(f, [0.04], 1.0)
     assert err.value.time is not None
     assert "sqrt" in str(err.value)
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+@pytest.mark.parametrize("source, a, x, t", [
+    ("x1", [[1.0]], [0.0], 10.0),
+    ("x1", [[1.0]], [1e-20], 10.0),
+    ("x2; -4*x1 + 0.3*x2", [[0.0, 1.0], [-4.0, 0.3]], [0.0, 0.0], 6.0),
+], ids=["growth", "growth-near-zero", "oscillator"])
+def test_sensitivity_is_accurate_where_the_state_barely_moves(source, a, x,
+                                                             t, method):
+    # from an equilibrium (or next to it) the state's local error is 0 (or
+    # far below abs_tol), so only the sensitivity's own error control
+    # keeps the steps short: P = e^{tA} to the tolerance relative to |P|
+    f = parse_field(source, len(x))
+    want = scipy.linalg.expm(t * np.array(a))
+    res = integrate_flow(f, x, t, IntegratorConfig(method=method))
+    assert np.max(np.abs(res.sensitivity - want)) <= 1e-7 * np.max(
+        np.abs(want))
 
 
 def test_config_validation():

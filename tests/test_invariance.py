@@ -13,12 +13,13 @@ the original sweep's, rearranged as the symmetry says:
 
 The transformed fields are built from the original expression trees
 here, not by the package. Differences are bounded by the scenario's
-cycle_tol. A solve stops once its residual is within its tolerance, so
-its points are only accurate to about the tolerance times the cycle
-Jacobian's condition; at the scenarios' own tolerances two sweeps of one
-branch differ by up to a few cycle_tol on random scenarios. The sweeps
-here therefore run with the Newton and integrator tolerances tightened
-tenfold, as verify tightens its re-integration.
+cycle_tol. The corpus scenarios are swept at their own tolerances. The
+random property covers only a solver tightened tenfold (Newton and
+integrator tolerances, as verify tightens its re-integration): a solve
+stops once its residual is within tol, so its points are only accurate
+to about tol times the cycle Jacobian's condition, and at their own
+tolerances two sweeps of one random branch differ by up to a few
+cycle_tol.
 """
 
 import numpy as np
@@ -47,44 +48,46 @@ def _scaled(field, c):
                        [Binary("mul", Const(c), e) for e in field.components])
 
 
-def _sweep_points(scn, fields, weights, delta_max):
-    """The (records, k, n) points of an 8-point sweep of the family."""
+def _sweep_points(scn, fields, weights, delta_max, tighten):
+    """The (records, k, n) points of an 8-point sweep of the family, with
+    the scenario's tolerances divided by `tighten`."""
     sp = find_stasis(fields, Weights(tuple(weights)), scn.guess_point(),
                      scn.stasis_tol)
     result = sweep_delta(fields, sp.weights, sp.x0, delta_max, SWEEP_POINTS,
-                         scn.cycle_tol / TIGHTEN,
-                         scn.integrator.tightened(TIGHTEN))
+                         scn.cycle_tol / tighten,
+                         scn.integrator.tightened(tighten))
     assert len(result.records) == SWEEP_POINTS and not result.branch_lost
     return np.array([rec.cycle.points.points for rec in result.records])
 
 
-def _check_invariances(scn):
+def _check_invariances(scn, tighten):
     fields, w = list(scn.fields), list(scn.weights)
     k, dmax, tol = scn.k, scn.sweep.delta_max, scn.cycle_tol
-    base = _sweep_points(scn, fields, w, dmax)
+    base = _sweep_points(scn, fields, w, dmax, tighten)
 
-    rotated = _sweep_points(scn, fields[1:] + fields[:1], w[1:] + w[:1], dmax)
+    rotated = _sweep_points(scn, fields[1:] + fields[:1], w[1:] + w[:1], dmax,
+                            tighten)
     assert np.max(np.abs(rotated - np.roll(base, -1, axis=1))) <= tol
 
     reversed_ = _sweep_points(scn, [_negated(f) for f in fields[::-1]],
-                              w[::-1], dmax)
+                              w[::-1], dmax, tighten)
     order = [0] + list(range(k - 1, 0, -1))
     assert np.max(np.abs(reversed_ - base[:, order])) <= tol
 
     rescaled = _sweep_points(scn, [_scaled(f, RESCALE) for f in fields], w,
-                             dmax / RESCALE)
+                             dmax / RESCALE, tighten)
     assert np.max(np.abs(rescaled - base)) <= tol
 
 
 @pytest.mark.parametrize("name", REGULAR_NAMES)
 def test_corpus_cycles_obey_rotation_reversal_and_rescaling(corpus, name):
-    _check_invariances(corpus[name])
+    _check_invariances(corpus[name], 1.0)
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
        k=st.integers(2, 4))
 def test_random_linear_cycles_obey_rotation_reversal_and_rescaling(seed, n,
                                                                    k):
     _check_invariances(scenario_from_dict(random_linear_scenario(
-        np.random.default_rng(seed), n, k, "random")))
+        np.random.default_rng(seed), n, k, "random")), TIGHTEN)
