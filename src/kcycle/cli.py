@@ -258,11 +258,11 @@ def cmd_cycle(args) -> int:
         print(f"newton iters:     {cycle.newton_iters}")
         print(f"record:           {out_path}")
     if args.verbose:
-        _print_leg_stats(scn, point.weights, cycle)
+        _print_leg_stats(scn, cycle)
     return EXIT_OK
 
 
-def _print_leg_stats(scn, weights, cycle):
+def _print_leg_stats(scn, cycle):
     print("leg integrations (steps, est local error):", file=sys.stderr)
     for j, (f, p, t) in enumerate(zip(scn.fields, cycle.points,
                                       cycle.leg_times), start=1):
@@ -328,7 +328,7 @@ def cmd_sweep(args) -> int:
         print(f"summary:       {json_path}")
     if args.verbose and result.records:
         last = result.records[-1].cycle
-        _print_leg_stats(scn, point.weights, last)
+        _print_leg_stats(scn, last)
     return EXIT_OK
 
 

@@ -331,15 +331,24 @@ def eval_expr(e: Expr, x) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _compile(exprs):
-    """Compile a sequence of expressions to one fast tuple-returning lambda.
-
-    The generated code mirrors the tree structure exactly (fully
+def _compile(rows):
+    """Compile expression rows (row i holds component i's expressions) to
+    one function of a list of n floats: the tuple of all their values in
+    row-major order. The code mirrors the tree structure exactly (fully
     parenthesized), so it performs the same float operations in the same
-    order as eval_expr.
-    """
-    body = ", ".join(_py_src(e) for e in exprs)
-    return eval(f"lambda x: ({body},)", {"math": math, "__builtins__": {}})
+    order as eval_expr; where those raise, the tree walk raises the
+    DomainError. The `try` sits inside the generated function so that an
+    evaluation stays one call. A folded constant may be inf or nan."""
+    body = ", ".join(_py_src(e) for row in rows for e in row)
+    scope = {"math": math, "inf": math.inf, "nan": math.nan,
+             "walk": _walk_rows, "rows": rows}
+    exec("def evaluate(x):\n"
+         "    try:\n"
+         f"        return ({body},)\n"
+         "    except (ZeroDivisionError, ValueError, OverflowError):\n"
+         "        pass\n"
+         "    return walk(rows, x)\n", scope)
+    return scope["evaluate"]
 
 
 def _py_src(e):
@@ -506,18 +515,17 @@ class VectorField:
 
     def evaluator(self):
         """Compiled map from a list of n floats to the tuple of the n
-        component values, built once. It raises ZeroDivisionError,
-        ValueError or OverflowError where eval_field raises DomainError."""
+        component values, built once. Where a value leaves its domain it
+        raises the DomainError that names the component."""
         if self._eval_fn is None:
-            self._eval_fn = _compile(self.components)
+            self._eval_fn = _compile([(c,) for c in self.components])
         return self._eval_fn
 
     def jacobian_evaluator(self):
         """Compiled map from a list of n floats to the n*n Jacobian entries
         in row-major order, built once; it raises like evaluator()."""
         if self._jac_fn is None:
-            self._jac_fn = _compile(
-                [e for row in self.jacobian_exprs() for e in row])
+            self._jac_fn = _compile(self.jacobian_exprs())
         return self._jac_fn
 
     def negated(self) -> "VectorField":
@@ -558,39 +566,29 @@ def as_point(field: VectorField, x) -> np.ndarray:
 
 def eval_field(field: VectorField, x) -> np.ndarray:
     """Evaluate all components at x, returning a length-n vector."""
-    x = as_point(field, x)
-    values = field.evaluator()
-    try:
-        # plain Python floats: numpy scalars would turn div-by-zero and
-        # sqrt(negative) into warnings instead of exceptions
-        return np.array(values(x.tolist()), dtype=float)
-    except (ZeroDivisionError, ValueError, OverflowError):
-        pass
-    return _walk_rows([(c,) for c in field.components], x).reshape(-1)
+    # plain Python floats: numpy scalars would turn div-by-zero and
+    # sqrt(negative) into warnings instead of exceptions
+    return np.array(field.evaluator()(as_point(field, x).tolist()),
+                    dtype=float)
 
 
 def jacobian_field(field: VectorField, x) -> np.ndarray:
     """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
-    x = as_point(field, x)
     n = field.dimension
-    entries = field.jacobian_evaluator()
-    try:
-        return np.array(entries(x.tolist()), dtype=float).reshape(n, n)
-    except (ZeroDivisionError, ValueError, OverflowError):
-        pass
-    return _walk_rows(field.jacobian_exprs(), x)
+    entries = field.jacobian_evaluator()(as_point(field, x).tolist())
+    return np.array(entries, dtype=float).reshape(n, n)
 
 
-def _walk_rows(rows, x) -> np.ndarray:
-    """Re-walk the trees after a compiled lambda raised: the array of the
-    values of `rows` (row i holds component i's expressions), or the
+def _walk_rows(rows, x) -> tuple:
+    """Re-walk the trees after compiled code raised: the values of `rows`
+    (row i holds component i's expressions) in row-major order, or the
     DomainError of the offending expression tagged with its component."""
-    out = np.empty((len(rows), len(rows[0])))
+    out = []
     for i, row in enumerate(rows):
-        for l, e in enumerate(row):
+        for e in row:
             try:
-                out[i, l] = eval_expr(e, x)
+                out.append(eval_expr(e, x))
             except DomainError as err:
                 err.component = i + 1
                 raise
-    return out
+    return tuple(out)

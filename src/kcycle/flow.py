@@ -25,7 +25,8 @@ share one body, `_leg`, and differ only in the right-hand side and the
 initial state. `_leg` checks the point's shape once and binds the
 right-hand side once per leg, on the field's compiled evaluators, so a
 stage is one call of each on plain floats and, with sensitivities, one
-J·P matrix product. Backward time integrates the negated field; there
+J·P matrix product; the evaluators raise the DomainError that names the
+component themselves. Backward time integrates the negated field; there
 is no separate code path. Overflow and NaN surface as non-finite steps,
 which both steppers reject, so numpy's floating-point warnings are
 silenced for the whole integration.
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FlowDomainError, StepLimitError
+# eval_field and jacobian_field are bound only for bench/tracing.py's hooks
 from .expr import VectorField, as_point, eval_field, jacobian_field
 
 METHODS = ("dopri_adaptive", "rk4_fixed")
@@ -235,31 +237,21 @@ def _rhs(field, sensitivity):
     or (x, P) -> (V(x), J(x) P) on the augmented state y = (x, P) when
     `sensitivity`.
 
-    Each call runs the field's compiled evaluators on plain floats. Where
-    they raise, it calls eval_field and jacobian_field instead, whose tree
-    walk raises the DomainError that names the component.
+    Each call runs the field's compiled evaluators on plain floats; they
+    raise the DomainError that names the component themselves.
     """
     n = field.dimension
     values = field.evaluator()
     if not sensitivity:
-        def rhs(y):
-            try:
-                return np.array(values(y.tolist()), dtype=float)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                return eval_field(field, y)
-        return rhs
+        return lambda y: np.array(values(y.tolist()), dtype=float)
 
     entries = field.jacobian_evaluator()
 
     def rhs(y):
         xs = y[:n].tolist()
         out = np.empty(n + n * n)
-        try:
-            out[:n] = values(xs)
-            jac = np.array(entries(xs), dtype=float).reshape(n, n)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            out[:n] = eval_field(field, y[:n])
-            jac = jacobian_field(field, y[:n])
+        out[:n] = values(xs)
+        jac = np.array(entries(xs), dtype=float).reshape(n, n)
         np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
         return out
     return rhs

@@ -19,8 +19,12 @@ ARMIJO_C = 1e-4
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of a real matrix, in descending order."""
-    return np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
+    """Singular values of a real matrix, in descending order; all NaN for
+    a matrix with a non-finite entry, which LAPACK cannot decompose."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        return np.full(min(a.shape), np.nan)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def newton_step(jac, res, message: str) -> np.ndarray:

@@ -98,9 +98,6 @@ def _check_family(fields, weights=None):
 def stasis_residual(fields, weights: Weights, x) -> np.ndarray:
     """sum_j m_j V_j(x)."""
     n = _check_family(fields, weights)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
     out = np.zeros(n)
     for m, f in zip(weights, fields):
         out += m * eval_field(f, x)
@@ -110,7 +107,6 @@ def stasis_residual(fields, weights: Weights, x) -> np.ndarray:
 def weighted_jacobian(fields, weights: Weights, x) -> np.ndarray:
     """sum_j m_j dV_j/dx(x), from the symbolic per-field Jacobians."""
     n = _check_family(fields, weights)
-    x = np.asarray(x, dtype=float)
     out = np.zeros((n, n))
     for m, f in zip(weights, fields):
         out += m * jacobian_field(f, x)
@@ -178,8 +174,7 @@ def find_weights(fields, x, tol: float) -> Weights:
     _check_family(fields)
     if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
-    cols = np.column_stack([eval_field(f, np.asarray(x, dtype=float))
-                            for f in fields])
+    cols = np.column_stack([eval_field(f, x) for f in fields])
     if not np.isfinite(cols).all():
         raise InfeasibleWeightsError(
             "a field value at the point is not finite; not a stasis point",
@@ -257,10 +252,9 @@ def weight_hull_dimension(fields, x) -> int:
     Nullity of the field values stacked with the sum-to-one row; 0 means
     the weighting is unique.
     """
-    n = _check_family(fields)
+    _check_family(fields)
     k = len(fields)
-    cols = np.column_stack([eval_field(f, np.asarray(x, dtype=float))
-                            for f in fields])
+    cols = np.column_stack([eval_field(f, x) for f in fields])
     stacked = np.vstack([cols, np.ones((1, k))])
     sv = linalg.singular_values(stacked)
     cutoff = max(stacked.shape) * np.finfo(float).eps * (sv[0] if sv[0] > 0

@@ -417,6 +417,15 @@ HUGE_PINNED = {"schema_version": 1, "name": "huge-pinned", "dimension": 1,
 OVERFLOWING_NORM = {"schema_version": 1, "name": "overflowing-norm",
                     "dimension": 1, "fields": ["exp(x1) - 2", "-1 - x1"],
                     "weights": [0.5, 0.5], "stasis_guess": [700]}
+# d/dx1 folds to the constant inf, which the compiled Jacobian once lacked
+FOLDED_INF = {"schema_version": 1, "name": "inf", "dimension": 1,
+              "fields": ["1e300*x1*1e300 - 1", "-1 - x1"],
+              "weights": [0.5, 0.5], "stasis_guess": [0.0]}
+# a Jacobian entry of inf * 0 is NaN, which LAPACK's SVD cannot decompose
+NAN_JACOBIAN = {"schema_version": 1, "name": "nan3", "dimension": 3,
+                "fields": ["x1*x2*x2*x2*x3 + 1 - x1; 1 - x2; 1 - x3",
+                           "-1 - x1; -1 - x2; -1 - x3"],
+                "weights": [0.5, 0.5], "stasis_guess": [0.0, 1e120, 0.0]}
 
 
 def _run_child(tmp_path, scenario, *argv):
@@ -438,7 +447,12 @@ def _run_child(tmp_path, scenario, *argv):
     (HUGE_PINNED, "stasis", "InfeasibleWeightsError"),
     (OVERFLOWING_NORM, "stasis", "NewtonDivergenceError: stasis: no "
                                  "convergence in 50 Newton steps"),
-], ids=["huge-pinned-weights", "huge-pinned-stasis", "overflowing-norm"])
+    (FOLDED_INF, "stasis", "NewtonDivergenceError: stasis: line search "
+                           "found no decrease (residual 1.000e+00)"),
+    (NAN_JACOBIAN, "stasis", "NewtonDivergenceError: stasis: line search "
+                             "found no decrease (residual 1.000e+120)"),
+], ids=["huge-pinned-weights", "huge-pinned-stasis", "overflowing-norm",
+        "folded-inf", "nan-jacobian"])
 def test_huge_field_values_exit1_quietly(tmp_path, scenario, command,
                                          message):
     proc = _run_child(tmp_path, scenario, command)

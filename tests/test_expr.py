@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -93,20 +94,29 @@ def test_nesting_past_limit_is_dsl_error(kind, depth):
 
 
 def test_eval_division_by_zero_identifies_component():
+    # the compiled evaluator raises the public function's DomainError
     f = parse_field("x1; 1/x1", 2)
-    with pytest.raises(DomainError) as err:
-        eval_field(f, [0.0, 1.0])
-    assert err.value.component == 2
-    assert "1.0 / x1" in str(err.value)
+    for evaluate in (partial(eval_field, f), f.evaluator()):
+        with pytest.raises(DomainError) as err:
+            evaluate([0.0, 1.0])
+        assert err.value.component == 2
+        assert str(err.value) == "component 2: division by zero in '1.0 / x1'"
 
 
 def test_jacobian_domain_error_identifies_component():
     f = parse_field("x2; sqrt(x1)", 2)
-    with pytest.raises(DomainError) as err:
-        jacobian_field(f, [0.0, 1.0])
-    assert err.value.component == 2
-    assert str(err.value) == \
-        "component 2: division by zero in '1.0 / (2.0 * sqrt(x1))'"
+    for evaluate in (partial(jacobian_field, f), f.jacobian_evaluator()):
+        with pytest.raises(DomainError) as err:
+            evaluate([0.0, 1.0])
+        assert err.value.component == 2
+        assert str(err.value) == \
+            "component 2: division by zero in '1.0 / (2.0 * sqrt(x1))'"
+
+
+def test_folded_infinite_constant_evaluates():
+    # d/dx1 folds 1e300 * 1e300 into the constant inf
+    f = parse_field("1e300*x1*1e300", 1)
+    assert jacobian_field(f, [1.0]).tolist() == [[math.inf]]
 
 
 def test_eval_sqrt_negative():

@@ -429,6 +429,23 @@ def test_singular_values_match_gram_eigenvalues():
         assert np.allclose(got, s, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_singular_values_of_a_non_finite_matrix_are_nan(bad):
+    # LAPACK's SVD raises LinAlgError on a NaN entry; an inf gives NaN too
+    got = singular_values([[bad, 0.0], [0.0, 1.0]])
+    assert got.shape == (2,) and np.isnan(got).all()
+
+
+def test_stasis_steps_through_an_infinite_jacobian_entry():
+    # x2^3 = 1e360 at the guess: NaN singular values must not stop Newton
+    fields = [parse_field("x1*x2*x2*x2 + 1 - x1; 1 - x2", 2),
+              parse_field("-1 - x1; -1 - x2", 2)]
+    w = Weights((0.5, 0.5))
+    assert np.isinf(weighted_jacobian(fields, w, [0.0, 1e120])).any()
+    sp = find_stasis(fields, w, [0.0, 1e120], 1e-10)
+    assert sp.x0.tolist() == [0.0, 0.0] and sp.regularity.is_regular
+
+
 def test_newton_step_refuses_singular_jacobians():
     for jac, sigma_min in ((np.zeros((3, 3)), 0.0),
                            (np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]), None)):
