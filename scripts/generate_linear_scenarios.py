@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Generate random regular linear scenario files.
 
-The RNG seed comes from the KCYCLE_SEED environment variable (default 0),
-so a pinned seed reproduces the exact same scenario files. The bundled
-linear_2d_a / linear_3d_b corpus scenarios were frozen from this
-generator.
+The RNG seed comes from the KCYCLE_SEED environment variable, a
+non-negative integer (default 0; anything else exits 2), so a pinned
+seed reproduces the exact same scenario files. The bundled linear_2d_a /
+linear_3d_b corpus scenarios were frozen from this generator.
 
 Usage: python scripts/generate_linear_scenarios.py [--out DIR] [--count N]
 """
@@ -28,8 +28,13 @@ def main():
                         help="number of scenarios")
     args = parser.parse_args()
 
-    seed = int(os.environ.get("KCYCLE_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    raw = os.environ.get("KCYCLE_SEED", "0")
+    try:
+        seed = int(raw)
+        rng = np.random.default_rng(seed)
+    except ValueError:
+        parser.error(
+            f"KCYCLE_SEED must be a non-negative integer, got {raw!r}")
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         n = int(rng.integers(1, 4))

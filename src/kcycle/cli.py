@@ -59,7 +59,10 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
     common.add_argument("--verbose", action="store_true",
-                        help="print solver and integrator statistics")
+                        help="cycle, sweep: re-integrate each leg of the "
+                             "final cycle (sweep: the last ladder point) "
+                             "with sensitivities and print its steps and "
+                             "largest local-error estimate on stderr")
     parser = _Parser(prog="kcycle",
                      description="Stasis points and switching cycles of "
                                  "weighted vector-field systems.")

@@ -486,8 +486,8 @@ def diff_expr(e: Expr, index: int) -> Expr:
 class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
-    Immutable after construction; the symbolic Jacobian, the compiled
-    evaluators and the negated field are memoized on first use.
+    Immutable after construction; the symbolic Jacobian and the compiled
+    evaluators are memoized on first use.
     """
 
     def __init__(self, dimension: int, components):
@@ -502,7 +502,6 @@ class VectorField:
         self._jac_exprs = None
         self._eval_fn = None
         self._jac_fn = None
-        self._negated = None
 
     def jacobian_exprs(self):
         """n x n grid of partial-derivative trees, built once."""
@@ -527,13 +526,6 @@ class VectorField:
         if self._jac_fn is None:
             self._jac_fn = _compile(self.jacobian_exprs())
         return self._jac_fn
-
-    def negated(self) -> "VectorField":
-        """The field -V, built once."""
-        if self._negated is None:
-            self._negated = VectorField(
-                self.dimension, tuple(_neg(c) for c in self.components))
-        return self._negated
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"

@@ -26,10 +26,11 @@ initial state. `_leg` checks the point's shape once and binds the
 right-hand side once per leg, on the field's compiled evaluators, so a
 stage is one call of each on plain floats and, with sensitivities, one
 J·P matrix product; the evaluators raise the DomainError that names the
-component themselves. Backward time integrates the negated field; there
-is no separate code path. Overflow and NaN surface as non-finite steps,
-which both steppers reject, so numpy's floating-point warnings are
-silenced for the whole integration.
+component themselves. Backward time t < 0 integrates y -> -rhs(y) over
+|t| (the flow of V over t is the flow of -V over -t); IEEE negation is
+exact, so this is bitwise the negated field's right-hand side. Overflow
+and NaN surface as non-finite steps, which both steppers reject, so
+numpy's floating-point warnings are silenced for the whole integration.
 """
 
 from __future__ import annotations
@@ -225,13 +226,6 @@ def _rk4(rhs, y0, span, cfg, n):
         n_steps *= 2
 
 
-def _run(rhs, y0, t, cfg, n):
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method == "rk4_fixed":
-            return _rk4(rhs, y0, t, cfg, n)
-        return _dopri(rhs, y0, t, cfg, n)
-
-
 def _rhs(field, sensitivity):
     """The right-hand side of one leg of `field`, bound once: y -> V(y),
     or (x, P) -> (V(x), J(x) P) on the augmented state y = (x, P) when
@@ -263,8 +257,8 @@ def _leg(field, x, t, cfg, sensitivity):
     `sensitivity`; est is the state's estimate.
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
-    returns the initial state exactly; negative t integrates the negated
-    field over |t|.
+    returns the initial state exactly; negative t integrates -rhs over
+    |t|, and a DomainError still names the field's own component.
     """
     n = field.dimension
     x = as_point(field, x)
@@ -273,8 +267,11 @@ def _leg(field, x, t, cfg, sensitivity):
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     if t == 0.0:
         return y0.copy(), 0, 0.0
-    work = field if t > 0 else field.negated()
-    return _run(_rhs(work, sensitivity), y0, abs(t), cfg, n)
+    forward = _rhs(field, sensitivity)
+    rhs = forward if t > 0.0 else (lambda y: -forward(y))
+    stepper = _rk4 if cfg.method == "rk4_fixed" else _dopri
+    with np.errstate(over="ignore", invalid="ignore"):
+        return stepper(rhs, y0, abs(t), cfg, n)
 
 
 def integrate_flow(field: VectorField, x, t: float,
@@ -283,8 +280,8 @@ def integrate_flow(field: VectorField, x, t: float,
 
     The sensitivity's local error is controlled relative to its largest
     entry; est_local_error is the state's estimate. t = 0 returns x and
-    the identity exactly. Negative t integrates the negated field over
-    |t|.
+    the identity exactly. Negative t integrates backward: the negated
+    right-hand side over |t|.
     """
     n = field.dimension
     y, steps, est = _leg(field, x, t, cfg, True)

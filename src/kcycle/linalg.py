@@ -53,7 +53,8 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
     MAX_BACKTRACKS times until the trial's norm is <= (1 - ARMIJO_C*lam)
     times the current one; a trial whose evaluation raises SolverError is
     rejected. Raises NewtonDivergenceError on a non-finite norm at x, a
-    failed line search or max_iters steps; `label` names the solve in the
+    failed line search (its message says so when x's Jacobian has a
+    non-finite entry) or max_iters steps; `label` names the solve in the
     messages.
     """
     rn, jac = np.inf, None  # x's norm and Jacobian, once evaluated
@@ -83,9 +84,11 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
                 break
             lam *= 0.5
         else:
+            note = ("" if np.isfinite(jac).all()
+                    else ": the Jacobian has non-finite entries")
             raise NewtonDivergenceError(
                 f"{label}: line search found no decrease (residual "
-                f"{rn:.3e})", residual_norm=rn, iterations=iteration)
+                f"{rn:.3e}){note}", residual_norm=rn, iterations=iteration)
     raise NewtonDivergenceError(
         f"{label}: no convergence in {max_iters} Newton steps (residual "
         f"{rn:.3e})", residual_norm=rn, iterations=max_iters)

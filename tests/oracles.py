@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own integrator, Newton
 solver, and symbolic differentiation: finite differences, scipy's
 scaling-and-squaring matrix exponential, cofactor-expansion determinants,
-closed-form affine flows, and a scipy shooting solver. Tests compare the
+closed-form affine flows, a scipy shooting solver, and the field -V
+built from V's expression trees (for backward flows). Tests compare the
 implementation against these, never the other way around.
 """
 
@@ -15,6 +16,15 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
+
+from kcycle import VectorField
+from kcycle.expr import Unary
+
+
+def negated_field(field):
+    """The field -V, each component wrapped in a "neg" node."""
+    return VectorField(field.dimension,
+                       [Unary("neg", c) for c in field.components])
 
 
 def central_fd_jacobian(func, x, h=1e-6):

@@ -440,24 +440,30 @@ def _run_child(tmp_path, scenario, *argv):
         capture_output=True, text=True, timeout=10, env=env)
 
 
-@pytest.mark.parametrize("scenario, command, message", [
+NON_FINITE = ": the Jacobian has non-finite entries"
+
+
+@pytest.mark.parametrize("scenario, command, message, suffix", [
     (HUGE_PINNED, "weights", "InfeasibleWeightsError: no probability "
                              "weighting reaches ||residual|| <= 1.000e-10 "
-                             "(optimum 1.371e+184)"),
-    (HUGE_PINNED, "stasis", "InfeasibleWeightsError"),
+                             "(optimum 1.371e+184)", ""),
+    (HUGE_PINNED, "stasis", "InfeasibleWeightsError", ""),
     (OVERFLOWING_NORM, "stasis", "NewtonDivergenceError: stasis: no "
-                                 "convergence in 50 Newton steps"),
+                                 "convergence in 50 Newton steps", ""),
     (FOLDED_INF, "stasis", "NewtonDivergenceError: stasis: line search "
-                           "found no decrease (residual 1.000e+00)"),
+                           "found no decrease (residual 1.000e+00)",
+     NON_FINITE),
     (NAN_JACOBIAN, "stasis", "NewtonDivergenceError: stasis: line search "
-                             "found no decrease (residual 1.000e+120)"),
+                             "found no decrease (residual 1.000e+120)",
+     NON_FINITE),
 ], ids=["huge-pinned-weights", "huge-pinned-stasis", "overflowing-norm",
         "folded-inf", "nan-jacobian"])
 def test_huge_field_values_exit1_quietly(tmp_path, scenario, command,
-                                         message):
+                                         message, suffix):
     proc = _run_child(tmp_path, scenario, command)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"kcycle: {message}")
+    assert proc.stderr.endswith(f"{suffix}\n")
     assert proc.stderr.count("\n") == 1  # nothing from numpy or LAPACK
 
 

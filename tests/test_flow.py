@@ -11,7 +11,7 @@ from kcycle import (DimensionError, DomainError, FlowDomainError,
                     flow_endpoint, integrate_flow, jacobian_field, parse_field,
                     random_linear_scenario, scenario_from_dict)
 
-from oracles import affine_flow, central_fd_jacobian
+from oracles import affine_flow, central_fd_jacobian, negated_field
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -57,11 +57,6 @@ def test_backward_flow_inverts_forward():
     fwd = flow_endpoint(f, x, 0.37)
     back = flow_endpoint(f, fwd, -0.37)
     assert np.allclose(back, x, atol=1e-9)
-
-
-def test_negated_field_is_built_once():
-    f = parse_field("sin(x1) + x2; cos(x2) - x1", 2)
-    assert f.negated() is f.negated()
 
 
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
@@ -277,7 +272,8 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
     n = field.dimension
     cfg = IntegratorConfig(method=method)
     stepper = flow._dopri if method == "dopri_adaptive" else flow._rk4
-    work = field if t > 0 else field.negated()
+    # backward: the negated field's trees, built outside the package
+    work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     # the leg controls the step size on the state, its first n entries
     want, steps, est = stepper(_reference_rhs(work, sensitivity), y0,
@@ -301,6 +297,19 @@ def test_domain_error_mid_leg_names_the_component(run):
     cause = err.value.__cause__
     assert isinstance(cause, DomainError)
     assert cause.component == 2 and "sqrt" in str(cause)
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_backward_domain_error_names_the_forward_component(run):
+    # backward, x2' = -sqrt(x2) from 0.04 reaches zero at |t| = 0.4; the
+    # error names the field's own component and subexpression
+    f = parse_field("1; sqrt(x2)", 2)
+    with pytest.raises(FlowDomainError) as err:
+        run(f, [0.0, 0.04], -1.0)
+    assert 0.3 < err.value.time <= 0.4
+    cause = err.value.__cause__
+    assert isinstance(cause, DomainError)
+    assert cause.component == 2 and "'sqrt(x2)'" in str(cause)
 
 
 def test_jacobian_failure_alone_falls_back_to_the_tree_walk():

@@ -29,18 +29,14 @@ from hypothesis import strategies as st
 
 from kcycle import (VectorField, Weights, find_stasis, random_linear_scenario,
                     scenario_from_dict, sweep_delta)
-from kcycle.expr import Binary, Const, Unary
+from kcycle.expr import Binary, Const
 
 from conftest import REGULAR_NAMES
+from oracles import negated_field
 
 SWEEP_POINTS = 8
 RESCALE = 2.5
 TIGHTEN = 10.0
-
-
-def _negated(field):
-    return VectorField(field.dimension,
-                       [Unary("neg", c) for c in field.components])
 
 
 def _scaled(field, c):
@@ -69,7 +65,7 @@ def _check_invariances(scn, tighten):
                             tighten)
     assert np.max(np.abs(rotated - np.roll(base, -1, axis=1))) <= tol
 
-    reversed_ = _sweep_points(scn, [_negated(f) for f in fields[::-1]],
+    reversed_ = _sweep_points(scn, [negated_field(f) for f in fields[::-1]],
                               w[::-1], dmax, tighten)
     order = [0] + list(range(k - 1, 0, -1))
     assert np.max(np.abs(reversed_ - base[:, order])) <= tol

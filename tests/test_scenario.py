@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ from kcycle import (ScenarioError, Weights, load_scenario,
                     scenario_to_dict)
 
 from conftest import CORPUS_NAMES
+
+GENERATOR = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+             / "generate_linear_scenarios.py")
 
 
 def _base_dict():
@@ -159,3 +166,32 @@ def test_random_linear_scenario_is_deterministic_and_regular():
     # weights are dyadic: the file round-trips exactly through JSON text
     again = json.loads(json.dumps(a))
     assert scenario_from_dict(again).weights.values == scn.weights.values
+
+
+def _generate(tmp_path, seed):
+    """The scenario generator in a child process with KCYCLE_SEED=seed."""
+    return subprocess.run(
+        [sys.executable, str(GENERATOR), "--out", str(tmp_path / "out"),
+         "--count", "2"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, KCYCLE_SEED=seed))
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+def test_generator_rejects_a_bad_seed(tmp_path, seed):
+    proc = _generate(tmp_path, seed)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: KCYCLE_SEED must be a non-negative integer, got '{seed}'")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_generator_writes_loadable_scenarios(tmp_path):
+    proc = _generate(tmp_path, "7")
+    assert proc.returncode == 0 and proc.stderr == ""
+    paths = sorted((tmp_path / "out").glob("*.json"))
+    assert len(paths) == 2
+    assert all("-seed7-" in p.name for p in paths)
+    for p in paths:
+        assert load_scenario(p).k >= 2
