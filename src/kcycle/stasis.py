@@ -129,17 +129,18 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     """Damped Newton (`linalg.damped_newton`, 2-norm, MAX_NEWTON_ITERS
     steps) on x -> sum_j m_j V_j(x) from x_guess.
 
-    Every evaluation, line-search trials included, returns the cheap
-    weighted Jacobian, so the driver never evaluates an accepted trial
-    twice. Attaches the regularity report (a zero-residual point with a
-    singular weighted Jacobian is still returned, flagged non-regular).
+    The weighted Jacobian is evaluated only when the driver asks for it:
+    line-search trials return the residual alone, and an accepted trial
+    whose norm misses tol is evaluated again with it. Attaches the
+    regularity report (a zero-residual point with a singular weighted
+    Jacobian is still returned, flagged non-regular).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def evaluate(x, jacobian):
         r = stasis_residual(fields, weights, x)
-        jac = weighted_jacobian(fields, weights, x)
+        jac = weighted_jacobian(fields, weights, x) if jacobian else None
         return residual_norm(r), r, jac, None
 
     x, rn, _, _ = linalg.damped_newton(

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own integrator, Newton
 solver, and symbolic differentiation: finite differences, scipy's
 scaling-and-squaring matrix exponential, cofactor-expansion determinants,
-closed-form affine flows, a scipy shooting solver, and the field -V
-built from V's expression trees (for backward flows). Tests compare the
-implementation against these, never the other way around.
+closed-form affine flows, a scipy shooting solver, the field -V
+built from V's expression trees (for backward flows), and a Dormand-Prince
+5(4) loop that allocates every stage, to check the package's in-place
+stepper bit for bit. Tests compare the implementation against these,
+never the other way around.
 """
 
 from __future__ import annotations
@@ -25,6 +27,69 @@ def negated_field(field):
     """The field -V, each component wrapped in a "neg" node."""
     return VectorField(field.dimension,
                        [Unary("neg", c) for c in field.components])
+
+
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# table II.5.2): row i holds the stage-i weights, row 6 the 5th-order
+# solution's, and B4 the embedded 4th-order solution's.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+
+
+def reference_dopri(rhs, y0, span, cfg, n):
+    """Dormand-Prince 5(4) over [0, span], span > 0, for rhs(y) -> array,
+    allocating every stage input, stage and error vector; (y, attempts,
+    est) as the package's stepper reports them.
+
+    The same floating-point operations in the same order as `kcycle.flow`
+    states them: PI control on the max norm of |err_i| / (abs_tol +
+    rel_tol * max(|y_i|, |y_new_i|)), where the entries past the state's n
+    share their largest value; a non-finite new state rejects with h*0.2;
+    the last stage is the next step's first. No domain handling: a
+    DomainError propagates.
+    """
+    y = np.array(y0, dtype=float)
+    t, steps, est, err_prev = 0.0, 0, 0.0, 1e-4
+    h = span / 64.0 or span
+    h_min = 16.0 * np.finfo(float).eps * span
+    k = [rhs(y)] + [None] * 6
+    while t < span:
+        if steps >= cfg.max_steps or h < h_min:
+            raise RuntimeError(f"reference DOPRI5 gave up at t={t}")
+        h = min(h, span - t)
+        for i in range(1, 7):
+            y_new = y + h * (_DP_A[i, :i] @ np.array(k[:i]))
+            k[i] = rhs(y_new)
+        abs_e = np.abs(h * (_DP_E @ np.array(k)))
+        steps += 1
+        if not np.isfinite(y_new).all():
+            h *= 0.2
+            continue
+        peak = np.maximum(np.abs(y), np.abs(y_new))
+        peak[n:] = peak[n:].max(initial=0.0)
+        err = float((abs_e / (cfg.abs_tol + cfg.rel_tol * peak)).max())
+        if err <= 1.0:
+            t += h
+            y = y_new
+            k[0] = k[6]
+            est = max(est, float(abs_e[:n].max()))
+            err_c = max(err, 1e-10)
+            fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
+            h *= min(5.0, max(0.2, fac))
+            err_prev = err_c
+        else:
+            h *= max(0.2, 0.9 * err ** -0.2)
+    return y, steps, est
 
 
 def central_fd_jacobian(func, x, h=1e-6):

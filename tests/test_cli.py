@@ -467,6 +467,24 @@ def test_huge_field_values_exit1_quietly(tmp_path, scenario, command,
     assert proc.stderr.count("\n") == 1  # nothing from numpy or LAPACK
 
 
+# the cycle of this pair runs between -tanh(delta/4) and tanh(delta/4), so at
+# delta = 4 a leg crosses x1 = -0.5, where the second field's sqrt ends
+LEAVES_DOMAIN = {"schema_version": 1, "name": "leaves-domain", "dimension": 1,
+                 "fields": ["1 - x1", "-1 - x1 + 0*sqrt(x1 + 0.5)"],
+                 "weights": [0.5, 0.5], "stasis_guess": [0.1]}
+
+
+def test_leg_leaving_the_domain_exits1_naming_the_component(tmp_path):
+    proc = _run_child(tmp_path, LEAVES_DOMAIN, "cycle", "--delta", "4",
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "kcycle: FlowDomainError: field evaluation failed at t=")
+    assert "component 1: sqrt of negative value" in proc.stderr
+    assert proc.stderr.endswith("in 'sqrt(x1 + 0.5)'\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_huge_pinned_point_reports_a_finite_residual(tmp_path):
     # a tolerance loose enough to accept the weights: the reported norm of
     # a residual near 1e184 squares past the float range

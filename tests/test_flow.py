@@ -7,13 +7,30 @@ import scipy.linalg
 
 import kcycle.flow as flow
 from kcycle import (DimensionError, DomainError, FlowDomainError,
-                    IntegratorConfig, StepLimitError, eval_field,
-                    flow_endpoint, integrate_flow, jacobian_field, parse_field,
-                    random_linear_scenario, scenario_from_dict)
+                    IntegratorConfig, SolverError, StepLimitError, eval_field,
+                    flow_endpoint, integrate_flow, jacobian_field,
+                    load_scenario, parse_field, random_linear_scenario,
+                    scenario_from_dict)
 
-from oracles import affine_flow, central_fd_jacobian, negated_field
+from conftest import CORPUS_NAMES, scenario_path
+from oracles import (affine_flow, central_fd_jacobian, negated_field,
+                     reference_dopri)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+RK4 = IntegratorConfig(method="rk4_fixed")
+
+# x2' = -sqrt(x2) from 0.04 is x2 = (0.2 - t/2)^2, which reaches zero at
+# t = 0.4. A state error e near there moves that exit by 2*sqrt(e) in
+# time, and the default tolerances keep e to about abs_tol + rel_tol*0.04.
+EXIT_ALLOWANCE = 2.0 * math.sqrt(flow.DEFAULT_CONFIG.abs_tol
+                                 + flow.DEFAULT_CONFIG.rel_tol * 0.04)
+
+
+def _into(rhs):
+    """An rhs(y) that returns its value, as the steppers' rhs(y, out)."""
+    def write(y, out):
+        out[:] = rhs(y)
+    return write
 
 
 def test_scalar_affine_closed_form():
@@ -172,10 +189,10 @@ def test_rk4_subnormal_time_advances():
 
 
 def _stage_log(rhs, log):
-    """rhs that appends a copy of each input state to `log`."""
-    def wrapped(y):
+    """rhs(y, out) that appends a copy of each input state to `log`."""
+    def wrapped(y, out):
         log.append(y.copy())
-        return rhs(y)
+        out[:] = rhs(y)
     return wrapped
 
 
@@ -276,7 +293,7 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
     work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     # the leg controls the step size on the state, its first n entries
-    want, steps, est = stepper(_reference_rhs(work, sensitivity), y0,
+    want, steps, est = stepper(_into(_reference_rhs(work, sensitivity)), y0,
                                abs(t), cfg, n)
     if sensitivity:
         got = integrate_flow(field, x, t, cfg)
@@ -293,7 +310,10 @@ def test_domain_error_mid_leg_names_the_component(run):
     f = parse_field("1; 0 - sqrt(x2)", 2)
     with pytest.raises(FlowDomainError) as err:
         run(f, [0.0, 0.04], 1.0)
-    assert 0.3 < err.value.time <= 0.4
+    # trial stages past the exit are rejected until the step collapses
+    # there: the time is the last accepted one, the exit up to the
+    # integration error
+    assert abs(err.value.time - 0.4) <= EXIT_ALLOWANCE
     cause = err.value.__cause__
     assert isinstance(cause, DomainError)
     assert cause.component == 2 and "sqrt" in str(cause)
@@ -301,12 +321,14 @@ def test_domain_error_mid_leg_names_the_component(run):
 
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
 def test_backward_domain_error_names_the_forward_component(run):
-    # backward, x2' = -sqrt(x2) from 0.04 reaches zero at |t| = 0.4; the
-    # error names the field's own component and subexpression
+    # backward, x2' = -sqrt(x2) from 0.04 reaches zero at t = -0.4; the
+    # error reports the leg's own time and names the field's own
+    # component and subexpression
     f = parse_field("1; sqrt(x2)", 2)
     with pytest.raises(FlowDomainError) as err:
         run(f, [0.0, 0.04], -1.0)
-    assert 0.3 < err.value.time <= 0.4
+    assert abs(err.value.time + 0.4) <= EXIT_ALLOWANCE
+    assert "at t=-0.4:" in str(err.value)
     cause = err.value.__cause__
     assert isinstance(cause, DomainError)
     assert cause.component == 2 and "'sqrt(x2)'" in str(cause)
@@ -343,3 +365,99 @@ def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
     assert res.steps_taken >= 20
     assert calls.count("eval_field") <= 1
     assert calls.count("jacobian_field") <= 1
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_trial_stage_outside_the_domain_rejects_the_step(run):
+    # the flow is e^-t, inside x1 >= 0 for all t, but stages of early trial
+    # steps land below zero; those steps are rejected, not the leg
+    f = parse_field("sqrt(x1) - sqrt(x1) - x1", 1)
+    got = run(f, [1.0], 100.0)
+    end = got.endpoint if run is integrate_flow else got
+    assert abs(end[0] - math.exp(-100.0)) <= flow.DEFAULT_CONFIG.abs_tol
+    # with a negligible abs_tol the control is relative all the way: over
+    # a span of 100 the end stays within 100x rel_tol of e^-100
+    relative = IntegratorConfig(abs_tol=1e-300)
+    got = run(f, [1.0], 100.0, relative)
+    end = got.endpoint if run is integrate_flow else got
+    assert end[0] == pytest.approx(math.exp(-100.0),
+                                   rel=100.0 * relative.rel_tol)
+
+
+def test_rk4_raises_at_the_first_stage_outside_the_domain():
+    # a fixed-step pass cannot tell a trial stage past the domain from a
+    # trajectory that leaves it, so it raises where the adaptive leg runs
+    f = parse_field("sqrt(x1) - sqrt(x1) - x1", 1)
+    with pytest.raises(FlowDomainError) as err:
+        flow_endpoint(f, [1.0], 100.0, RK4)
+    assert err.value.time == 0.0
+    assert isinstance(err.value.__cause__, DomainError)
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0], ids=["forward", "backward"])
+def test_domain_error_at_the_first_stage_raises_at_once(t):
+    # stage 0 is the leg's own starting point, not a trial
+    f = parse_field("sqrt(x1)", 1)
+    with pytest.raises(FlowDomainError) as err:
+        flow_endpoint(f, [-1.0], t)
+    assert isinstance(err.value, SolverError)  # the CLI's exit code 1
+    assert math.copysign(1.0, err.value.time) == 1.0
+    assert "at t=0:" in str(err.value)
+
+
+def test_rk4_backward_domain_error_reports_negative_time():
+    f = parse_field("1; sqrt(x2)", 2)
+    with pytest.raises(FlowDomainError) as err:
+        flow_endpoint(f, [0.0, 0.04], -1.0, RK4)
+    assert -0.4 < err.value.time < 0.0
+    assert f"at t={err.value.time:.6g}:" in str(err.value)
+    assert err.value.__cause__.component == 2
+
+
+def _reference_cases():
+    scns = [load_scenario(scenario_path(name)) for name in CORPUS_NAMES]
+    scns.append(scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(1), 6, 4, "wide")))
+    return [(scn.name, j, field, scn.guess_point() + 0.1)
+            for scn in scns for j, field in enumerate(scn.fields)]
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5], ids=["forward", "backward"])
+def test_legs_match_the_allocating_reference_dopri(t):
+    # the in-place stepper performs the reference's operations in the
+    # reference's order: equal bits, step counts and estimates
+    cfg = flow.DEFAULT_CONFIG
+    for name, j, field, x in _reference_cases():
+        n = field.dimension
+        work = field if t > 0 else negated_field(field)
+        got = integrate_flow(field, x, t)
+        y0 = np.concatenate([x, np.eye(n).reshape(-1)])
+        want, steps, est = reference_dopri(_reference_rhs(work, True), y0,
+                                           abs(t), cfg, n)
+        assert np.array_equal(got.endpoint, want[:n]), (name, j)
+        assert np.array_equal(got.sensitivity, want[n:].reshape(n, n))
+        assert (got.steps_taken, got.est_local_error) == (steps, est)
+        want, _, _ = reference_dopri(_reference_rhs(work, False), x,
+                                     abs(t), cfg, n)
+        assert np.array_equal(flow_endpoint(field, x, t), want), (name, j)
+
+
+def test_successive_legs_return_independent_arrays():
+    # the stepper's buffers belong to one leg: no result is a view of a
+    # buffer that a later leg writes, and the input point is not written
+    f = parse_field("sin(x2); -x1 + tanh(x2)", 2)
+    x = np.array([0.3, 0.1])
+    first = flow_endpoint(f, x, 0.4)
+    kept = first.copy()
+    second = flow_endpoint(f, x, -0.7)
+    assert np.array_equal(first, kept) and np.array_equal(x, [0.3, 0.1])
+    assert not np.shares_memory(first, second)
+    one = integrate_flow(f, x, 0.4)
+    kept = (one.endpoint.copy(), one.sensitivity.copy())
+    two = integrate_flow(f, second, 0.7)
+    assert np.array_equal(one.endpoint, kept[0])
+    assert np.array_equal(one.sensitivity, kept[1])
+    arrays = [first, second, one.endpoint, one.sensitivity, two.endpoint,
+              two.sensitivity]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])

@@ -10,8 +10,9 @@ import kcycle.stasis
 from kcycle import (BoundaryWeightError, DimensionError,
                     InfeasibleWeightsError, NewtonDivergenceError,
                     SingularJacobianError, Weights, check_regularity,
-                    eval_field, find_stasis, find_weights, parse_field, stasis_residual,
-                    weight_hull_dimension, weighted_jacobian)
+                    eval_field, find_stasis, find_weights, jacobian_field,
+                    parse_field, stasis_residual, weight_hull_dimension,
+                    weighted_jacobian)
 from kcycle.linalg import damped_newton, newton_step, singular_values
 from kcycle.stasis import (MAX_NEWTON_ITERS, WEIGHT_FLOOR,
                            _simplex_least_squares, residual_norm)
@@ -152,11 +153,12 @@ def test_damped_newton_returns_the_accepted_trial():
 
 
 @pytest.mark.parametrize("name", ["flat_tail", "trig_3d"])
-def test_find_stasis_evaluates_each_point_once(name, corpus, monkeypatch):
-    # every evaluation returns the Jacobian, so the driver keeps an
-    # accepted trial's instead of evaluating that point again: the fields
-    # are evaluated at the guess and at each line-search trial only, and
-    # the iterates are those of a driver that re-evaluates every iterate
+def test_find_stasis_evaluates_the_jacobian_only_when_asked(name, corpus,
+                                                           monkeypatch):
+    # line-search trials evaluate the fields alone; the weighted Jacobian
+    # is evaluated only where the driver asks for it, and once more by the
+    # regularity check at x0; the iterates are those of a driver that
+    # evaluates every point itself
     if name == "flat_tail":
         fields = [parse_field("tanh(x1 - 1)", 1)] * 2
         weights, guess, tol = Weights((0.5, 0.5)), [3.0], 1e-12
@@ -164,26 +166,30 @@ def test_find_stasis_evaluates_each_point_once(name, corpus, monkeypatch):
         scn = corpus[name]
         fields, weights, guess, tol = (scn.fields, scn.weights,
                                        scn.stasis_guess, scn.stasis_tol)
-    evals, trials = [], []
+    evals, jacs, asked = [], [], []
 
     def counting_eval(field, x):
         evals.append(x)
         return eval_field(field, x)
 
+    def counting_jac(field, x):
+        jacs.append(x)
+        return jacobian_field(field, x)
+
     def counting_newton(evaluate, x, *args):
         def counted(x, jacobian):
-            if not jacobian:
-                trials.append(x)
+            asked.append(jacobian)
             return evaluate(x, jacobian)
         return damped_newton(counted, x, *args)
 
     monkeypatch.setattr(kcycle.stasis, "eval_field", counting_eval)
-
+    monkeypatch.setattr(kcycle.stasis, "jacobian_field", counting_jac)
     monkeypatch.setattr(kcycle.stasis.linalg, "damped_newton",
                         counting_newton)
     sp = find_stasis(fields, weights, guess, tol)
-    assert len(trials) >= 2
-    assert len(evals) == len(fields) * (1 + len(trials))
+    assert asked.count(False) >= 2
+    assert len(evals) == len(fields) * len(asked)
+    assert len(jacs) == len(fields) * (asked.count(True) + 1)
 
     def fresh(x, jacobian):
         r = stasis_residual(fields, weights, x)
