@@ -19,21 +19,27 @@ the estimate meets tolerance (cross-check method). Dormand-Prince
 evaluates its last stage at the new state, which therefore serves as the
 next step's first stage (first same as last), and a rejected step keeps
 its first stage: every step after the first costs six right-hand-side
-evaluations instead of seven. It allocates its stages and work vectors
-once per leg and reuses them on every attempt, with the same
-floating-point operations in the same order as a loop that allocates
-each stage. A stage that leaves the field's domain is a trial, not a
-point of the trajectory, so Dormand-Prince rejects that step; only a
-step size that collapses there ends the leg.
+evaluations instead of seven. It keeps the state in row 0 and the seven
+stages in rows 1-7 of one work array allocated once per leg, and scales
+the tableau by the step size once per attempt, so that each stage input
+y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and the
+error estimate sum_j (h e_j) k_j is one more. h multiplies each tableau
+weight rather than the weighted sum, and y joins the sum, so the results
+differ from the textbook's y + h (sum_j a_ij k_j) only in rounding. A
+stage that leaves the field's domain is a trial, not a point of the
+trajectory, so Dormand-Prince rejects that step; only a step size that
+collapses there ends the leg.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
-initial state. `_leg` checks the point's shape once and binds the
-right-hand side once per leg, on the field's compiled evaluators: a
-stage is one call of each on plain floats whose values, and with
-sensitivities the J·P matrix product, are written into the stage's row;
-the evaluators raise the DomainError that names the component
-themselves. Backward time t < 0 integrates -rhs over |t|, negating each
-stage row in place (the flow of V over t is the flow of -V over -t); IEEE
+initial state. `_leg` checks the point's shape once and builds the
+right-hand side once per leg, on the field's compiled evaluators, as a
+binder: binding a stage input and a stage row makes their views once,
+and the bound call is then one call of each evaluator on plain floats
+whose values, and with sensitivities the J·P matrix product, are written
+into the row. Dormand-Prince binds its stage calls once per leg. The
+evaluators raise the DomainError that names the component themselves.
+Backward time t < 0 integrates -rhs over |t|, the bound call negating
+its row in place (the flow of V over t is the flow of -V over -t); IEEE
 negation is exact, so this is bitwise the negated field's right-hand
 side, and errors report the leg's own negative time. Overflow and NaN
 surface as non-finite steps, which both steppers reject, so numpy's
@@ -43,6 +49,7 @@ floating-point warnings are silenced for the whole integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,6 +110,18 @@ _DP_A = np.array([
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+# the weights of stages 0..6: row i - 1 for stage i's input, i = 1..6, and
+# row 6 for the error estimate
+_DP_TABLE = np.vstack([np.pad(_DP_A[1:], ((0, 0), (0, 1))), _DP_E])
+
+
+def _coefficients():
+    """(coef, scale): a (7, 8) buffer whose column 0 holds 1, and scale(h),
+    which writes h * _DP_TABLE into its other columns. Row i - 1 then
+    weighs (y, k_0, ..., k_6) for stage i's input, i = 1..6, and row 6's
+    columns 1-7 weigh k_0..k_6 for the error estimate."""
+    coef = np.ones((7, 8))
+    return coef, partial(np.multiply, _DP_TABLE, out=coef[:, 1:])
 
 
 def _error_scale(peak, n, cfg):
@@ -123,9 +142,9 @@ def _domain_failure(exc, t):
                            time=t)
 
 
-def _dopri(rhs, y0, span, cfg, n, sign=1.0):
-    """Integrate dy/dt = rhs(y) over [0, span], span > 0; rhs(y, out)
-    writes its value into out.
+def _dopri(bind, y0, span, cfg, n, sign=1.0):
+    """Integrate dy/dt = rhs(y) over [0, span], span > 0; bind(y, out)
+    returns a call that writes rhs(y) into out, reading y as it is then.
 
     Error control is on the max norm of the scaled embedded estimate
     (`_error_scale`), so on success every accepted step satisfies
@@ -139,27 +158,38 @@ def _dopri(rhs, y0, span, cfg, n, sign=1.0):
     FlowDomainError names the last one at the last accepted time. Times
     in errors are sign * t, the leg's own time. An accepted step hands
     over its last stage and |y_new| to the next, a rejected one keeps
-    them, so every attempt costs six evaluations of rhs. Every buffer is
-    allocated once per call; the returned state is one of them.
+    them, so every attempt costs six evaluations of rhs.
+
+    The state is row 0 and stage k_j row j + 1 of one (8, size) work
+    array. Each attempt scales the tableau by h once (`_coefficients`);
+    stage i's input is then the product of coefficient row i - 1 with work
+    rows 0..i, written into one buffer that the six stage calls read; they
+    are bound once per leg. After stage 6 that buffer holds the new state,
+    which an accepted step copies into row 0. Every buffer is allocated
+    once per leg, and the returned state is a copy.
     """
     max_steps = cfg.max_steps
-    y = y0.copy()
-    abs_y = np.abs(y)
+    size = y0.size
     t = 0.0
     h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
     steps = 0
     est = 0.0
     err_prev = 1e-4
     h_min = 16.0 * np.finfo(float).eps * span
-    stages = np.empty((7, y.size))
-    first, last = stages[0], stages[6]
-    # stage i's weights, the stages 0..i-1 they weigh, and its row
-    plan = [(_DP_A[i, :i], stages[:i], stages[i]) for i in range(1, 7)]
+    work = np.empty((8, size))
+    state, first, last, stages = work[0], work[1], work[7], work[1:]
+    state[:] = y0
+    abs_y = np.abs(state)
+    coef, scale_coef = _coefficients()
+    error_weights = coef[6, 1:]
     # stage input, which after stage 6 holds the new state
-    y_new, abs_new, abs_e, scale = (np.empty(y.size) for _ in range(4))
+    y_new, abs_new, abs_e, scale = (np.empty(size) for _ in range(4))
+    # stage i's coefficients, the rows 0..i they weigh, and its bound call
+    plan = [(coef[i - 1, :i + 1], work[:i + 1], bind(y_new, work[i + 1]))
+            for i in range(1, 7)]
     outside = None  # the DomainError of the last domain rejection
     try:
-        rhs(y, first)
+        bind(state, first)()
     except DomainError as exc:
         raise _domain_failure(exc, 0.0) from exc
     while t < span:
@@ -172,12 +202,11 @@ def _dopri(rhs, y0, span, cfg, n, sign=1.0):
             raise StepLimitError(f"step size collapsed at t={t:.6g}")
         h = min(h, span - t)
         steps += 1
+        scale_coef(h)
         try:
-            for weights, head, row in plan:
-                np.matmul(weights, head, out=y_new)
-                y_new *= h
-                y_new += y
-                rhs(y_new, row)
+            for weights, rows, stage in plan:
+                np.matmul(weights, rows, out=y_new)
+                stage()
         except DomainError as exc:
             outside = exc
             h *= 0.2
@@ -186,15 +215,14 @@ def _dopri(rhs, y0, span, cfg, n, sign=1.0):
         if not abs_new.max() < np.inf:  # an inf or NaN entry
             h *= 0.2
             continue
-        np.matmul(_DP_E, stages, out=abs_e)
-        abs_e *= h
+        np.matmul(error_weights, stages, out=abs_e)
         np.abs(abs_e, out=abs_e)
         np.maximum(abs_y, abs_new, out=scale)
         _error_scale(scale, n, cfg)
         err = float(np.divide(abs_e, scale, out=scale).max())
         if err <= 1.0:
             t += h
-            y, y_new = y_new, y
+            state[:] = y_new
             abs_y, abs_new = abs_new, abs_y
             first[:] = last
             outside = None
@@ -205,7 +233,7 @@ def _dopri(rhs, y0, span, cfg, n, sign=1.0):
             err_prev = err_c
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    return y, steps, est
+    return state.copy(), steps, est
 
 
 def _rk4_step(rhs, y, h):
@@ -217,9 +245,9 @@ def _rk4_step(rhs, y, h):
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-def _rk4(rhs, y0, span, cfg, n, sign=1.0):
-    """Uniform-step RK4 with Richardson comparison per step; rhs(y, out)
-    as in `_dopri`, called through an adapter that allocates each slope.
+def _rk4(bind, y0, span, cfg, n, sign=1.0):
+    """Uniform-step RK4 with Richardson comparison per step; bind(y, out)
+    as in `_dopri`, through an adapter that allocates and binds each slope.
 
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
@@ -236,7 +264,7 @@ def _rk4(rhs, y0, span, cfg, n, sign=1.0):
     """
     def slope(y):
         out = np.empty(y.size)
-        rhs(y, out)
+        bind(y, out)()
         return out
 
     n_steps = 8 if span / 16.0 >= np.finfo(float).tiny else 1
@@ -269,33 +297,45 @@ def _rk4(rhs, y0, span, cfg, n, sign=1.0):
         n_steps *= 2
 
 
-def _rhs(field, sensitivity):
-    """The right-hand side of one leg of `field`, bound once: rhs(y, out)
-    writes V(y) into out, or (V(x), J(x) P) for the augmented state
-    y = (x, P) when `sensitivity`.
+def _rhs(field, sensitivity, backward):
+    """The right-hand side of one leg of `field` as a binder: bind(y, out)
+    returns a call that writes V(y) into out, or (V(x), J(x) P) for the
+    augmented state y = (x, P) when `sensitivity`, and -V when `backward`.
 
-    Each call runs the field's compiled evaluators on plain floats; they
-    raise the DomainError that names the component themselves. The
-    Jacobian's entries go to an (n, n) buffer allocated once here, and
-    J P is multiplied straight into out.
+    bind makes the views of y and out once; each call then runs the
+    field's compiled evaluators on plain floats, which raise the
+    DomainError that names the component themselves. The Jacobian's
+    entries go to an (n, n) buffer allocated once here, and J P is
+    multiplied straight into out.
     """
     n = field.dimension
     values = field.evaluator()
-    if not sensitivity:
-        def rhs(y, out):
-            out[:] = values(y.tolist())
-        return rhs
+    if sensitivity:
+        entries = field.jacobian_evaluator()
+        jac = np.empty((n, n))
+        jac_flat = jac.reshape(-1)
 
-    entries = field.jacobian_evaluator()
-    jac = np.empty((n, n))
-    jac_flat = jac.reshape(-1)
+    def bind(y, out):
+        if sensitivity:
+            x, p = y[:n], y[n:].reshape(n, n)
+            v, jp = out[:n], out[n:].reshape(n, n)
 
-    def rhs(y, out):
-        xs = y[:n].tolist()
-        out[:n] = values(xs)
-        jac_flat[:] = entries(xs)
-        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-    return rhs
+            def call():
+                xs = x.tolist()
+                v[:] = values(xs)
+                jac_flat[:] = entries(xs)
+                np.matmul(jac, p, out=jp)
+        else:
+            def call():
+                out[:] = values(y.tolist())
+        if not backward:
+            return call
+
+        def negated():
+            call()
+            np.negative(out, out=out)
+        return negated
+    return bind
 
 
 def _leg(field, x, t, cfg, sensitivity):
@@ -305,7 +345,7 @@ def _leg(field, x, t, cfg, sensitivity):
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
     returns the initial state exactly; negative t integrates -rhs over
-    |t|, negated in place in each stage row, and a FlowDomainError
+    |t|, each bound call negating its row in place, and a FlowDomainError
     reports the leg's own (negative) time and names the field's own
     component.
     """
@@ -316,16 +356,10 @@ def _leg(field, x, t, cfg, sensitivity):
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     if t == 0.0:
         return y0.copy(), 0, 0.0
-    rhs = _rhs(field, sensitivity)
-    if t < 0.0:
-        forward = rhs
-
-        def rhs(y, out):
-            forward(y, out)
-            np.negative(out, out=out)
+    bind = _rhs(field, sensitivity, t < 0.0)
     stepper = _rk4 if cfg.method == "rk4_fixed" else _dopri
     with np.errstate(over="ignore", invalid="ignore"):
-        return stepper(rhs, y0, abs(t), cfg, n, 1.0 if t > 0.0 else -1.0)
+        return stepper(bind, y0, abs(t), cfg, n, 1.0 if t > 0.0 else -1.0)
 
 
 def integrate_flow(field: VectorField, x, t: float,

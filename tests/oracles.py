@@ -52,7 +52,9 @@ def reference_dopri(rhs, y0, span, cfg, n):
     est) as the package's stepper reports them.
 
     The same floating-point operations in the same order as `kcycle.flow`
-    states them: PI control on the max norm of |err_i| / (abs_tol +
+    states them: stage i's input is [1, h a_i] @ [y; k_0..k_{i-1}] and the
+    error estimate (h e) @ k, with h multiplying each tableau weight; PI
+    control on the max norm of |err_i| / (abs_tol +
     rel_tol * max(|y_i|, |y_new_i|)), where the entries past the state's n
     share their largest value; a non-finite new state rejects with h*0.2;
     the last stage is the next step's first. No domain handling: a
@@ -68,9 +70,10 @@ def reference_dopri(rhs, y0, span, cfg, n):
             raise RuntimeError(f"reference DOPRI5 gave up at t={t}")
         h = min(h, span - t)
         for i in range(1, 7):
-            y_new = y + h * (_DP_A[i, :i] @ np.array(k[:i]))
+            weights = np.concatenate([[1.0], h * _DP_A[i, :i]])
+            y_new = weights @ np.array([y] + k[:i])
             k[i] = rhs(y_new)
-        abs_e = np.abs(h * (_DP_E @ np.array(k)))
+        abs_e = np.abs((h * _DP_E) @ np.array(k))
         steps += 1
         if not np.isfinite(y_new).all():
             h *= 0.2

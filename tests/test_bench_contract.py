@@ -7,18 +7,23 @@ tests read that file (without importing it as a module, so nothing is
 written next to it) and fail instead when a change to the package drops
 or unbinds a traced name. `bench/worker.py` times every solve of its
 sweep passes through the module global `kcycle.cycle.solve_cycle`; the
-smoke test runs it as the benchmark does, in a child process, so that a
+smoke tests run it as the benchmark does, in a child process, so that a
 worker that fails or times nothing shows here and not as a benchmark
-run without a result.
+run without a result. A traced run reports every declared per-layer
+metric, or the benchmark prints it as not measured (or NaN) and gives
+no result: the traced smoke test checks that each metric it computes
+from the worker's output is there and finite.
 """
 
 import importlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import types
+from statistics import median
 
 import numpy as np
 import pytest
@@ -32,6 +37,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 WORKER = ROOT / "bench" / "worker.py"
 SWEEP_POINTS = 32
+# per-layer metrics that bench/run.py measures itself, not from the worker
+RUN_METRICS = ("cli.", "cycle.verify_ratio_max")
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +78,10 @@ def test_traced_sweep_calls_solve_cycle_once_per_ladder_point(tracing,
     assert len(solves) == 4
 
 
-def test_worker_sweep_times_every_solve_and_checks_out(tmp_path):
+def _worker_sweep(tmp_path, *options):
+    """Run one untimed sweep pass of the worker in a child process on
+    pair-1d and a random 3x3 family, both of which take Newton steps;
+    returns (scenarios, the worker's result)."""
     scenarios = [json.loads(scenario_path("pair_1d").read_text("utf-8")),
                  random_linear_scenario(np.random.default_rng(1), 3, 3,
                                         "random-3x3")]
@@ -83,12 +93,36 @@ def test_worker_sweep_times_every_solve_and_checks_out(tmp_path):
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, str(WORKER), "sweep", str(inputs), "--seconds", "0",
-         "--result", str(result)],
+         "--result", str(result), *options],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     out = json.loads(result.read_text("utf-8"))
     assert out["failed"] == 0 and out["problems"] == []
+    return scenarios, out
+
+
+def test_worker_sweep_times_every_solve_and_checks_out(tmp_path):
+    scenarios, out = _worker_sweep(tmp_path)
     assert out["passes"]
     assert [len(solves) for solves in out["jobs"]] == \
         [SWEEP_POINTS * len(scenarios)] * len(out["passes"])
     assert out["verify_ratio_max"] <= 1.0
+
+
+def test_traced_worker_sweep_measures_every_per_layer_metric(tracing,
+                                                              tmp_path):
+    spans = tmp_path / "spans.json"
+    _, out = _worker_sweep(tmp_path, "--spans", str(spans))
+    traced = json.loads(spans.read_text("utf-8"))
+    assert traced["missing"] == {}
+    assert out["probes_missing"] == {}
+    metrics, unsteady, empty = tracing.layer_metrics(
+        traced["records"], out["traced_passes"], median(out["passes"]))
+    assert unsteady == [] and empty == []
+    metrics.update(out["probes"])
+    assert [name for name, value in metrics.items()
+            if not math.isfinite(value)] == []
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    declared = [m["name"] for m in spec["per_layer"]
+                if not m["name"].startswith(RUN_METRICS)]
+    assert [name for name in declared if name not in metrics] == []

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as Q
 from functools import partial
 
 import numpy as np
@@ -27,10 +28,13 @@ EXIT_ALLOWANCE = 2.0 * math.sqrt(flow.DEFAULT_CONFIG.abs_tol
 
 
 def _into(rhs):
-    """An rhs(y) that returns its value, as the steppers' rhs(y, out)."""
-    def write(y, out):
-        out[:] = rhs(y)
-    return write
+    """An rhs(y) that returns its value, as the steppers' binder: bind(y,
+    out) returns a call that writes rhs(y) into out."""
+    def bind(y, out):
+        def write():
+            out[:] = rhs(y)
+        return write
+    return bind
 
 
 def test_scalar_affine_closed_form():
@@ -189,11 +193,14 @@ def test_rk4_subnormal_time_advances():
 
 
 def _stage_log(rhs, log):
-    """rhs(y, out) that appends a copy of each input state to `log`."""
-    def wrapped(y, out):
-        log.append(y.copy())
-        out[:] = rhs(y)
-    return wrapped
+    """`_into(rhs)` whose calls append a copy of each input state to
+    `log`."""
+    def bind(y, out):
+        def wrapped():
+            log.append(y.copy())
+            out[:] = rhs(y)
+        return wrapped
+    return bind
 
 
 @pytest.mark.parametrize("source, rejects", [("1; cos(x1)", False),
@@ -440,6 +447,67 @@ def test_legs_match_the_allocating_reference_dopri(t):
         want, _, _ = reference_dopri(_reference_rhs(work, False), x,
                                      abs(t), cfg, n)
         assert np.array_equal(flow_endpoint(field, x, t), want), (name, j)
+
+
+# Dormand-Prince 5(4) in exact rationals (Hairer, Norsett & Wanner,
+# Solving ODEs I, table II.5.2): stage nodes, stage weights (row 6 is the
+# 5th-order solution) and the embedded 4th-order weights
+DP_C = [Q(0), Q(1, 5), Q(3, 10), Q(4, 5), Q(8, 9), Q(1), Q(1)]
+DP_A = [[],
+        [Q(1, 5)],
+        [Q(3, 40), Q(9, 40)],
+        [Q(44, 45), Q(-56, 15), Q(32, 9)],
+        [Q(19372, 6561), Q(-25360, 2187), Q(64448, 6561), Q(-212, 729)],
+        [Q(9017, 3168), Q(-355, 33), Q(46732, 5247), Q(49, 176),
+         Q(-5103, 18656)],
+        [Q(35, 384), Q(0), Q(500, 1113), Q(125, 192), Q(-2187, 6784),
+         Q(11, 84)]]
+DP_B4 = [Q(5179, 57600), Q(0), Q(7571, 16695), Q(393, 640),
+         Q(-92097, 339200), Q(187, 2100), Q(1, 40)]
+
+
+def _close(got, want, scale=1.0):
+    """got is within four units in the last place of max(scale, |want|),
+    subnormal units included."""
+    return abs(got - float(want)) <= 4.0 * np.spacing(
+        max(scale, abs(float(want))))
+
+
+def test_dopri_tableau_meets_its_order_conditions():
+    # row sums are the nodes; the 5th-order weights integrate c^(q-1)
+    # exactly for q <= 5, the embedded ones for q <= 4; the error weights
+    # sum to 0
+    c = [float(ci) for ci in DP_C]
+    for i, row in enumerate(flow._DP_A):
+        assert _close(math.fsum(row), DP_C[i], np.max(np.abs(row))), i
+    b5, b4 = flow._DP_A[6], flow._DP_B4
+    for q in range(1, 6):
+        assert _close(math.fsum(b * cj ** (q - 1) for b, cj in zip(b5, c)),
+                      Q(1, q)), q
+    for q in range(1, 5):
+        assert _close(math.fsum(b * cj ** (q - 1) for b, cj in zip(b4, c)),
+                      Q(1, q)), q
+    assert _close(math.fsum(flow._DP_E), 0, np.max(np.abs(flow._DP_E)))
+    for i, row in enumerate(DP_A):
+        assert all(_close(a, w) for a, w in zip(flow._DP_A[i], row)), i
+        assert not flow._DP_A[i, len(row):].any(), i
+
+
+@pytest.mark.parametrize("h", [0.37, 1e-3, 5e-323])
+def test_scaled_coefficients_are_the_step_weights(h):
+    # row i - 1 of the scaled buffer weighs (y, k_0, ..., k_6) for stage
+    # i's input: [1, h a_i0, ..., h a_i,i-1], zero-padded; row 6 holds 1
+    # and h e for the error estimate
+    coef, scale = flow._coefficients()
+    scale(h)
+    assert coef.shape == (7, 8)
+    error = [a - b for a, b in zip(DP_A[6] + [Q(0)], DP_B4)]
+    for i, weights in enumerate(DP_A[1:] + [error]):
+        row = coef[i]
+        assert row[0] == 1.0
+        want = [Q(h) * w for w in weights]
+        assert all(_close(got, w, h) for got, w in zip(row[1:], want)), i
+        assert not row[1 + len(want):].any(), i
 
 
 def test_successive_legs_return_independent_arrays():
