@@ -140,7 +140,7 @@ def sweeps(label, scenarios, saved, against):
         result = sweep_delta(scn.fields, point.weights, point.x0,
                              scn.sweep.delta_max, scn.sweep.steps,
                              scn.cycle_tol, scn.integrator)
-        iters = sum(rec.cycle.newton_iters for rec in result.records)
+        iters = int(result.newton_iters.sum())
         ratio = max(verify_cycle(scn.fields, point.weights, rec.cycle,
                                  scn.integrator).max_mismatch
                     / (VERIFY_FACTOR * scn.cycle_tol)
@@ -148,10 +148,9 @@ def sweeps(label, scenarios, saved, against):
         newton += iters
         worst = max(worst, ratio)
         key = f"sweep|{scn.name}"
-        saved[key] = np.array([rec.cycle.points.points
-                               for rec in result.records])
+        saved[key] = result.points
         line = (f"sweep {label} {scn.name:12s} records "
-                f"{len(result.records)} newton {iters} verify_max "
+                f"{len(result.deltas)} newton {iters} verify_max "
                 f"{ratio:.6g} slope {loglog_slope(result)!r}")
         if against is not None and key in against:
             moved = (np.max(np.abs(saved[key] - against[key]))

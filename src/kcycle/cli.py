@@ -290,14 +290,13 @@ def cmd_sweep(args) -> int:
     header = ["delta"]
     header += [f"x_{j}_{i}" for j in range(1, k + 1) for i in range(1, n + 1)]
     header += ["max_distance_to_x0", "closure_residual", "newton_iters"]
-    rows = []
-    for rec in result.records:
-        row = [rec.delta]
-        for p in rec.cycle.points:
-            row.extend(float(v) for v in p)
-        row += [rec.max_distance_to_x0, rec.cycle.closure_residual,
-                rec.cycle.newton_iters]
-        rows.append(row)
+    recorded = len(result.deltas)
+    rows = [[d, *x, dist, closure, iters]
+            for d, x, dist, closure, iters in zip(
+                result.deltas.tolist(),
+                result.points.reshape(recorded, -1).tolist(),
+                result.distances.tolist(), result.closures.tolist(),
+                result.newton_iters.tolist())]
 
     base = _slug(scn.name)
     csv_path = _write_artifact(args.out, f"{base}_sweep.csv",
@@ -308,7 +307,7 @@ def cmd_sweep(args) -> int:
         "scenario": scn.name,
         "delta_max": scn.sweep.delta_max,
         "steps": scn.sweep.steps,
-        "recorded": len(result.records),
+        "recorded": recorded,
         "largest_delta": result.largest_delta,
         "branch_lost": result.branch_lost,
         "failure_reason": result.failure_reason,
@@ -321,7 +320,7 @@ def cmd_sweep(args) -> int:
     if args.json:
         sys.stdout.write(serialize.dumps(summary))
     else:
-        print(f"recorded:      {len(result.records)} deltas "
+        print(f"recorded:      {recorded} deltas "
               f"(largest {result.largest_delta:.12g})")
         print(f"loglog slope:  "
               f"{'not computed' if slope is None else f'{slope:.6g}'}")
@@ -329,9 +328,8 @@ def cmd_sweep(args) -> int:
             print(f"branch lost:   {result.failure_reason}")
         print(f"csv:           {csv_path}")
         print(f"summary:       {json_path}")
-    if args.verbose and result.records:
-        last = result.records[-1].cycle
-        _print_leg_stats(scn, last)
+    if args.verbose:
+        _print_leg_stats(scn, result.records[-1].cycle)
     return EXIT_OK
 
 

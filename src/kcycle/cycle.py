@@ -108,10 +108,39 @@ class SweepRecord:
 
 @dataclass(eq=False, slots=True)
 class SweepResult:
-    records: tuple
-    largest_delta: float
+    """A swept branch as columns, one entry per ladder point reached:
+    `deltas` (m,), `points` (m, k, n), `distances` (max distance to x0),
+    `closures` (closure residuals) and `newton_iters` (m,), with the
+    sweep's weights.
+
+    `records` rebuilds the per-point records from the columns on each
+    access and keeps none of them, so a kept result costs its arrays.
+    """
+
+    weights: tuple
+    deltas: np.ndarray
+    points: np.ndarray
+    distances: np.ndarray
+    closures: np.ndarray
+    newton_iters: np.ndarray
     branch_lost: bool
     failure_reason: Optional[str]
+
+    @property
+    def largest_delta(self) -> float:
+        return self.deltas[-1].item()
+
+    @property
+    def records(self) -> tuple:
+        """One SweepRecord per ladder point, with Python floats and ints
+        and leg_times delta*m_j as `solve_cycle` forms them."""
+        return tuple(
+            SweepRecord(d, KCycle(CyclePoints(x), d,
+                                  tuple(d * m for m in self.weights), c, i),
+                        dist)
+            for d, x, dist, c, i in zip(
+                self.deltas.tolist(), self.points, self.distances.tolist(),
+                self.closures.tolist(), self.newton_iters.tolist()))
 
 
 def _cycle_rows(fields, weights, pts: CyclePoints, delta: float = 0.0):
@@ -292,14 +321,14 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     start = _cycle_rows(fields, weights, CyclePoints.constant(x0, len(fields)))
     branch = [(0.0, start)]
     tangent = _tangent(fields, weights, start, cfg)
-    records = []
+    reached = []  # (delta, points, distance, closure, newton_iters)
     branch_lost = False
     failure_reason = None
     for target in ladder:
         try:
             cycle = _reach(fields, weights, branch, tangent, target, tol, cfg)
         except BranchLostError as exc:
-            if not records:
+            if not reached:
                 raise BranchLostError(
                     f"continuation failed at the smallest delta "
                     f"{target:.6g}: {exc}", last_delta=0.0) from exc
@@ -307,9 +336,12 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
             failure_reason = str(exc)
             break
         dist = max(float(np.linalg.norm(p - x0)) for p in cycle.points)
-        records.append(SweepRecord(target, cycle, dist))
-    largest = records[-1].delta if records else 0.0
-    return SweepResult(tuple(records), largest, branch_lost, failure_reason)
+        reached.append((target, cycle.points.points, dist,
+                        cycle.closure_residual, cycle.newton_iters))
+    deltas, points, distances, closures, iters = zip(*reached)
+    return SweepResult(tuple(weights), np.array(deltas), np.array(points),
+                       np.array(distances), np.array(closures),
+                       np.array(iters), branch_lost, failure_reason)
 
 
 def _tangent(fields, weights, start, cfg):
@@ -397,11 +429,7 @@ def loglog_slope(result: SweepResult, points: int = 8) -> Optional[float]:
     cycles shrink into the stasis point. None when fewer than two usable
     records exist or a distance is non-positive.
     """
-    tail = list(result.records[:points])
-    if len(tail) < 2:
+    deltas, distances = result.deltas[:points], result.distances[:points]
+    if deltas.size < 2 or (distances <= 0.0).any():
         return None
-    if any(rec.max_distance_to_x0 <= 0.0 for rec in tail):
-        return None
-    xs = np.log([rec.delta for rec in tail])
-    ys = np.log([rec.max_distance_to_x0 for rec in tail])
-    return float(np.polyfit(xs, ys, 1)[0])
+    return float(np.polyfit(np.log(deltas), np.log(distances), 1)[0])

@@ -15,11 +15,15 @@ in the augmented state is rejected.
 Two steppers are provided: an adaptive Dormand-Prince 5(4) embedded pair
 with PI step-size control (default), and a uniform-step RK4 with
 per-step Richardson error estimates that refines the whole pass until
-the estimate meets tolerance (cross-check method). Dormand-Prince
-evaluates its last stage at the new state, which therefore serves as the
-next step's first stage (first same as last), and a rejected step keeps
-its first stage: every step after the first costs six right-hand-side
-evaluations instead of seven. It keeps the state in row 0 and the seven
+the estimate meets tolerance (cross-check method). Dormand-Prince first
+tries the whole leg as one step: the legs of a cycle solve are short
+against the fields' time scales, so that attempt is often accepted, and
+when it is not, the error-controlled shrink (at least 0.2x per
+rejection) finds a step that is (Hairer, Norsett & Wanner, Solving ODEs
+I, II.4). Dormand-Prince evaluates its last stage at the new state,
+which therefore serves as the next step's first stage (first same as
+last), and a rejected step keeps its first stage: every step after the
+first costs six right-hand-side evaluations instead of seven. It keeps the state in row 0 and the seven
 stages in rows 1-7 of one work array allocated once per leg, and scales
 the tableau by the step size once per attempt, so that each stage input
 y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and the
@@ -146,6 +150,10 @@ def _dopri(bind, y0, span, cfg, n, sign=1.0):
     """Integrate dy/dt = rhs(y) over [0, span], span > 0; bind(y, out)
     returns a call that writes rhs(y) into out, reading y as it is then.
 
+    The first attempt covers the whole span; a rejected attempt shrinks h
+    as any other does, so a span too long for one step costs a few
+    rejected attempts, and a subnormal span's first h is not 0.
+
     Error control is on the max norm of the scaled embedded estimate
     (`_error_scale`), so on success every accepted step satisfies
     |err_i| <= abs_tol + rel_tol*|y_i| for the state's entries i < n and
@@ -171,7 +179,7 @@ def _dopri(bind, y0, span, cfg, n, sign=1.0):
     max_steps = cfg.max_steps
     size = y0.size
     t = 0.0
-    h = span / 64.0 or span  # a subnormal span / 64 underflows to 0
+    h = span
     steps = 0
     est = 0.0
     err_prev = 1e-4

@@ -62,7 +62,7 @@ def reference_dopri(rhs, y0, span, cfg, n):
     """
     y = np.array(y0, dtype=float)
     t, steps, est, err_prev = 0.0, 0, 0.0, 1e-4
-    h = span / 64.0 or span
+    h = span
     h_min = 16.0 * np.finfo(float).eps * span
     k = [rhs(y)] + [None] * 6
     while t < span:

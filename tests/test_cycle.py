@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ import kcycle.cycle
 from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     DimensionError,
                     IntegratorConfig, NewtonDivergenceError,
-                    SingularJacobianError, Weights, average_velocity,
-                    cycle_jacobian, cycle_residual, eval_field, find_stasis,
-                    flow_endpoint, jacobian_field, loglog_slope, parse_field,
+                    SingularJacobianError, SweepRecord, Weights,
+                    average_velocity, cycle_jacobian, cycle_residual,
+                    eval_field, find_stasis, flow_endpoint, jacobian_field, loglog_slope, parse_field,
                     solve_cycle, stasis_residual, sweep_delta, verify_cycle)
 
 from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
@@ -551,17 +553,106 @@ def test_sweep_rejects_subnormal_delta_max(pair):
             sweep_delta(fields, w, [0.0], bad, 4)
 
 
-def test_sweep_mid_ladder_loss_flags_partial_result(pair):
+def _sweep_with_reached(monkeypatch, fields, weights, x0, *args, **kwargs):
+    """sweep_delta(fields, weights, x0, ...) and the records built from
+    each cycle `_reach` returned, as SweepRecord(target, cycle, largest
+    |x_j - x0|)."""
+    reached = []
+    reach = kcycle.cycle._reach
+
+    def wrapped(*reach_args):
+        cycle = reach(*reach_args)
+        reached.append((reach_args[4], cycle))
+        return cycle
+
+    monkeypatch.setattr(kcycle.cycle, "_reach", wrapped)
+    result = sweep_delta(fields, weights, x0, *args, **kwargs)
+    x0 = np.asarray(x0, dtype=float)
+    want = [SweepRecord(target, cycle, max(float(np.linalg.norm(p - x0))
+                                           for p in cycle.points))
+            for target, cycle in reached]
+    return result, want
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for rec, old in zip(got, want):
+        assert type(rec.delta) is float and type(rec.cycle.delta) is float
+        assert type(rec.cycle.newton_iters) is int
+        assert _bits([rec.delta, rec.cycle.delta]) == \
+            _bits([old.delta, old.cycle.delta])
+        assert [p.tobytes() for p in rec.cycle.points] == \
+            [p.tobytes() for p in old.cycle.points]
+        assert _bits(rec.cycle.leg_times) == _bits(old.cycle.leg_times)
+        assert rec.cycle.leg_times == old.cycle.leg_times
+        assert _bits([rec.cycle.closure_residual, rec.max_distance_to_x0]) \
+            == _bits([old.cycle.closure_residual, old.max_distance_to_x0])
+        assert rec.cycle.newton_iters == old.cycle.newton_iters
+
+
+def test_sweep_records_equal_the_solved_cycles(regular_corpus, monkeypatch):
+    # the columns give back, bit for bit, the record of every cycle the
+    # ladder reached, with leg_times delta*m_j as solve_cycle forms them
+    for name, scn in regular_corpus.items():
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        result, want = _sweep_with_reached(
+            monkeypatch, scn.fields, sp.weights, sp.x0, scn.sweep.delta_max,
+            scn.sweep.steps, scn.cycle_tol, scn.integrator)
+        assert len(want) == scn.sweep.steps, name
+        _assert_same_records(result.records, want)
+        for rec in result.records:
+            assert rec.cycle.leg_times == tuple(rec.delta * m
+                                                for m in sp.weights)
+        assert result.points.shape == (scn.sweep.steps, scn.k,
+                                       scn.dimension)
+
+
+def test_sweep_mid_ladder_loss_flags_partial_result(pair, monkeypatch):
     # starve the integrator: small deltas fit the step budget, large ones
     # exhaust it, so the branch is lost midway and the sweep reports what
     # it reached instead of raising
     fields, w = pair
     cfg = IntegratorConfig(max_steps=40)
-    result = sweep_delta(fields, w, [0.0], 50.0, 16, cfg=cfg)
+    result, want = _sweep_with_reached(monkeypatch, fields, w, [0.0], 50.0,
+                                       16, cfg=cfg)
     assert result.branch_lost
     assert result.failure_reason is not None
     assert 0 < len(result.records) < 16
     assert result.largest_delta == result.records[-1].delta < 50.0
+    _assert_same_records(result.records, want)
+
+
+def test_kept_sweeps_cost_their_columns(regular_corpus):
+    # a kept result holds its branch as arrays, not as per-point objects:
+    # ten sweeps of linear-3d-b (32 points, k = n = 3) keep at most 256
+    # bytes per ladder point (72 of them the point coordinates)
+    scn = regular_corpus["linear_3d_b"]
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+
+    def sweep():
+        return sweep_delta(scn.fields, sp.weights, sp.x0,
+                           scn.sweep.delta_max, scn.sweep.steps,
+                           scn.cycle_tol, scn.integrator)
+
+    sweep()  # fill any lazily built cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [sweep() for _ in range(10)]
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = sum(len(result.deltas) for result in kept)
+    assert points == 10 * scn.sweep.steps
+    assert used <= 256 * points, used / points
 
 
 def test_sweep_monotone_tail_and_slope_on_regulars(regular_sweeps):

@@ -170,7 +170,8 @@ def test_step_exhaustion():
 
 
 def test_subnormal_time_advances():
-    # span / 64 underflows to 0 here; every step must still advance t
+    # any fraction of this span underflows to 0; every step must still
+    # advance t
     f = parse_field("1 - x1", 1)
     cfg = IntegratorConfig(max_steps=10)
     assert flow_endpoint(f, [0.0], 5e-323, cfg) == \
@@ -203,16 +204,23 @@ def _stage_log(rhs, log):
     return bind
 
 
-@pytest.mark.parametrize("source, rejects", [("1; cos(x1)", False),
-                                             ("1; sin(40*x1)", True)])
-def test_dopri_reuses_first_stage(source, rejects):
+@pytest.mark.parametrize("source, span, max_steps, rejects", [
+    pytest.param("1; cos(x1)", 0.05, 4, False,  # one step: the whole span
+                 id="1; cos(x1)-False"),
+    pytest.param("1; sin(40*x1)", 1.0, 2000, True,  # 502 steps
+                 id="1; sin(40*x1)-True"),
+])
+def test_dopri_reuses_first_stage(source, span, max_steps, rejects):
     # x1 is time, so each attempt's first new stage sits at t + h/5 and its
-    # last at t + h; a retry from the same t starts below the previous end
+    # last at t + h; a retry from the same t starts below the previous end.
+    # max_steps stops a stepper that no longer advances before the log of
+    # stage inputs grows large
     f = parse_field(source, 2)
     log = []
     y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
-                              np.zeros(2), 1.0, IntegratorConfig(), 2)
-    assert y[0] == pytest.approx(1.0)
+                              np.zeros(2), span,
+                              IntegratorConfig(max_steps=max_steps), 2)
+    assert y[0] == pytest.approx(span)
     assert len(log) == 1 + 6 * steps
     attempts = [log[1 + 6 * a:7 + 6 * a] for a in range(steps)]
     retries = sum(nxt[0][0] < cur[-1][0]
@@ -221,6 +229,41 @@ def test_dopri_reuses_first_stage(source, rejects):
     # an accepted step's last stage and a rejected step's first are never
     # evaluated again
     assert len({p.tobytes() for p in log}) == len(log)
+
+
+def test_short_linear_leg_takes_one_step():
+    # a leg far shorter than the field's time scale is one accepted step
+    # over the whole span, with and without sensitivities
+    f = parse_field("x2; -x1", 2)
+    t = 1e-3
+    res = integrate_flow(f, [1.0, 0.0], t)
+    assert res.steps_taken == 1
+    rot = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+    assert np.allclose(res.endpoint, rot[:, 0], rtol=0.0, atol=1e-14)
+    assert np.allclose(res.sensitivity, rot, rtol=0.0, atol=1e-14)
+    log = []
+    flow._dopri(_stage_log(partial(eval_field, f), log), np.array([1.0, 0.0]),
+                t, IntegratorConfig(), 2)
+    assert len(log) == 7
+
+
+def test_rejected_whole_span_attempt_keeps_the_leg_accurate():
+    # x1 is time and x2 = e^-t: a first attempt over all of t = 5 misses
+    # the tolerance, so the second attempt's first stage sits below its
+    # end; the leg still ends within tolerance of e^-5, and so does the
+    # sensitivity of x' = -x over the same span
+    f = parse_field("1; -x2", 2)
+    log = []
+    y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
+                              np.array([0.0, 1.0]), 5.0, IntegratorConfig(),
+                              2)
+    assert log[6][0] == 5.0 and log[7][0] < 1.0
+    assert y[0] == pytest.approx(5.0)
+    assert y[1] == pytest.approx(math.exp(-5.0), rel=1e-9)
+    res = integrate_flow(parse_field("0 - x1", 1), [1.0], 5.0)
+    assert res.steps_taken > 1
+    assert res.endpoint[0] == pytest.approx(math.exp(-5.0), rel=1e-9)
+    assert res.sensitivity[0, 0] == pytest.approx(math.exp(-5.0), rel=1e-9)
 
 
 def test_domain_error_reports_time():
@@ -377,7 +420,8 @@ def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
 def test_trial_stage_outside_the_domain_rejects_the_step(run):
     # the flow is e^-t, inside x1 >= 0 for all t, but stages of early trial
-    # steps land below zero; those steps are rejected, not the leg
+    # steps land below zero, the first whole-span trial's at 1 - 100/5;
+    # those steps are rejected, not the leg
     f = parse_field("sqrt(x1) - sqrt(x1) - x1", 1)
     got = run(f, [1.0], 100.0)
     end = got.endpoint if run is integrate_flow else got
