@@ -9,7 +9,10 @@ families random_linear_scenario(default_rng(s), 6, 4) for s = 1, 2, over
 t = 0.3, -0.7 and 2.0, with both integration methods. One line per
 scenario gives a sha256 over the endpoints, sensitivities, step counts
 and local-error estimates (or the error a leg raised) and its step
-count; the last leg line covers every leg.
+count; the last leg line covers every leg. The legs then run again on
+the same fields in reverse order, and every leg whose bytes differ from
+the first run's is printed: a leg's result must not depend on the legs
+run before it. The exit status is 1 if one does, else 0.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
@@ -68,42 +71,54 @@ def wide_scenarios():
 
 
 def legs(scn):
-    """(key, arrays or error text, steps) of every leg of one scenario."""
+    """(key, field, x, t, cfg) of every leg of one scenario."""
     x = scn.guess_point() + 0.1
     for method in METHODS:
         cfg = IntegratorConfig(scn.integrator.rel_tol, scn.integrator.abs_tol,
                                scn.integrator.max_steps, method)
         for j, field in enumerate(scn.fields):
             for t in TIMES:
-                key = f"{scn.name}|{method}|{j}|{t!r}"
-                try:
-                    res = integrate_flow(field, x, t, cfg)
-                    end = flow_endpoint(field, x, t, cfg)
-                except KcycleError as exc:
-                    yield key, f"{type(exc).__name__}: {exc}", 0
-                    continue
-                est = np.array([res.est_local_error])
-                yield key, (res.endpoint, res.sensitivity, end, est), \
-                    res.steps_taken
+                yield f"{scn.name}|{method}|{j}|{t!r}", field, x, t, cfg
+
+
+def run_leg(field, x, t, cfg):
+    """(arrays or error text, steps) of one leg: integrate_flow, then
+    flow_endpoint."""
+    try:
+        res = integrate_flow(field, x, t, cfg)
+        end = flow_endpoint(field, x, t, cfg)
+    except KcycleError as exc:
+        return f"{type(exc).__name__}: {exc}", 0
+    est = np.array([res.est_local_error])
+    return (res.endpoint, res.sensitivity, end, est), res.steps_taken
+
+
+def leg_bytes(value, steps):
+    """The bytes of one leg's result that the digests cover."""
+    if isinstance(value, str):
+        chunk = value.encode()
+    else:
+        chunk = b"".join(a.tobytes() for a in value)
+    return chunk + repr(steps).encode()
 
 
 def digest_legs(saved, against):
+    """Print the leg lines; returns {key: (leg, bytes)} in run order."""
     total = hashlib.sha256()
-    total_steps = total_legs = 0
+    total_steps = 0
+    ran = {}
     for scn in leg_scenarios():
         sha = hashlib.sha256()
         steps_sum = 0
         worst, moved = 0.0, []
-        for key, value, steps in legs(scn):
-            total_legs += 1
+        for key, *leg in legs(scn):
+            value, steps = run_leg(*leg)
             steps_sum += steps
-            if isinstance(value, str):
-                chunk = value.encode()
-            else:
-                chunk = b"".join(a.tobytes() for a in value)
+            if not isinstance(value, str):
                 saved[key] = np.concatenate([a.ravel() for a in value])
                 saved[key + "|steps"] = np.array([steps])
-            chunk += repr(steps).encode()
+            chunk = leg_bytes(value, steps)
+            ran[key] = (leg, chunk)
             sha.update(chunk)
             total.update(chunk)
             if against is not None and key in saved and key in against:
@@ -120,7 +135,19 @@ def digest_legs(saved, against):
             print(f"  steps moved: {key} {int(against[key + '|steps'][0])} "
                   f"-> {int(saved[key + '|steps'][0])}")
     print(f"legs  all {total.hexdigest()}  steps {total_steps} over "
-          f"{total_legs} legs")
+          f"{len(ran)} legs")
+    return ran
+
+
+def reversed_legs(ran):
+    """Run every leg again, last first, on the same fields, and print the
+    legs whose bytes differ from the first run's; returns their number."""
+    differ = [key for key, (leg, chunk) in reversed(ran.items())
+              if leg_bytes(*run_leg(*leg)) != chunk]
+    print(f"legs  reversed order: {len(differ)} of {len(ran)} legs differ")
+    for key in differ:
+        print(f"  order moved: {key}")
+    return len(differ)
 
 
 def _relative(a, b):
@@ -171,12 +198,13 @@ def main():
         with np.load(args.against) as data:
             against = dict(data)
     saved = {}
-    digest_legs(saved, against)
+    ran = digest_legs(saved, against)
+    differ = reversed_legs(ran)
     sweeps("corpus", corpus(CORPUS), saved, against)
     sweeps("wide", wide_scenarios(), saved, against)
     if args.save:
         np.savez(args.save, **saved)
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

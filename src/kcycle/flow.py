@@ -23,25 +23,32 @@ rejection) finds a step that is (Hairer, Norsett & Wanner, Solving ODEs
 I, II.4). Dormand-Prince evaluates its last stage at the new state,
 which therefore serves as the next step's first stage (first same as
 last), and a rejected step keeps its first stage: every step after the
-first costs six right-hand-side evaluations instead of seven. It keeps the state in row 0 and the seven
-stages in rows 1-7 of one work array allocated once per leg, and scales
-the tableau by the step size once per attempt, so that each stage input
-y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and the
-error estimate sum_j (h e_j) k_j is one more. h multiplies each tableau
-weight rather than the weighted sum, and y joins the sum, so the results
-differ from the textbook's y + h (sum_j a_ij k_j) only in rounding. A
-stage that leaves the field's domain is a trial, not a point of the
-trajectory, so Dormand-Prince rejects that step; only a step size that
-collapses there ends the leg.
+first costs six right-hand-side evaluations instead of seven. It keeps
+the state in row 0 and the seven stages in rows 1-7 of one work array,
+allocated once per field and direction and checked out per leg, and
+scales the tableau by the step size once per attempt, so that each stage
+input y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and
+the error estimate sum_j (h e_j) k_j is one more. h multiplies each
+tableau weight rather than the weighted sum, and y joins the sum, so
+the results differ from the textbook's y + h (sum_j a_ij k_j) only in
+rounding. A stage that leaves the field's domain is a trial, not a point
+of the trajectory, so Dormand-Prince rejects that step; only a step size
+that collapses there ends the leg.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
-initial state. `_leg` checks the point's shape once and builds the
-right-hand side once per leg, on the field's compiled evaluators, as a
-binder: binding a stage input and a stage row makes their views once,
-and the bound call is then one call of each evaluator on plain floats
-whose values, and with sensitivities the J·P matrix product, are written
-into the row. Dormand-Prince binds its stage calls once per leg. The
-evaluators raise the DomainError that names the component themselves.
+initial state. `_leg` checks the point's shape once and writes the
+initial state straight into the stepper's state row. The right-hand side
+runs on the field's compiled evaluators and is built as a binder:
+binding a stage input and a stage row makes their views once, and the
+bound call is then one call of each evaluator on plain floats whose
+values, and with sensitivities the J·P matrix product, are written into
+the row. Dormand-Prince binds its stage calls once per field, kind of
+leg and direction, in a workspace (`_Workspace`) that also holds every
+buffer it writes; a leg checks the workspace out and puts it back when
+it ends, so legs reuse it one at a time and a leg's results do not
+depend on the legs before it. RK4 builds its right-hand side per leg.
+The evaluators raise the DomainError that names the component
+themselves.
 Backward time t < 0 integrates -rhs over |t|, the bound call negating
 its row in place (the flow of V over t is the flow of -V over -t); IEEE
 negation is exact, so this is bitwise the negated field's right-hand
@@ -52,6 +59,7 @@ floating-point warnings are silenced for the whole integration.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,6 +125,10 @@ _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 # the weights of stages 0..6: row i - 1 for stage i's input, i = 1..6, and
 # row 6 for the error estimate
 _DP_TABLE = np.vstack([np.pad(_DP_A[1:], ((0, 0), (0, 1))), _DP_E])
+# a step shorter than this multiple of the span has collapsed
+_H_MIN_FACTOR = float(16.0 * np.finfo(float).eps)
+# the largest entry, NaN if any is, without ndarray.max's Python wrapper
+_largest = np.maximum.reduce
 
 
 def _coefficients():
@@ -128,12 +140,12 @@ def _coefficients():
     return coef, partial(np.multiply, _DP_TABLE, out=coef[:, 1:])
 
 
-def _error_scale(peak, n, cfg):
-    """abs_tol + rel_tol * peak in place, where peak holds |y_i| and the
-    entries past the state's n take their largest (the sensitivity's
-    norm); returns peak."""
-    if peak.size > n:
-        peak[n:] = peak[n:].max()
+def _error_scale(peak, tail, cfg):
+    """abs_tol + rel_tol * peak in place, where peak holds |y_i| and its
+    view tail, the entries past the state's (empty for a state-only leg),
+    takes their largest (the sensitivity's norm); returns peak."""
+    if tail.size:
+        tail[...] = _largest(tail)
     peak *= cfg.rel_tol
     peak += cfg.abs_tol
     return peak
@@ -146,9 +158,42 @@ def _domain_failure(exc, t):
                            time=t)
 
 
-def _dopri(bind, y0, span, cfg, n, sign=1.0):
-    """Integrate dy/dt = rhs(y) over [0, span], span > 0; bind(y, out)
-    returns a call that writes rhs(y) into out, reading y as it is then.
+class _Workspace:
+    """The buffers and bound stage calls of `_dopri` legs on one
+    right-hand side: bind(y, out) returns a call that writes rhs(y) into
+    out, for states of `size` entries whose first n are the point's.
+
+    The state is row 0 and stage k_j row j + 1 of one (8, size) work
+    array; `plan` holds, for stage i = 1..6, its coefficient row, the
+    work rows 0..i that row weighs, and its call bound to the stage input
+    y_new, and `start` is stage 0's call bound to row 0. tail and
+    state_error are the views that each attempt's error control reads.
+    """
+
+    __slots__ = ("n", "state", "first", "last", "stages", "scale_coef",
+                 "error_weights", "y_new", "abs_y", "abs_new", "abs_e",
+                 "scale", "tail", "state_error", "plan", "start")
+
+    def __init__(self, bind, size, n):
+        work = np.empty((8, size))
+        coef, self.scale_coef = _coefficients()
+        self.n = n
+        self.state, self.first, self.last = work[0], work[1], work[7]
+        self.stages = work[1:]
+        self.error_weights = coef[6, 1:]
+        # y_new is the stage input, which after stage 6 holds the new state
+        self.y_new, self.abs_y, self.abs_new, self.abs_e, self.scale = (
+            np.empty(size) for _ in range(5))
+        self.tail = self.scale[n:]
+        self.state_error = self.abs_e[:n]
+        self.plan = [(coef[i - 1, :i + 1], work[:i + 1],
+                      bind(self.y_new, work[i + 1])) for i in range(1, 7)]
+        self.start = bind(self.state, self.first)
+
+
+def _dopri(ws, span, cfg, sign=1.0):
+    """Integrate dy/dt = rhs(y) over [0, span], span > 0, in the
+    `_Workspace` ws, whose state row holds y0.
 
     The first attempt covers the whole span; a rejected attempt shrinks h
     as any other does, so a span too long for one step costs a few
@@ -168,36 +213,31 @@ def _dopri(bind, y0, span, cfg, n, sign=1.0):
     over its last stage and |y_new| to the next, a rejected one keeps
     them, so every attempt costs six evaluations of rhs.
 
-    The state is row 0 and stage k_j row j + 1 of one (8, size) work
-    array. Each attempt scales the tableau by h once (`_coefficients`);
-    stage i's input is then the product of coefficient row i - 1 with work
-    rows 0..i, written into one buffer that the six stage calls read; they
-    are bound once per leg. After stage 6 that buffer holds the new state,
-    which an accepted step copies into row 0. Every buffer is allocated
-    once per leg, and the returned state is a copy.
+    Each attempt scales the tableau by h once (`_coefficients`); stage
+    i's input is then the product of coefficient row i - 1 with work rows
+    0..i, written into y_new, which the six stage calls read. After stage
+    6 y_new holds the new state, which an accepted step copies into row
+    0. The leg writes every buffer before it reads it, so the workspace
+    carries nothing from one leg to the next; the buffers are allocated
+    once per field and direction and checked out per leg (`_leg`), and
+    the returned state is a copy.
     """
+    n, state, first, last, stages, y_new = (
+        ws.n, ws.state, ws.first, ws.last, ws.stages, ws.y_new)
+    abs_y, abs_new, abs_e, scale, tail, state_error = (
+        ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail, ws.state_error)
+    scale_coef, error_weights, plan = ws.scale_coef, ws.error_weights, ws.plan
     max_steps = cfg.max_steps
-    size = y0.size
     t = 0.0
     h = span
     steps = 0
     est = 0.0
     err_prev = 1e-4
-    h_min = 16.0 * np.finfo(float).eps * span
-    work = np.empty((8, size))
-    state, first, last, stages = work[0], work[1], work[7], work[1:]
-    state[:] = y0
-    abs_y = np.abs(state)
-    coef, scale_coef = _coefficients()
-    error_weights = coef[6, 1:]
-    # stage input, which after stage 6 holds the new state
-    y_new, abs_new, abs_e, scale = (np.empty(size) for _ in range(4))
-    # stage i's coefficients, the rows 0..i they weigh, and its bound call
-    plan = [(coef[i - 1, :i + 1], work[:i + 1], bind(y_new, work[i + 1]))
-            for i in range(1, 7)]
+    h_min = _H_MIN_FACTOR * span
+    np.abs(state, out=abs_y)
     outside = None  # the DomainError of the last domain rejection
     try:
-        bind(state, first)()
+        ws.start()
     except DomainError as exc:
         raise _domain_failure(exc, 0.0) from exc
     while t < span:
@@ -220,21 +260,21 @@ def _dopri(bind, y0, span, cfg, n, sign=1.0):
             h *= 0.2
             continue
         np.abs(y_new, out=abs_new)
-        if not abs_new.max() < np.inf:  # an inf or NaN entry
+        if not _largest(abs_new) < np.inf:  # an inf or NaN entry
             h *= 0.2
             continue
         np.matmul(error_weights, stages, out=abs_e)
         np.abs(abs_e, out=abs_e)
         np.maximum(abs_y, abs_new, out=scale)
-        _error_scale(scale, n, cfg)
-        err = float(np.divide(abs_e, scale, out=scale).max())
+        _error_scale(scale, tail, cfg)
+        err = float(_largest(np.divide(abs_e, scale, out=scale)))
         if err <= 1.0:
             t += h
             state[:] = y_new
             abs_y, abs_new = abs_new, abs_y
             first[:] = last
             outside = None
-            est = max(est, float(abs_e[:n].max()))
+            est = max(est, float(_largest(state_error)))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
@@ -254,8 +294,10 @@ def _rk4_step(rhs, y, h):
 
 
 def _rk4(bind, y0, span, cfg, n, sign=1.0):
-    """Uniform-step RK4 with Richardson comparison per step; bind(y, out)
-    as in `_dopri`, through an adapter that allocates and binds each slope.
+    """Uniform-step RK4 with Richardson comparison per step from y0;
+    bind(y, out) as `_rhs` returns, through an adapter that allocates and
+    binds each slope. It is the cross-check method, so it keeps no
+    workspace: every leg allocates its own arrays.
 
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
@@ -296,7 +338,8 @@ def _rk4(bind, y0, span, cfg, n, sign=1.0):
             if not np.all(np.isfinite(y_fine)):
                 ok = False
                 break
-            scale = _error_scale(np.abs(y_fine), n, cfg)
+            peak = np.abs(y_fine)
+            scale = _error_scale(peak, peak[n:], cfg)
             worst = max(worst, float(np.max(diff / scale)))
             est = max(est, float(np.max(diff[:n])))
             y = y_fine
@@ -346,28 +389,60 @@ def _rhs(field, sensitivity, backward):
     return bind
 
 
+def _initial_state(y, x, n):
+    """Write the leg's initial state into y and return it: the point x,
+    then, for a sensitivity leg, the identity flattened row by row."""
+    y[:n] = x
+    y[n:] = 0.0
+    y[n::n + 1] = 1.0
+    return y
+
+
+# field -> {(sensitivity, backward): the idle _Workspace of those legs}
+_WORKSPACES = weakref.WeakKeyDictionary()
+
+
 def _leg(field, x, t, cfg, sensitivity):
     """Integrate one leg of `field` from the point x over time t;
     (y, steps, est) with y = x(t), or (x(t), P(t)) flattened when
-    `sensitivity`; est is the state's estimate.
+    `sensitivity`; est is the state's estimate. y is a new array.
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
     returns the initial state exactly; negative t integrates -rhs over
     |t|, each bound call negating its row in place, and a FlowDomainError
     reports the leg's own (negative) time and names the field's own
     component.
+
+    A Dormand-Prince leg checks out the field's workspace for its kind of
+    leg, building it on first use, and puts it back when it ends, however
+    it ends. A leg that finds none checked in, because another thread or
+    an enclosing leg holds it, builds its own, so no two legs ever share
+    buffers. The workspaces live as long as the field does.
     """
     n = field.dimension
     x = as_point(field, x)
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
-    y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
+    size = n + n * n if sensitivity else n
     if t == 0.0:
-        return y0.copy(), 0, 0.0
-    bind = _rhs(field, sensitivity, t < 0.0)
-    stepper = _rk4 if cfg.method == "rk4_fixed" else _dopri
+        return _initial_state(np.empty(size), x, n), 0, 0.0
+    backward = t < 0.0
+    sign = -1.0 if backward else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return stepper(bind, y0, abs(t), cfg, n, 1.0 if t > 0.0 else -1.0)
+        if cfg.method == "rk4_fixed":
+            return _rk4(_rhs(field, sensitivity, backward),
+                        _initial_state(np.empty(size), x, n), abs(t),
+                        cfg, n, sign)
+        pool = _WORKSPACES.setdefault(field, {})
+        kind = (sensitivity, backward)
+        ws = pool.pop(kind, None)
+        if ws is None:
+            ws = _Workspace(_rhs(field, sensitivity, backward), size, n)
+        try:
+            _initial_state(ws.state, x, n)
+            return _dopri(ws, abs(t), cfg, sign)
+        finally:
+            pool[kind] = ws
 
 
 def integrate_flow(field: VectorField, x, t: float,
@@ -377,11 +452,12 @@ def integrate_flow(field: VectorField, x, t: float,
     The sensitivity's local error is controlled relative to its largest
     entry; est_local_error is the state's estimate. t = 0 returns x and
     the identity exactly. Negative t integrates backward: the negated
-    right-hand side over |t|.
+    right-hand side over |t|. The endpoint and the sensitivity are
+    disjoint views of one new array.
     """
     n = field.dimension
     y, steps, est = _leg(field, x, t, cfg, True)
-    return FlowResult(y[:n].copy(), y[n:].reshape(n, n).copy(), steps, est)
+    return FlowResult(y[:n], y[n:].reshape(n, n), steps, est)
 
 
 def flow_endpoint(field: VectorField, x, t: float,

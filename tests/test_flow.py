@@ -1,4 +1,9 @@
+import gc
+import itertools
 import math
+import sys
+import threading
+import weakref
 from fractions import Fraction as Q
 from functools import partial
 
@@ -193,6 +198,14 @@ def test_rk4_subnormal_time_advances():
     assert res.sensitivity[0, 0] == pytest.approx(1.0)
 
 
+def _dopri(bind, y0, span, cfg, n):
+    """flow._dopri over a fresh workspace of the binder `bind` whose state
+    row holds y0: (y, steps, est)."""
+    ws = flow._Workspace(bind, y0.size, n)
+    ws.state[:] = y0
+    return flow._dopri(ws, span, cfg)
+
+
 def _stage_log(rhs, log):
     """`_into(rhs)` whose calls append a copy of each input state to
     `log`."""
@@ -217,9 +230,9 @@ def test_dopri_reuses_first_stage(source, span, max_steps, rejects):
     # stage inputs grows large
     f = parse_field(source, 2)
     log = []
-    y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
-                              np.zeros(2), span,
-                              IntegratorConfig(max_steps=max_steps), 2)
+    y, steps, _ = _dopri(_stage_log(partial(eval_field, f), log),
+                         np.zeros(2), span,
+                         IntegratorConfig(max_steps=max_steps), 2)
     assert y[0] == pytest.approx(span)
     assert len(log) == 1 + 6 * steps
     attempts = [log[1 + 6 * a:7 + 6 * a] for a in range(steps)]
@@ -242,8 +255,8 @@ def test_short_linear_leg_takes_one_step():
     assert np.allclose(res.endpoint, rot[:, 0], rtol=0.0, atol=1e-14)
     assert np.allclose(res.sensitivity, rot, rtol=0.0, atol=1e-14)
     log = []
-    flow._dopri(_stage_log(partial(eval_field, f), log), np.array([1.0, 0.0]),
-                t, IntegratorConfig(), 2)
+    _dopri(_stage_log(partial(eval_field, f), log), np.array([1.0, 0.0]), t,
+           IntegratorConfig(), 2)
     assert len(log) == 7
 
 
@@ -254,9 +267,8 @@ def test_rejected_whole_span_attempt_keeps_the_leg_accurate():
     # sensitivity of x' = -x over the same span
     f = parse_field("1; -x2", 2)
     log = []
-    y, steps, _ = flow._dopri(_stage_log(partial(eval_field, f), log),
-                              np.array([0.0, 1.0]), 5.0, IntegratorConfig(),
-                              2)
+    y, steps, _ = _dopri(_stage_log(partial(eval_field, f), log),
+                         np.array([0.0, 1.0]), 5.0, IntegratorConfig(), 2)
     assert log[6][0] == 5.0 and log[7][0] < 1.0
     assert y[0] == pytest.approx(5.0)
     assert y[1] == pytest.approx(math.exp(-5.0), rel=1e-9)
@@ -338,7 +350,7 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
         field, x = corpus[name].fields[0], np.array([0.1, -0.2, 0.3])
     n = field.dimension
     cfg = IntegratorConfig(method=method)
-    stepper = flow._dopri if method == "dopri_adaptive" else flow._rk4
+    stepper = _dopri if method == "dopri_adaptive" else flow._rk4
     # backward: the negated field's trees, built outside the package
     work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
@@ -555,7 +567,7 @@ def test_scaled_coefficients_are_the_step_weights(h):
 
 
 def test_successive_legs_return_independent_arrays():
-    # the stepper's buffers belong to one leg: no result is a view of a
+    # the stepper's buffers outlive the leg: no result is a view of a
     # buffer that a later leg writes, and the input point is not written
     f = parse_field("sin(x2); -x1 + tanh(x2)", 2)
     x = np.array([0.3, 0.1])
@@ -573,3 +585,160 @@ def test_successive_legs_return_independent_arrays():
               two.sensitivity]
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def _trig_field():
+    return load_scenario(scenario_path("trig_3d")).fields[0]
+
+
+def _wide_field():
+    return scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(3), 6, 4, "wide")).fields[1]
+
+
+def _sqrt_field():
+    # backward from [0, 0.04], x2 leaves the domain at t = -0.4
+    return parse_field("1; sqrt(x2)", 2)
+
+
+def _outcome(field, x, t, cfg, sensitivity):
+    """What one leg returns, or the error it raises, as a tuple."""
+    try:
+        if sensitivity:
+            res = integrate_flow(field, x, t, cfg)
+            return (res.endpoint, res.sensitivity, res.steps_taken,
+                    res.est_local_error)
+        return (flow_endpoint(field, x, t, cfg),)
+    except (FlowDomainError, StepLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "time", None)
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(got, want))
+
+
+def _interleaved_legs():
+    """(make_field, x, t, cfg, sensitivity) of a fixed mix of legs over
+    three fields: both kinds, both directions, short and long spans, a
+    tightened tolerance, and legs that stop mid-leg with FlowDomainError
+    and StepLimitError, each followed by more legs on its field."""
+    base = flow.DEFAULT_CONFIG
+    tight = base.tightened(10)
+    one_step = IntegratorConfig(max_steps=1)
+    edge = np.array([0.0, 0.04])
+    # FlowDomainError at t = -0.4, then a leg of the same kind that ends
+    edge_legs = itertools.cycle([(edge, -1.0, base, False),
+                                 (edge, -0.2, base, False),
+                                 (edge, -1.0, base, True),
+                                 (edge, -0.2, base, True)])
+    legs = []
+    for make, x in ((_trig_field, np.array([0.1, -0.2, 0.3])),
+                    (_wide_field, np.linspace(-0.3, 0.4, 6))):
+        for i, args in enumerate([
+                (x, 0.3, base, True), (x, 0.3, base, False),
+                (x, -0.3, base, True), (x + 0.05, -0.3, base, False),
+                (x, 1e-3, base, True), (x, 2.0, base, True),
+                (x, 2.0, base, False), (x, 0.3, tight, True),
+                (x, 2.0, one_step, True), (x, -1e-3, base, False),
+                (x - 0.1, 0.7, base, True), (x, 2.0, one_step, False),
+                (x, -0.3, base, True), (x, 0.3, base, False)]):
+            legs.append((make, *args))
+            if i % 3 == 2:
+                legs.append((_sqrt_field, *next(edge_legs)))
+    return legs
+
+
+def test_workspace_reuse_is_invisible():
+    # every leg on a field whose workspaces earlier legs used, some of
+    # them ended by an error mid-leg, equals the same leg on a fresh field
+    fields = {}
+    raised = set()
+    for make, x, t, cfg, sensitivity in _interleaved_legs():
+        field = fields.setdefault(make, make())
+        got = _outcome(field, x, t, cfg, sensitivity)
+        want = _outcome(make(), x, t, cfg, sensitivity)
+        assert _same(got, want), (make.__name__, t, cfg, sensitivity)
+        if isinstance(got[0], type):
+            raised.add(got[0])
+    assert raised == {FlowDomainError, StepLimitError}
+
+
+def _workspace_arrays(field):
+    """Every buffer of the field's idle Dormand-Prince workspaces."""
+    return [a for ws in flow._WORKSPACES[field].values()
+            for a in (ws.state, ws.stages, ws.y_new, ws.abs_y, ws.abs_new,
+                      ws.abs_e, ws.scale)]
+
+
+def test_results_own_their_memory():
+    # writing into a result changes neither the next leg nor the
+    # workspace, and no result is a view of another's or a buffer's memory
+    f = _trig_field()
+    x = np.array([0.1, -0.2, 0.3])
+    want = [_outcome(_trig_field(), x, t, flow.DEFAULT_CONFIG, s)
+            for t in (0.3, -0.3) for s in (True, False)]
+    results = []
+    for t in (0.3, -0.3):
+        for s in (True, False):
+            got = _outcome(f, x, t, flow.DEFAULT_CONFIG, s)
+            results.append(got)
+            for a in got:
+                if isinstance(a, np.ndarray):
+                    a[...] = np.nan
+    again = [_outcome(f, x, t, flow.DEFAULT_CONFIG, s)
+             for t in (0.3, -0.3) for s in (True, False)]
+    assert all(_same(g, w) for g, w in zip(again, want))
+    arrays = [a for got in results + again for a in got
+              if isinstance(a, np.ndarray)]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    buffers = _workspace_arrays(f)
+    assert len(buffers) == 4 * 7
+    assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
+def test_two_threads_check_out_their_own_workspaces():
+    # two threads switching every microsecond run 200 legs each on one
+    # field; every result equals the same leg run serially on another
+    # field, bit for bit
+    f = _trig_field()
+    x = np.array([0.1, -0.2, 0.3])
+    spans = [0.05 * (1 + i % 7) * (-1) ** (i // 7) for i in range(200)]
+    jobs = [[(t, i % 3 != 0) for i, t in enumerate(spans)],
+            [(-t, i % 3 != 1) for i, t in enumerate(reversed(spans))]]
+    alone = _trig_field()
+    serial = [[_outcome(alone, x, t, flow.DEFAULT_CONFIG, s)
+               for t, s in legs] for legs in jobs]
+    got = [[], []]
+
+    def run(k):
+        got[k].extend(_outcome(f, x, t, flow.DEFAULT_CONFIG, s)
+                      for t, s in jobs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in (0, 1):
+        assert len(got[k]) == 200
+        assert all(_same(g, w) for g, w in zip(got[k], serial[k])), k
+
+
+def test_a_dropped_field_frees_its_workspaces():
+    f = _trig_field()
+    integrate_flow(f, [0.1, -0.2, 0.3], 0.3)
+    flow_endpoint(f, [0.1, -0.2, 0.3], -0.3)
+    assert set(flow._WORKSPACES[f]) == {(True, False), (False, True)}
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
