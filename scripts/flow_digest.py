@@ -12,7 +12,7 @@ and local-error estimates (or the error a leg raised) and its step
 count; the last leg line covers every leg. The legs then run again on
 the same fields in reverse order, and every leg whose bytes differ from
 the first run's is printed: a leg's result must not depend on the legs
-run before it. The exit status is 1 if one does, else 0.
+run before it.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
@@ -26,8 +26,14 @@ exactly where results moved. --save writes every leg's arrays and step
 count and every sweep's cycle points to an .npz file; --against reads
 such a file from another version and prints, per scenario, the largest
 difference of endpoints and sensitivities relative to their largest
-entry, the legs whose step count changed, and the largest move of a
-cycle point.
+entry, the legs whose step count changed and the legs whose bytes moved
+(arrays or step count, or a leg that ended in an error in one run
+only), each of them by name; per sweep, the largest move of a cycle
+point and the number of ladder points whose bytes moved. The byte
+comparison tells -0.0 from 0.0, which a difference does not.
+
+Exit status: 1 if a leg depends on the legs run before it; else 2 if
+--against found any leg or sweep whose bytes moved; else 0.
 """
 
 import argparse
@@ -103,14 +109,15 @@ def leg_bytes(value, steps):
 
 
 def digest_legs(saved, against):
-    """Print the leg lines; returns {key: (leg, bytes)} in run order."""
+    """Print the leg lines; returns ({key: (leg, bytes)} in run order, the
+    number of legs whose bytes differ from `against`'s)."""
     total = hashlib.sha256()
-    total_steps = 0
+    total_steps = moved_legs = 0
     ran = {}
     for scn in leg_scenarios():
         sha = hashlib.sha256()
         steps_sum = 0
-        worst, moved = 0.0, []
+        worst, moved, changed = 0.0, [], []
         for key, *leg in legs(scn):
             value, steps = run_leg(*leg)
             steps_sum += steps
@@ -121,22 +128,30 @@ def digest_legs(saved, against):
             ran[key] = (leg, chunk)
             sha.update(chunk)
             total.update(chunk)
-            if against is not None and key in saved and key in against:
+            if against is None:
+                continue
+            if key in saved and key in against:
                 worst = max(worst, _relative(saved[key], against[key]))
                 if against[key + "|steps"][0] != steps:
                     moved.append(key)
+            if not all(_same_bytes(saved.get(k), against.get(k))
+                       for k in (key, key + "|steps")):
+                changed.append(key)
         total_steps += steps_sum
+        moved_legs += len(changed)
         line = f"legs  {scn.name:18s} {sha.hexdigest()[:16]}  steps {steps_sum}"
         if against is not None:
             line += f"  max rel diff {worst:.2e}  step counts moved " \
-                    f"{len(moved)}"
+                    f"{len(moved)}  bytes moved {len(changed)}"
         print(line)
         for key in moved:
             print(f"  steps moved: {key} {int(against[key + '|steps'][0])} "
                   f"-> {int(saved[key + '|steps'][0])}")
+        for key in changed:
+            print(f"  bytes moved: {key}")
     print(f"legs  all {total.hexdigest()}  steps {total_steps} over "
           f"{len(ran)} legs")
-    return ran
+    return ran, moved_legs
 
 
 def reversed_legs(ran):
@@ -150,6 +165,13 @@ def reversed_legs(ran):
     return len(differ)
 
 
+def _same_bytes(a, b):
+    """Whether two saved arrays (None if absent) hold the same bytes."""
+    if a is None or b is None:
+        return a is b
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def _relative(a, b):
     """Largest |a - b| relative to the largest entry; inf on a shape or
     finiteness mismatch."""
@@ -160,7 +182,9 @@ def _relative(a, b):
 
 
 def sweeps(label, scenarios, saved, against):
-    newton, worst = 0, 0.0
+    """Print the sweep lines; returns the number of sweeps whose points'
+    bytes differ from `against`'s."""
+    newton, worst, moved_sweeps = 0, 0.0, 0
     for scn in scenarios:
         point = find_stasis(scn.fields, scn.weights, scn.guess_point(),
                             scn.stasis_tol)
@@ -179,12 +203,19 @@ def sweeps(label, scenarios, saved, against):
         line = (f"sweep {label} {scn.name:12s} records "
                 f"{len(result.deltas)} newton {iters} verify_max "
                 f"{ratio:.6g} slope {loglog_slope(result)!r}")
-        if against is not None and key in against:
-            moved = (np.max(np.abs(saved[key] - against[key]))
-                     if saved[key].shape == against[key].shape else np.inf)
-            line += f"  max point move {moved:.2e}"
+        if against is not None:
+            new, old = saved[key], against.get(key)
+            same_shape = old is not None and new.shape == old.shape
+            moved = np.max(np.abs(new - old)) if same_shape else np.inf
+            points = (sum(a.tobytes() != b.tobytes()
+                          for a, b in zip(new, old))
+                      if same_shape else len(new))
+            line += (f"  max point move {moved:.2e}  ladder points moved "
+                     f"{points}")
+            moved_sweeps += points > 0
         print(line)
     print(f"sweep {label} total newton {newton} verify_max {worst:.6g}")
+    return moved_sweeps
 
 
 def main():
@@ -198,13 +229,15 @@ def main():
         with np.load(args.against) as data:
             against = dict(data)
     saved = {}
-    ran = digest_legs(saved, against)
+    ran, moved = digest_legs(saved, against)
     differ = reversed_legs(ran)
-    sweeps("corpus", corpus(CORPUS), saved, against)
-    sweeps("wide", wide_scenarios(), saved, against)
+    moved += sweeps("corpus", corpus(CORPUS), saved, against)
+    moved += sweeps("wide", wide_scenarios(), saved, against)
     if args.save:
         np.savez(args.save, **saved)
-    return 1 if differ else 0
+    if against is not None:
+        print(f"against {args.against}: {moved} legs and sweeps moved")
+    return 1 if differ else 2 if moved else 0
 
 
 if __name__ == "__main__":

@@ -55,7 +55,8 @@ def build_parser() -> _Parser:
     common.add_argument("--out", metavar="DIR", default=".",
                         help="directory for result artifacts (default: .)")
     common.add_argument("--tol", type=float, metavar="F",
-                        help="override the command's primary tolerance")
+                        help="stasis, weights: override stasis_tol; "
+                             "cycle, sweep: override cycle_tol")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
     common.add_argument("--verbose", action="store_true",

@@ -25,8 +25,8 @@ which therefore serves as the next step's first stage (first same as
 last), and a rejected step keeps its first stage: every step after the
 first costs six right-hand-side evaluations instead of seven. It keeps
 the state in row 0 and the seven stages in rows 1-7 of one work array,
-allocated once per field and direction and checked out per leg, and
-scales the tableau by the step size once per attempt, so that each stage
+allocated once per field and kind of leg and checked out per leg, and
+scales the tableau by the signed step once per attempt, so that each stage
 input y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and
 the error estimate sum_j (h e_j) k_j is one more. h multiplies each
 tableau weight rather than the weighted sum, and y joins the sum, so
@@ -42,19 +42,20 @@ runs on the field's compiled evaluators and is built as a binder:
 binding a stage input and a stage row makes their views once, and the
 bound call is then one call of each evaluator on plain floats whose
 values, and with sensitivities the J·P matrix product, are written into
-the row. Dormand-Prince binds its stage calls once per field, kind of
-leg and direction, in a workspace (`_Workspace`) that also holds every
-buffer it writes; a leg checks the workspace out and puts it back when
-it ends, so legs reuse it one at a time and a leg's results do not
-depend on the legs before it. RK4 builds its right-hand side per leg.
+the row. Dormand-Prince binds its stage calls once per field and kind of
+leg in a workspace (`_Workspace`) that also holds every buffer it
+writes; a leg checks the workspace out and puts it back when it ends, so
+legs reuse it one at a time and a leg's results do not depend on the
+legs before it. RK4 builds its right-hand side per leg.
 The evaluators raise the DomainError that names the component
 themselves.
-Backward time t < 0 integrates -rhs over |t|, the bound call negating
-its row in place (the flow of V over t is the flow of -V over -t); IEEE
-negation is exact, so this is bitwise the negated field's right-hand
-side, and errors report the leg's own negative time. Overflow and NaN
-surface as non-finite steps, which both steppers reject, so numpy's
-floating-point warnings are silenced for the whole integration.
+Backward time t < 0 steps with -h on the same right-hand side and
+workspace: Dormand-Prince scales its tableau by the signed step and RK4
+takes signed macro steps. IEEE negation is exact, so this is bitwise the
+negated field's flow over |t|; errors report the leg's own time.
+Overflow and NaN surface as non-finite steps, which both steppers
+reject, so numpy's floating-point warnings are silenced for the whole
+integration.
 """
 
 from __future__ import annotations
@@ -191,13 +192,13 @@ class _Workspace:
         self.start = bind(self.state, self.first)
 
 
-def _dopri(ws, span, cfg, sign=1.0):
-    """Integrate dy/dt = rhs(y) over [0, span], span > 0, in the
-    `_Workspace` ws, whose state row holds y0.
+def _dopri(ws, time, cfg):
+    """Integrate dy/dt = rhs(y) from 0 to time != 0 in the `_Workspace` ws,
+    whose state row holds y0. A backward leg (time < 0) steps with -h.
 
-    The first attempt covers the whole span; a rejected attempt shrinks h
-    as any other does, so a span too long for one step costs a few
-    rejected attempts, and a subnormal span's first h is not 0.
+    The first attempt covers the whole span |time|; a rejected attempt
+    shrinks h as any other does, so a span too long for one step costs a
+    few rejected attempts, and a subnormal span's first h is not 0.
 
     Error control is on the max norm of the scaled embedded estimate
     (`_error_scale`), so on success every accepted step satisfies
@@ -208,19 +209,19 @@ def _dopri(ws, span, cfg, sign=1.0):
     not a point of the trajectory. Stage 0 is rhs(y0), evaluated once
     before the first step, so a DomainError there raises FlowDomainError
     at once; when domain rejections shrink the step below its floor,
-    FlowDomainError names the last one at the last accepted time. Times
-    in errors are sign * t, the leg's own time. An accepted step hands
-    over its last stage and |y_new| to the next, a rejected one keeps
-    them, so every attempt costs six evaluations of rhs.
+    FlowDomainError names the last one at the last accepted time. Errors
+    name the leg's own signed time. An accepted step hands over its last
+    stage and |y_new| to the next, a rejected one keeps them, so every
+    attempt costs six evaluations of rhs.
 
-    Each attempt scales the tableau by h once (`_coefficients`); stage
-    i's input is then the product of coefficient row i - 1 with work rows
-    0..i, written into y_new, which the six stage calls read. After stage
-    6 y_new holds the new state, which an accepted step copies into row
-    0. The leg writes every buffer before it reads it, so the workspace
-    carries nothing from one leg to the next; the buffers are allocated
-    once per field and direction and checked out per leg (`_leg`), and
-    the returned state is a copy.
+    Each attempt scales the tableau by the signed step once
+    (`_coefficients`); stage i's input is then the product of coefficient
+    row i - 1 with work rows 0..i, written into y_new, which the six stage
+    calls read. After stage 6 y_new holds the new state, which an accepted
+    step copies into row 0. The leg writes every buffer before it reads
+    it, so the workspace carries nothing from one leg to the next; the
+    buffers are allocated once per field and kind of leg and checked out
+    per leg (`_leg`), and the returned state is a copy.
     """
     n, state, first, last, stages, y_new = (
         ws.n, ws.state, ws.first, ws.last, ws.stages, ws.y_new)
@@ -228,6 +229,8 @@ def _dopri(ws, span, cfg, sign=1.0):
         ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail, ws.state_error)
     scale_coef, error_weights, plan = ws.scale_coef, ws.error_weights, ws.plan
     max_steps = cfg.max_steps
+    span = abs(time)
+    sign = -1.0 if time < 0.0 else 1.0
     t = 0.0
     h = span
     steps = 0
@@ -241,16 +244,17 @@ def _dopri(ws, span, cfg, sign=1.0):
     except DomainError as exc:
         raise _domain_failure(exc, 0.0) from exc
     while t < span:
-        if steps >= max_steps:
-            raise StepLimitError(
-                f"integration exceeded {max_steps} steps at t={t:.6g}")
-        if h < h_min:
+        if steps >= max_steps or h < h_min:
+            now = sign * t + 0.0  # a backward leg's -0.0 reads as 0
+            if steps >= max_steps:
+                raise StepLimitError(
+                    f"integration exceeded {max_steps} steps at t={now:.6g}")
             if outside is not None:
-                raise _domain_failure(outside, sign * t) from outside
-            raise StepLimitError(f"step size collapsed at t={t:.6g}")
+                raise _domain_failure(outside, now) from outside
+            raise StepLimitError(f"step size collapsed at t={now:.6g}")
         h = min(h, span - t)
         steps += 1
-        scale_coef(h)
+        scale_coef(sign * h)
         try:
             for weights, rows, stage in plan:
                 np.matmul(weights, rows, out=y_new)
@@ -293,23 +297,23 @@ def _rk4_step(rhs, y, h):
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-def _rk4(bind, y0, span, cfg, n, sign=1.0):
-    """Uniform-step RK4 with Richardson comparison per step from y0;
-    bind(y, out) as `_rhs` returns, through an adapter that allocates and
-    binds each slope. It is the cross-check method, so it keeps no
-    workspace: every leg allocates its own arrays.
+def _rk4(bind, y0, time, cfg, n):
+    """Uniform-step RK4 with Richardson comparison per step from y0, in
+    signed macro steps over time; bind(y, out) as `_rhs` returns, through
+    an adapter that allocates and binds each slope. It is the cross-check
+    method, so it keeps no workspace: every leg allocates its own arrays.
 
     Each macro step is taken once at h and once as two h/2 steps; the
     difference/15 estimates the local error of the fine result, which is
     what propagates. The whole pass is redone with doubled resolution
     until the estimate, scaled as in `_dopri` with the state's n entries
     first, passes; est is the state's; a non-finite entry anywhere fails
-    the pass. A DomainError raises FlowDomainError at once, at sign times
-    the macro step's start: a fixed-step pass cannot tell a trial stage
+    the pass. A DomainError raises FlowDomainError at once, at the macro
+    step's (signed) start: a fixed-step pass cannot tell a trial stage
     that overshoots the domain from a trajectory that leaves it without
     refining toward max_steps. The second half step is h - h/2, so the
     halves always cover h. The first pass takes eight macro steps, or one
-    when the half steps of eight would be subnormal: a subnormal span / 8
+    when the half steps of eight would be subnormal: a subnormal |time| / 8
     rounds to a few units of 5e-324, and its half to 0.
     """
     def slope(y):
@@ -317,12 +321,12 @@ def _rk4(bind, y0, span, cfg, n, sign=1.0):
         bind(y, out)()
         return out
 
-    n_steps = 8 if span / 16.0 >= np.finfo(float).tiny else 1
+    n_steps = 8 if abs(time) / 16.0 >= np.finfo(float).tiny else 1
     while True:
         if 2 * n_steps > cfg.max_steps:
             raise StepLimitError(
                 f"fixed-step refinement exceeded {cfg.max_steps} steps")
-        h = span / n_steps
+        h = time / n_steps
         y = y0.copy()
         est = 0.0
         worst = 0.0
@@ -333,7 +337,7 @@ def _rk4(bind, y0, span, cfg, n, sign=1.0):
                 y_half = _rk4_step(slope, y, 0.5 * h)
                 y_fine = _rk4_step(slope, y_half, h - 0.5 * h)
             except DomainError as exc:
-                raise _domain_failure(exc, sign * (i * h)) from exc
+                raise _domain_failure(exc, i * h) from exc
             diff = np.abs(y_big - y_fine) / 15.0
             if not np.all(np.isfinite(y_fine)):
                 ok = False
@@ -348,10 +352,11 @@ def _rk4(bind, y0, span, cfg, n, sign=1.0):
         n_steps *= 2
 
 
-def _rhs(field, sensitivity, backward):
+def _rhs(field, sensitivity):
     """The right-hand side of one leg of `field` as a binder: bind(y, out)
     returns a call that writes V(y) into out, or (V(x), J(x) P) for the
-    augmented state y = (x, P) when `sensitivity`, and -V when `backward`.
+    augmented state y = (x, P) when `sensitivity`, backward legs (which
+    step with -h) included.
 
     bind makes the views of y and out once; each call then runs the
     field's compiled evaluators on plain floats, which raise the
@@ -379,13 +384,7 @@ def _rhs(field, sensitivity, backward):
         else:
             def call():
                 out[:] = values(y.tolist())
-        if not backward:
-            return call
-
-        def negated():
-            call()
-            np.negative(out, out=out)
-        return negated
+        return call
     return bind
 
 
@@ -398,7 +397,7 @@ def _initial_state(y, x, n):
     return y
 
 
-# field -> {(sensitivity, backward): the idle _Workspace of those legs}
+# field -> {sensitivity: the idle _Workspace of those legs}
 _WORKSPACES = weakref.WeakKeyDictionary()
 
 
@@ -408,16 +407,15 @@ def _leg(field, x, t, cfg, sensitivity):
     `sensitivity`; est is the state's estimate. y is a new array.
 
     x must have shape (n,) (DimensionError otherwise, at every t). t = 0
-    returns the initial state exactly; negative t integrates -rhs over
-    |t|, each bound call negating its row in place, and a FlowDomainError
-    reports the leg's own (negative) time and names the field's own
-    component.
+    returns the initial state exactly; a negative t steps with -h, and its
+    errors report the leg's own (negative) time.
 
     A Dormand-Prince leg checks out the field's workspace for its kind of
-    leg, building it on first use, and puts it back when it ends, however
-    it ends. A leg that finds none checked in, because another thread or
-    an enclosing leg holds it, builds its own, so no two legs ever share
-    buffers. The workspaces live as long as the field does.
+    leg, in either direction, building it on first use, and puts it back
+    when it ends, however it ends. A leg that finds none checked in,
+    because another thread or an enclosing leg holds it, builds its own,
+    so no two legs ever share buffers. The workspaces live as long as the
+    field does.
     """
     n = field.dimension
     x = as_point(field, x)
@@ -426,23 +424,19 @@ def _leg(field, x, t, cfg, sensitivity):
     size = n + n * n if sensitivity else n
     if t == 0.0:
         return _initial_state(np.empty(size), x, n), 0, 0.0
-    backward = t < 0.0
-    sign = -1.0 if backward else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.method == "rk4_fixed":
-            return _rk4(_rhs(field, sensitivity, backward),
-                        _initial_state(np.empty(size), x, n), abs(t),
-                        cfg, n, sign)
+            return _rk4(_rhs(field, sensitivity),
+                        _initial_state(np.empty(size), x, n), t, cfg, n)
         pool = _WORKSPACES.setdefault(field, {})
-        kind = (sensitivity, backward)
-        ws = pool.pop(kind, None)
+        ws = pool.pop(sensitivity, None)
         if ws is None:
-            ws = _Workspace(_rhs(field, sensitivity, backward), size, n)
+            ws = _Workspace(_rhs(field, sensitivity), size, n)
         try:
             _initial_state(ws.state, x, n)
-            return _dopri(ws, abs(t), cfg, sign)
+            return _dopri(ws, t, cfg)
         finally:
-            pool[kind] = ws
+            pool[sensitivity] = ws
 
 
 def integrate_flow(field: VectorField, x, t: float,
@@ -451,9 +445,9 @@ def integrate_flow(field: VectorField, x, t: float,
 
     The sensitivity's local error is controlled relative to its largest
     entry; est_local_error is the state's estimate. t = 0 returns x and
-    the identity exactly. Negative t integrates backward: the negated
-    right-hand side over |t|. The endpoint and the sensitivity are
-    disjoint views of one new array.
+    the identity exactly. Negative t integrates backward with steps of
+    -h. The endpoint and the sensitivity are disjoint views of one new
+    array.
     """
     n = field.dimension
     y, steps, est = _leg(field, x, t, cfg, True)

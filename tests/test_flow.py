@@ -174,6 +174,28 @@ def test_step_exhaustion():
         integrate_flow(f, [0.0], 10.0, cfg)
 
 
+@pytest.mark.parametrize("source, x, t, max_steps, where", [
+    # x1' = x1^2 from 1 blows up at t = 1, and from -1 backward at t = -1
+    ("x1^2", 1.0, 2.0, 10**6, "step size collapsed at t=1"),
+    ("x1^2", -1.0, -2.0, 10**6, "step size collapsed at t=-1"),
+    # cos(20*x1) + 2 is even in x1: both directions stop at the same |t|
+    ("cos(20*x1) + 2", 0.0, 10.0, 30,
+     "integration exceeded 30 steps at t=0.0298559"),
+    ("cos(20*x1) + 2", 0.0, -10.0, 30,
+     "integration exceeded 30 steps at t=-0.0298559"),
+    # the whole-span attempt is rejected: a backward leg's -0.0 reads as 0
+    ("cos(20*x1) + 2", 0.0, -10.0, 1,
+     "integration exceeded 1 steps at t=0"),
+], ids=["collapse-forward", "collapse-backward", "exhaust-forward",
+        "exhaust-backward", "exhaust-at-zero"])
+def test_step_limit_error_reports_the_legs_signed_time(source, x, t,
+                                                       max_steps, where):
+    f = parse_field(source, 1)
+    with pytest.raises(StepLimitError) as err:
+        flow_endpoint(f, [x], t, IntegratorConfig(max_steps=max_steps))
+    assert str(err.value) == where
+
+
 def test_subnormal_time_advances():
     # any fraction of this span underflows to 0; every step must still
     # advance t
@@ -694,8 +716,9 @@ def test_results_own_their_memory():
               if isinstance(a, np.ndarray)]
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    # one workspace per kind of leg, whichever the direction
     buffers = _workspace_arrays(f)
-    assert len(buffers) == 4 * 7
+    assert len(buffers) == 2 * 7
     assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
 
@@ -733,11 +756,30 @@ def test_two_threads_check_out_their_own_workspaces():
         assert all(_same(g, w) for g, w in zip(got[k], serial[k])), k
 
 
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_both_directions_check_out_one_workspace(run, monkeypatch):
+    # a backward leg steps with -h on the forward leg's workspace
+    seen = []
+    dopri = flow._dopri
+
+    def recording(ws, time, cfg):
+        seen.append(ws)
+        return dopri(ws, time, cfg)
+
+    monkeypatch.setattr(flow, "_dopri", recording)
+    f = _trig_field()
+    for t in (0.3, -0.3, -0.7, 0.7):
+        run(f, [0.1, -0.2, 0.3], t)
+    assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
+    sensitivity = run is integrate_flow
+    assert list(flow._WORKSPACES[f].items()) == [(sensitivity, seen[0])]
+
+
 def test_a_dropped_field_frees_its_workspaces():
     f = _trig_field()
     integrate_flow(f, [0.1, -0.2, 0.3], 0.3)
     flow_endpoint(f, [0.1, -0.2, 0.3], -0.3)
-    assert set(flow._WORKSPACES[f]) == {(True, False), (False, True)}
+    assert set(flow._WORKSPACES[f]) == {True, False}
     ref = weakref.ref(f)
     del f
     gc.collect()

@@ -250,6 +250,22 @@ def test_damped_newton_keeps_an_accepted_trials_jacobian():
     assert len(calls) == 1 + iters
 
 
+def test_damped_newton_tries_every_backtrack():
+    # res = x with the Jacobian taken as 1/256: the step from 1 is -256,
+    # and only the ninth trial, lam = 2^-8, lands where the residual falls
+    trials = []
+
+    def evaluate(x, jacobian):
+        trials.append(float(x[0]))
+        jac = np.array([[1.0 / 256.0]]) if jacobian else None
+        return float(abs(x[0])), x.copy(), jac, None
+
+    x, rn, _, iters = damped_newton(evaluate, np.array([1.0]), 1e-12, 10,
+                                    "probe")
+    assert (x.tolist(), rn, iters) == ([0.0], 0.0, 1)
+    assert trials == [1.0] + [1.0 - 2.0 ** (8 - i) for i in range(9)]
+
+
 def test_find_stasis_norm_overflow_is_not_called_non_finite():
     # 0.5*(e^700 - 2) - 350.5 is finite but squares past the float range;
     # Newton walks down one unit per step and runs out of steps
@@ -453,17 +469,21 @@ def test_stasis_steps_through_an_infinite_jacobian_entry():
 
 
 def test_newton_step_refuses_singular_jacobians():
+    # the threshold is relative to sigma_max: sigma_min/sigma_max = 1e-11
+    # is singular however large sigma_min is, and 1e-9 is regular however
+    # small
     for jac, sigma_min in ((np.zeros((3, 3)), 0.0),
-                           (np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]), None)):
+                           (np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]), None),
+                           (np.diag([1e6, 1e-5]), None)):
         with pytest.raises(SingularJacobianError) as err:
-            newton_step(jac, np.ones(3), "test Jacobian")
+            newton_step(jac, np.ones(len(jac)), "test Jacobian")
         assert str(err.value).startswith("test Jacobian (sigma_min ")
         assert err.value.sigma_min == singular_values(jac)[-1]
         if sigma_min is not None:
             assert err.value.sigma_min == sigma_min
-    jac = np.array([[2.0, 1.0], [0.0, 4.0]])
-    assert np.array_equal(newton_step(jac, np.array([3.0, 8.0]), "ok"),
-                          np.linalg.solve(jac, -np.array([3.0, 8.0])))
+    for jac in (np.array([[2.0, 1.0], [0.0, 4.0]]), np.diag([1e-6, 1e-15])):
+        assert np.array_equal(newton_step(jac, np.array([3.0, 8.0]), "ok"),
+                              np.linalg.solve(jac, -np.array([3.0, 8.0])))
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
