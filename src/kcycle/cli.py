@@ -49,39 +49,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--scenario", metavar="PATH",
-                        help="scenario JSON file")
-    common.add_argument("--out", metavar="DIR", default=".",
-                        help="directory for result artifacts (default: .)")
-    common.add_argument("--tol", type=float, metavar="F",
-                        help="stasis, weights: override stasis_tol; "
-                             "cycle, sweep: override cycle_tol")
-    common.add_argument("--json", action="store_true",
+    """Each command accepts only the flags it reads; any other is a usage
+    error (exit 64), raised before the command runs."""
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--scenario", metavar="PATH",
+                          help="scenario JSON file")
+    scenario.add_argument("--tol", type=float, metavar="F",
+                          help="stasis, weights: override stasis_tol; "
+                               "cycle, sweep: override cycle_tol")
+    report = _Parser(add_help=False)
+    report.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
-    common.add_argument("--verbose", action="store_true",
-                        help="cycle, sweep: re-integrate each leg of the "
-                             "final cycle (sweep: the last ladder point) "
-                             "with sensitivities and print its steps and "
-                             "largest local-error estimate on stderr")
+    solve = _Parser(add_help=False)
+    solve.add_argument("--out", metavar="DIR", default=".",
+                       help="directory for result artifacts (default: .)")
+    solve.add_argument("--verbose", action="store_true",
+                       help="re-integrate each leg of the final cycle "
+                            "(sweep: the last ladder point) with "
+                            "sensitivities and print its steps and largest "
+                            "local-error estimate on stderr")
     parser = _Parser(prog="kcycle",
                      description="Stasis points and switching cycles of "
                                  "weighted vector-field systems.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.add_parser("stasis", parents=[common],
+    sub.add_parser("stasis", parents=[scenario, report],
                    help="locate a stasis point (or its weights) and "
                         "certify regularity")
-    sub.add_parser("weights", parents=[common],
+    sub.add_parser("weights", parents=[scenario, report],
                    help="solve for the probability weighting at a pinned "
                         "point")
-    p_cycle = sub.add_parser("cycle", parents=[common],
+    p_cycle = sub.add_parser("cycle", parents=[scenario, report, solve],
                              help="solve one cycle at a given total time")
     p_cycle.add_argument("--delta", type=float, metavar="F", required=True,
                          help="total cycle time (> 0)")
-    sub.add_parser("sweep", parents=[common],
+    sub.add_parser("sweep", parents=[scenario, report, solve],
                    help="continue the cycle branch up the scenario's "
                         "delta ladder")
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[report],
                               help="re-check a cycle record at tighter "
                                    "integration tolerance")
     p_verify.add_argument("record", metavar="FILE",

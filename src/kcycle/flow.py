@@ -28,7 +28,11 @@ the state in row 0 and the seven stages in rows 1-7 of one work array,
 allocated once per field and kind of leg and checked out per leg, and
 scales the tableau by the signed step once per attempt, so that each stage
 input y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and
-the error estimate sum_j (h e_j) k_j is one more. h multiplies each
+the error estimate sum_j (h e_j) k_j is one more. These products, and a
+sensitivity stage's J P, go through np.dot rather than `@` or np.matmul:
+a generalized ufunc's out= dispatch costs about 1 us more per call at
+these sizes, and a step makes seven such products, thirteen with
+sensitivities. h multiplies each
 tableau weight rather than the weighted sum, and y joins the sum, so
 the results differ from the textbook's y + h (sum_j a_ij k_j) only in
 rounding. A stage that leaves the field's domain is a trial, not a point
@@ -60,6 +64,7 @@ integration.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
@@ -257,7 +262,8 @@ def _dopri(ws, time, cfg):
         scale_coef(sign * h)
         try:
             for weights, rows, stage in plan:
-                np.matmul(weights, rows, out=y_new)
+                # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
+                np.dot(weights, rows, y_new)
                 stage()
         except DomainError as exc:
             outside = exc
@@ -267,7 +273,8 @@ def _dopri(ws, time, cfg):
         if not _largest(abs_new) < np.inf:  # an inf or NaN entry
             h *= 0.2
             continue
-        np.matmul(error_weights, stages, out=abs_e)
+        # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
+        np.dot(error_weights, stages, abs_e)
         np.abs(abs_e, out=abs_e)
         np.maximum(abs_y, abs_new, out=scale)
         _error_scale(scale, tail, cfg)
@@ -358,11 +365,12 @@ def _rhs(field, sensitivity):
     augmented state y = (x, P) when `sensitivity`, backward legs (which
     step with -h) included.
 
-    bind makes the views of y and out once; each call then runs the
-    field's compiled evaluators on plain floats, which raise the
-    DomainError that names the component themselves. The Jacobian's
-    entries go to an (n, n) buffer allocated once here, and J P is
-    multiplied straight into out.
+    bind makes the views of out once, and those of y once for a run of
+    binds of the same y (a workspace's six stage calls all read its stage
+    input); each call then runs the field's compiled evaluators on plain
+    floats, which raise the DomainError that names the component
+    themselves. The Jacobian's entries go to an (n, n) buffer allocated
+    once here, and J P is multiplied straight into out.
     """
     n = field.dimension
     values = field.evaluator()
@@ -370,17 +378,22 @@ def _rhs(field, sensitivity):
         entries = field.jacobian_evaluator()
         jac = np.empty((n, n))
         jac_flat = jac.reshape(-1)
+    bound = (None,)  # (y, x, P): the last bound input and its views
 
     def bind(y, out):
+        nonlocal bound
         if sensitivity:
-            x, p = y[:n], y[n:].reshape(n, n)
+            if bound[0] is not y:
+                bound = (y, y[:n], y[n:].reshape(n, n))
+            _, x, p = bound
             v, jp = out[:n], out[n:].reshape(n, n)
 
             def call():
                 xs = x.tolist()
                 v[:] = values(xs)
                 jac_flat[:] = entries(xs)
-                np.matmul(jac, p, out=jp)
+                # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
+                np.dot(jac, p, jp)
         else:
             def call():
                 out[:] = values(y.tolist())
@@ -419,7 +432,7 @@ def _leg(field, x, t, cfg, sensitivity):
     """
     n = field.dimension
     x = as_point(field, x)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
     size = n + n * n if sensitivity else n
     if t == 0.0:

@@ -98,6 +98,49 @@ def test_missing_scenario_flag_exit64(capsys):
     assert run_cli("stasis") == 64
 
 
+# the flags each command reads; every other flag is a usage error
+READS = {
+    "stasis": {"--scenario", "--tol", "--json"},
+    "weights": {"--scenario", "--tol", "--json"},
+    "cycle": {"--scenario", "--tol", "--json", "--out", "--verbose",
+              "--delta"},
+    "sweep": {"--scenario", "--tol", "--json", "--out", "--verbose"},
+    "verify": {"--json"},
+}
+FLAGS = ["--scenario", "--tol", "--json", "--out", "--verbose", "--delta"]
+
+
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    out = tmp_path_factory.mktemp("record")
+    assert main(["cycle", "--scenario", str(scenario_path("pair_1d")),
+                 "--delta", "0.2", "--out", str(out), "--json"]) == 0
+    return out / "pair-1d_cycle.json"
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS for flag in FLAGS
+    if flag not in READS[command]])
+def test_unread_flag_exit64_writes_nothing(tmp_path, monkeypatch, capsys,
+                                           record, command, flag):
+    # without the flag, each of these command lines exits 0
+    if command == "verify":
+        argv = ["verify", str(record)]
+    else:
+        argv = [command, "--scenario", str(scenario_path("triad_2d"))]
+    out = tmp_path / "out"
+    value = {"--scenario": [str(scenario_path("triad_2d"))],
+             "--tol": ["1e-8"], "--out": [str(out)], "--delta": ["0.2"]}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv, flag, *value.get(flag, [])) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"kcycle: error: unrecognized arguments: {flag}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command_exit64(capsys):
     assert run_cli("frobnicate") == 64
 
