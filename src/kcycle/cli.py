@@ -48,9 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# each flag some command reads, and the number of values it takes
+_FLAG_VALUES = {"--scenario": 1, "--tol": 1, "--json": 0, "--out": 1,
+                "--verbose": 0, "--delta": 1}
+
+
+class _Unread(argparse.Action):
+    """Notes a flag its command does not read, with its value consumed, so
+    that the value is not taken for a positional argument."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.unread = getattr(namespace, "unread", []) + [option_string]
+
+
 def build_parser() -> _Parser:
     """Each command accepts only the flags it reads; any other is a usage
-    error (exit 64), raised before the command runs."""
+    error (exit 64), raised before the command runs. An unread flag is
+    parsed with its values, so the error names the flags alone."""
     scenario = _Parser(add_help=False)
     scenario.add_argument("--scenario", metavar="PATH",
                           help="scenario JSON file")
@@ -90,6 +104,13 @@ def build_parser() -> _Parser:
                                    "integration tolerance")
     p_verify.add_argument("record", metavar="FILE",
                           help="cycle record JSON written by 'cycle'")
+    for command in sub.choices.values():
+        for flag, count in _FLAG_VALUES.items():
+            if flag not in command._option_string_actions:
+                command.add_argument(flag, nargs=count, action=_Unread,
+                                     dest="unread",
+                                     default=argparse.SUPPRESS,
+                                     help=argparse.SUPPRESS)
     return parser
 
 
@@ -420,6 +441,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "unread" in args:
+            raise _UsageError("unrecognized arguments: "
+                              + " ".join(args.unread))
         if not args.command:
             raise _UsageError("a command is required "
                               f"(one of {', '.join(_COMMANDS)})")

@@ -26,15 +26,22 @@ endpoints come back, so the iteration that finds a point converged
 integrates nothing. A step is `linalg.newton_step`: an SVD singularity
 test, then dense LU; the chain blocks would admit a block-structured
 elimination, not needed while the systems stay desk-scale (nk at most a
-few hundred).
+few hundred). A residual within tol does not end the solve: a point is
+only accurate to about tol times the Jacobian's condition there, so one
+more LU solve with the last Jacobian gives the simplified Newton
+correction, and a point whose correction exceeds tol is moved by it
+when the moved point's residual is within tol as well (error-oriented
+termination; Deuflhard, Newton Methods for Nonlinear Problems, ch. 2).
+The same solve gives the branch tangent dx/ddelta.
 
 A sweep seeds each solve from the branch's own expansion (Euler-Newton
 continuation). At delta = 0 the branch leaves x0 along the tangent
 c = -H_x^-1 H_delta, which needs only the fields and their Jacobians at
-x0, so the first ladder point is seeded at x0 + delta*c. Later points,
-bisection retries included, are seeded by the polynomial in delta through
-the last four branch points (the secant, then the quadratic, while fewer
-are known); many of them then converge without a Newton step.
+x0, so the first ladder point is seeded at x0 + delta*c. Each solved
+point joins the branch corrected and with its tangent, and later points,
+bisection retries included, are seeded by the Hermite polynomial in
+delta through the last three branch nodes (values and slopes); most of
+them then converge without a Newton step.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
-                     SolverError)
+                     DomainError, SolverError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import Weights, _check_family
 from .expr import eval_field, jacobian_field
@@ -92,11 +99,19 @@ class CyclePoints:
 
 @dataclass(eq=False, slots=True)
 class KCycle:
+    """A solved cycle. `tangent` (the branch's dx/ddelta) and `correction`
+    (the simplified Newton correction -J^-1 r) are (k, n) arrays from
+    `solve_cycle`, or None where they could not be formed, and the
+    correction also where the corrected point failed its residual test.
+    The points are the accepted ones, never corrected."""
+
     points: CyclePoints
     delta: float
     leg_times: tuple
     closure_residual: float
     newton_iters: int
+    tangent: Optional[np.ndarray] = None
+    correction: Optional[np.ndarray] = None
 
 
 @dataclass(eq=False, slots=True)
@@ -132,8 +147,9 @@ class SweepResult:
 
     @property
     def records(self) -> tuple:
-        """One SweepRecord per ladder point, with Python floats and ints
-        and leg_times delta*m_j as `solve_cycle` forms them."""
+        """One SweepRecord per ladder point, with Python floats and ints,
+        leg_times delta*m_j as `solve_cycle` forms them, and no tangent or
+        correction."""
         return tuple(
             SweepRecord(d, KCycle(CyclePoints(x), d,
                                   tuple(d * m for m in self.weights), c, i),
@@ -243,24 +259,47 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
                 tol: float = DEFAULT_CYCLE_TOL,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> KCycle:
     """Damped Newton (`linalg.damped_newton`, max norm, MAX_CYCLE_ITERS
-    steps) on the stacked cycle system for a fixed delta > 0.
+    steps) on the stacked cycle system for a fixed delta > 0, then an
+    error-oriented acceptance test.
 
-    The final leg's closure F_k(x_k, delta*m_k) = x_1 is then re-verified
-    explicitly (10*tol budget) before the cycle is accepted.
+    The point x that Newton returns has its residual r within tol. One LU
+    solve with the last Jacobian J evaluated gives the simplified
+    correction c = -J^-1 r and the branch tangent dx/ddelta
+    (`_newton_terms`). x is kept when |c| <= tol; otherwise x + c is
+    evaluated endpoint only and replaces x, as one more Newton iteration,
+    when its residual is within tol, and else x is kept without a
+    correction. The final leg's closure F_k(x_k, delta*m_k) = x_1 is then
+    re-verified explicitly (10*tol budget) before the cycle is accepted.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    held = [None]  # the last Jacobian evaluated
 
     def evaluate(x, jacobian):
         ends, res, jac = _cycle_system(fields, weights, x, delta, cfg,
                                        jacobian=jacobian)
-        return float(np.max(np.abs(res))), res, jac, ends
+        if jacobian:
+            held[0] = jac
+        return float(np.max(np.abs(res))), res, jac, (ends, res)
 
-    x, _, ends, iters = linalg.damped_newton(
+    x, _, (ends, res), iters = linalg.damped_newton(
         evaluate, _cycle_rows(fields, weights, seed), tol, MAX_CYCLE_ITERS,
         f"cycle at delta={delta:.6g}")
+    correction, tangent = _newton_terms(fields, weights, held[0], ends, res,
+                                        delta)
+    if correction is not None and np.max(np.abs(correction)) > tol:
+        try:
+            rn, _, _, (ends_c, res_c) = evaluate(x + correction, False)
+        except SolverError:
+            rn = np.inf
+        if rn <= tol:
+            x, ends, iters = x + correction, ends_c, iters + 1
+            correction, tangent = _newton_terms(fields, weights, held[0],
+                                                ends, res_c, delta)
+        else:
+            correction = None
     mismatches = _leg_mismatches(ends, x)
     if mismatches[-1] > 10.0 * tol:
         raise ClosureError(
@@ -268,7 +307,40 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
             f"{10.0 * tol:.3e}; integration tolerance is too loose "
             "relative to the Newton tolerance")
     return KCycle(CyclePoints(x), delta, tuple(delta * m for m in weights),
-                  max(mismatches), iters)
+                  max(mismatches), iters, tangent, correction)
+
+
+def _newton_terms(fields, weights, jac, ends, res, delta):
+    """(correction, tangent) at a point whose cycle system evaluated to the
+    leg endpoints `ends` and residual `res`: one LU solve with the
+    Jacobian `jac` and two right-hand sides, no integration.
+
+    The correction is -jac^-1 r. The tangent is -jac^-1 H_delta, where
+    H_delta = dR/ddelta has m_j V_j(F_j) as chain row j (the leg ends move
+    with their times) and (sum_j m_j V_j(F_j) - r_0)/delta as its top row.
+    Each is None where it comes out non-finite; the tangent also where a
+    field raises DomainError at an endpoint or H_delta overflows, and both
+    where jac is singular.
+    """
+    k, n = ends.shape
+    columns = [res.reshape(-1)]
+    try:
+        slopes = np.array([m * eval_field(f, e)
+                           for f, m, e in zip(fields, weights, ends)])
+    except DomainError:
+        pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_delta = np.vstack([(sum(slopes) - res[0]) / delta, slopes[:-1]])
+        if np.isfinite(h_delta).all():
+            columns.append(h_delta.reshape(-1))
+    try:
+        sol = np.linalg.solve(jac, -np.column_stack(columns))
+    except np.linalg.LinAlgError:
+        return None, None
+    terms = [col.reshape(k, n) if np.isfinite(col).all() else None
+             for col in sol.T] + [None]  # no tangent column: None
+    return terms[0], terms[1]
 
 
 @dataclass(eq=False, slots=True)
@@ -299,7 +371,9 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     The ladder runs from delta_max/1024 to delta_max in `steps` geometric
     steps. Each solve is seeded by `_predict` from the branch itself: the
     first at x0 + delta*c with the analytic tangent c of `_tangent`, later
-    ones by extrapolation through the cycles already solved. A failed
+    ones by Hermite extrapolation through the nodes (delta, x + correction,
+    tangent) of the cycles already solved; the records hold the accepted
+    points x, never the corrected ones. A failed
     ladder step is retried through up to MAX_BISECTIONS midpoint solves
     toward the last success before the branch is declared lost; the
     result then flags the largest delta reached and the failure reason
@@ -319,14 +393,13 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
         ladder = [lo * ratio ** i for i in range(steps)]
         ladder[-1] = delta_max
     start = _cycle_rows(fields, weights, CyclePoints.constant(x0, len(fields)))
-    branch = [(0.0, start)]
-    tangent = _tangent(fields, weights, start, cfg)
+    branch = [(0.0, start, _tangent(fields, weights, start, cfg))]
     reached = []  # (delta, points, distance, closure, newton_iters)
     branch_lost = False
     failure_reason = None
     for target in ladder:
         try:
-            cycle = _reach(fields, weights, branch, tangent, target, tol, cfg)
+            cycle = _reach(fields, weights, branch, target, tol, cfg)
         except BranchLostError as exc:
             if not reached:
                 raise BranchLostError(
@@ -372,38 +445,50 @@ def _tangent(fields, weights, start, cfg):
     return step.reshape(k, n)
 
 
-def _predict(branch, tangent, delta):
-    """Seed at `delta` from the branch points (delta_i, x_i) solved so far.
+def _predict(branch, delta):
+    """Seed at `delta` from the branch nodes (delta_i, x_i, t_i) so far.
 
-    With only (0, x0) known it follows the tangent; otherwise it is the
-    polynomial in delta through the last four points, or through all of
-    them while fewer are known (secant, quadratic, then cubic
-    extrapolation; Allgower and Georg, Introduction to Numerical
-    Continuation Methods, ch. 2).
+    The seed is the confluent Hermite polynomial in delta through the
+    last three nodes, in divided-difference form: each node fixes the
+    value x_i and, unless its tangent t_i is None, the slope t_i too.
+    With only (0, x0, c) known it is x0 + delta*c (Euler-Newton
+    continuation; Allgower and Georg, Introduction to Numerical
+    Continuation Methods, ch. 2). The differences are taken in
+    u = delta_i/delta, where the nodes lie in [0, 1], so that a ladder
+    starting at subnormal deltas does not overflow them.
     """
-    if len(branch) == 1:
-        return CyclePoints(branch[0][1] + delta * tangent)
-    last = branch[-4:]
-    seed = 0.0
-    for i, (d_i, x_i) in enumerate(last):
-        weight = 1.0
-        for j, (d_j, _) in enumerate(last):
-            if j != i:
-                weight *= (delta - d_j) / (d_i - d_j)
-        seed = seed + weight * x_i
+    nodes, coef, slopes = [], [], []
+    for d, x, t in branch[-3:]:
+        nodes.append(d / delta)
+        coef.append(x)
+        slopes.append(None)
+        if t is not None:  # a repeated node: its first difference is t
+            nodes.append(d / delta)
+            coef.append(x)
+            slopes.append(delta * t)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            if j == 1 and slopes[i] is not None:
+                coef[i] = slopes[i]
+            else:
+                coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    seed = coef[-1]
+    for i in range(len(nodes) - 2, -1, -1):
+        seed = coef[i] + (1.0 - nodes[i]) * seed
     return CyclePoints(seed)
 
 
-def _reach(fields, weights, branch, tangent, target, tol, cfg):
-    """Solve at `target`, bisecting back toward the last branch point on
-    failure; every cycle solved on the way is appended to `branch`."""
+def _reach(fields, weights, branch, target, tol, cfg):
+    """Solve at `target`, bisecting back toward the last branch node on
+    failure; every cycle solved on the way is appended to `branch` as the
+    node (delta, points + correction, tangent)."""
     bisections = 0
     pending = [target]
     cycle = None
     while pending:
         attempt = pending[-1]
         base_delta = branch[-1][0]
-        seed = _predict(branch, tangent, attempt)
+        seed = _predict(branch, attempt)
         try:
             cycle = solve_cycle(fields, weights, seed, attempt, tol, cfg)
         except SolverError as exc:
@@ -418,7 +503,10 @@ def _reach(fields, weights, branch, tangent, target, tol, cfg):
             pending.append(mid)
             continue
         pending.pop()
-        branch.append((attempt, cycle.points.points))
+        x = cycle.points.points
+        if cycle.correction is not None:
+            x = x + cycle.correction
+        branch.append((attempt, x, cycle.tangent))
     return cycle
 
 

@@ -141,6 +141,21 @@ def test_unread_flag_exit64_writes_nothing(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unread_flags_do_not_take_the_record(tmp_path, monkeypatch, capsys,
+                                            record):
+    # the value of an unread flag is consumed with it, so the usage error
+    # names only the unread flags, not the record after them
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli("verify", "--tol", "1e-30", "--verbose", "--scenario",
+                   "nonexistent.json", str(record)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("kcycle: error: unrecognized arguments: --tol "
+                            "--verbose --scenario\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command_exit64(capsys):
     assert run_cli("frobnicate") == 64
 

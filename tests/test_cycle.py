@@ -1,23 +1,26 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import kcycle.cycle
 from kcycle import (BranchLostError, ClosureError, CyclePoints,
-                    DimensionError,
+                    DimensionError, DomainError, FlowDomainError,
                     IntegratorConfig, NewtonDivergenceError,
                     SingularJacobianError, SweepRecord, Weights,
                     average_velocity, cycle_jacobian, cycle_residual,
                     eval_field, find_stasis, flow_endpoint, jacobian_field, loglog_slope, parse_field,
                     solve_cycle, stasis_residual, sweep_delta, verify_cycle)
+from scipy.interpolate import KroghInterpolator
 
 from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
                      linear_cycle_points, pair_cycle_x1, scipy_cycle_points)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -377,13 +380,13 @@ def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
 
 def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):
     # frozen per-point Newton iterations of the trig-3d sweep, each point
-    # seeded by the branch predictor (tangent, then secant, quadratic and
-    # cubic extrapolation); the zeros are points whose prediction already
-    # met the tolerance
+    # seeded by the branch predictor (the Hermite polynomial through the
+    # last three corrected points and their tangents); the zeros are
+    # points whose prediction already met the tolerance and whose Newton
+    # correction was within it
     result = regular_sweeps["trig_3d"][1]
     assert [rec.cycle.newton_iters for rec in result.records] == \
-        [1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0] + \
-        [1] * 12
+        [1] + [0] * 27 + [1] * 4
 
 
 def test_cycles_approach_oracle_tangent_at_first_order(corpus):
@@ -439,22 +442,29 @@ def test_sweep_first_seed_is_oracle_tangent_prediction(corpus, monkeypatch):
         assert np.max(np.abs(seed - want)) <= 1e-15, name
 
 
-def _lagrange(points, delta):
-    """Polynomial through the (delta_i, x_i) pairs, evaluated at delta."""
-    total = 0.0
-    for i, (d_i, x_i) in enumerate(points):
-        basis = np.prod([(delta - d_j) / (d_i - d_j)
-                         for j, (d_j, _) in enumerate(points) if j != i])
-        total = total + basis * x_i
-    return total
+def _hermite(nodes, delta):
+    """scipy's Krogh interpolant through the (delta_i, x_i, t_i) nodes,
+    matching each value x_i and slope t_i, evaluated at delta; and its
+    rounding scale sum_i |b_i(delta)| max|y_i| over the Hermite basis b_i
+    and the data y_i (values and slopes), the size of the terms whose
+    rounding the extrapolation carries into the result."""
+    xi = [d for d, _, _ in nodes for _ in range(2)]
+    yi = np.array([v for _, x, t in nodes for v in (x, t)])
+    basis = KroghInterpolator(xi, np.eye(len(xi)))(delta)
+    scale = np.abs(basis) @ np.max(np.abs(yi.reshape(len(xi), -1)), axis=1)
+    return KroghInterpolator(xi, yi)(delta), scale
 
 
 def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
     # the first attempt at the third ladder point fails and is retried at
-    # the midpoint; after the first solve, every seed (the midpoint's
-    # included) is the polynomial through the last four branch points, or
-    # all of them while fewer are known: x0 at delta = 0 and every cycle
-    # solved so far, the midpoint's too
+    # the midpoint; every seed (the midpoint's included) is the Hermite
+    # polynomial through the last three branch nodes: x0 at delta = 0 with
+    # the first-order tangent, then every cycle solved so far (the
+    # midpoint's too), moved by its Newton correction, with its tangent.
+    # Krogh's algorithm and the solver's divided differences round the
+    # same polynomial differently; extrapolating ten times past the node
+    # spacing magnifies data rounding by the basis, so the bound is 4 eps
+    # times the rounding scale of `_hermite` (at most 0.24 of it is seen)
     fields, w = pair
     calls = _record_solves(monkeypatch, fail_at=2)
     result = sweep_delta(fields, w, [0.0], 0.8, 4)
@@ -462,13 +472,19 @@ def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
     ladder = [rec.delta for rec in result.records]
     assert [c[0] for c in calls] == \
         ladder[:3] + [0.5 * (ladder[1] + ladder[2])] + ladder[2:]
-    branch = [(0.0, np.zeros((2, 1)))]
+    x0 = np.zeros(1)
+    tangent = first_order_tangent([eval_field(f, x0) for f in fields],
+                                  [jacobian_field(f, x0) for f in fields],
+                                  list(w))
+    nodes = [(0.0, np.zeros((2, 1)), tangent)]
     for delta, seed, cycle in calls:
-        if len(branch) > 1:
-            want = _lagrange(branch[-4:], delta)
-            assert np.max(np.abs(seed - want)) <= 1e-15, delta
+        want, scale = _hermite(nodes[-3:], delta)
+        assert np.max(np.abs(seed - want)) <= 4 * EPS * scale, delta
         if cycle is not None:
-            branch.append((delta, cycle.points.points))
+            assert cycle.tangent is not None
+            assert cycle.correction is not None
+            nodes.append((delta, cycle.points.points + cycle.correction,
+                          cycle.tangent))
 
 
 def test_accepted_cycle_survives_tighter_reintegration(regular_corpus):
@@ -496,6 +512,161 @@ def test_verify_at_solve_tolerance_reproduces_closure_residual(corpus):
     check = verify_cycle(scn.fields, sp.weights, cyc, scn.integrator,
                          tighten=1.0)
     assert check.max_mismatch == cyc.closure_residual
+
+
+# --- Newton correction and branch tangent ---------------------------------
+
+def _solve_from_stasis(scn, delta, tol, cfg):
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    return sp, solve_cycle(scn.fields, sp.weights,
+                           CyclePoints.constant(sp.x0, scn.k), delta, tol,
+                           cfg)
+
+
+@pytest.mark.parametrize("name", ["trig_3d", "linear_3d_b"])
+def test_tangent_matches_central_differences(corpus, name):
+    # dx/ddelta = -J^-1 H_delta at delta = 0.2, against central differences
+    # of cycles solved to 1e-13 with the tight integrator, step 1e-3: the
+    # differences err by about h^2/6 times the third derivative, the
+    # tangent (from a Jacobian integrated at the scenario's rel_tol 1e-10)
+    # by about 1e-8
+    scn, delta, h = corpus[name], 0.2, 1e-3
+    sp, cyc = _solve_from_stasis(scn, delta, scn.cycle_tol, scn.integrator)
+    ahead, behind = (solve_cycle(scn.fields, sp.weights, cyc.points, d, 1e-13,
+                                 TIGHT).points.points
+                     for d in (delta + h, delta - h))
+    assert cyc.tangent.shape == (scn.k, scn.dimension)
+    assert np.max(np.abs(cyc.tangent - (ahead - behind) / (2 * h))) <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["trig_3d", "linear_3d_b"])
+def test_correction_points_at_the_tight_solve(corpus, name):
+    # a seed about 1e-11 off the cycle meets the tolerance as it is and is
+    # kept as it is, but its correction takes it to within a hundredth of
+    # that distance of the cycle solved to 1e-14 with the same integrator
+    scn = corpus[name]
+    sp, tight = _solve_from_stasis(scn, 0.2, 1e-14, scn.integrator)
+    rng = np.random.default_rng(1)
+    seed = tight.points.points + 1e-11 * rng.standard_normal((scn.k,
+                                                              scn.dimension))
+    cyc = solve_cycle(scn.fields, sp.weights, CyclePoints(seed), 0.2,
+                      scn.cycle_tol, scn.integrator)
+    assert cyc.newton_iters == 0
+    assert cyc.points.points.tobytes() == seed.tobytes()
+    off = np.max(np.abs(seed - tight.points.points))
+    assert np.max(np.abs(seed + cyc.correction - tight.points.points)) \
+        <= 0.01 * off
+
+
+def _weak_seed(scn):
+    """(stasis point, tight cycle at 0.2, seed): the seed is the tight
+    cycle moved along the Jacobian's weakest direction by as much as makes
+    its residual half of cycle_tol."""
+    sp, tight = _solve_from_stasis(scn, 0.2, 1e-14, scn.integrator)
+    jac = cycle_jacobian(scn.fields, sp.weights, tight.points, 0.2,
+                         scn.integrator)
+    _, sv, vt = np.linalg.svd(jac)
+    step = 0.5 * scn.cycle_tol / sv[-1] * vt[-1]
+    return sp, tight, tight.points.points + step.reshape(scn.k, -1)
+
+
+def test_correction_over_tol_is_taken_as_a_newton_step(corpus):
+    # on linear-2d-a (sigma_min 0.2) such a seed is 1.7e-10 off the cycle:
+    # its residual meets the tolerance and its correction does not, so the
+    # corrected point replaces it as one more Newton iteration
+    scn = corpus["linear_2d_a"]
+    sp, tight, seed = _weak_seed(scn)
+    cyc = solve_cycle(scn.fields, sp.weights, CyclePoints(seed), 0.2,
+                      scn.cycle_tol, scn.integrator)
+    assert np.max(np.abs(seed - tight.points.points)) > scn.cycle_tol
+    assert cyc.newton_iters == 1
+    assert np.max(np.abs(cyc.points.points - tight.points.points)) <= 1e-13
+
+
+def test_failed_correction_step_keeps_the_point(corpus, monkeypatch):
+    # the corrected point is evaluated endpoint only; when that raises, the
+    # seed is returned as the residual test accepted it, without a
+    # correction, and the iteration is not counted
+    scn = corpus["linear_2d_a"]
+    sp, tight, seed = _weak_seed(scn)
+
+    def refuse(*args):
+        raise FlowDomainError("refused")
+
+    monkeypatch.setattr(kcycle.cycle, "flow_endpoint", refuse)
+    cyc = solve_cycle(scn.fields, sp.weights, CyclePoints(seed), 0.2,
+                      scn.cycle_tol, scn.integrator)
+    assert cyc.newton_iters == 0 and cyc.correction is None
+    assert cyc.points.points.tobytes() == seed.tobytes()
+    assert cyc.tangent is not None
+
+
+def _endpoint_domain_error(monkeypatch, allowed):
+    """Make kcycle.cycle's eval_field raise DomainError after `allowed`
+    calls, as a field would at a leg endpoint outside its domain."""
+    calls = []
+    evaluate = kcycle.cycle.eval_field
+
+    def wrapped(field, x):
+        calls.append(x)
+        if len(calls) > allowed:
+            raise DomainError("sqrt of negative value")
+        return evaluate(field, x)
+
+    monkeypatch.setattr(kcycle.cycle, "eval_field", wrapped)
+
+
+def test_terms_are_none_where_they_cannot_be_formed(pair, monkeypatch):
+    # no RuntimeWarning in any case: a subnormal delta (the leg
+    # sensitivities round to I, so J's top row is 0), a singular J
+    # (constant fields, seeded on their cycle) and a DomainError at an
+    # endpoint, which leaves the correction
+    fields, w = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cyc = solve_cycle(fields, w, CyclePoints.constant([0.0], 2), 1e-310)
+        assert cyc.tangent is None and cyc.correction is None
+        const = [parse_field("1", 1), parse_field("-1", 1)]
+        cyc = solve_cycle(const, w, CyclePoints([[0.0], [0.1]]), 0.2)
+        assert cyc.newton_iters == 0
+        assert cyc.tangent is None and cyc.correction is None
+        _endpoint_domain_error(monkeypatch, 0)
+        cyc = solve_cycle(fields, w, CyclePoints.constant([0.0], 2), 0.2)
+        assert cyc.tangent is None and cyc.correction is not None
+
+
+def _assert_tanh_branch(result, steps, tol=1e-9):
+    # the pair's cycle points are -+tanh(delta/4), read from the points:
+    # the norm behind max_distance_to_x0 underflows at subnormal deltas
+    assert len(result.records) == steps and not result.branch_lost
+    assert np.max(np.abs(result.points), axis=(1, 2)) == pytest.approx(
+        np.tanh(result.deltas / 4.0), rel=1e-9, abs=tol)
+
+
+def test_sweep_continues_through_missing_terms(pair, monkeypatch):
+    # nodes without a tangent count once in the predictor, nodes without
+    # a correction are the points themselves: a ladder starting at
+    # subnormal deltas, a sweep whose solves report no terms at all, and
+    # one whose endpoints all raise DomainError after the tangent at x0
+    fields, w = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_tanh_branch(sweep_delta(fields, w, [0.0], 1e-305, 4), 4,
+                            tol=0.0)
+        solve = kcycle.cycle.solve_cycle
+
+        def bare(*args):
+            cyc = solve(*args)
+            cyc.tangent = cyc.correction = None
+            return cyc
+
+        monkeypatch.setattr(kcycle.cycle, "solve_cycle", bare)
+        _assert_tanh_branch(sweep_delta(fields, w, [0.0], 0.8, 8), 8)
+        monkeypatch.undo()
+        # `_tangent` evaluates each field at x0 twice
+        _endpoint_domain_error(monkeypatch, 2 * len(fields))
+        _assert_tanh_branch(sweep_delta(fields, w, [0.0], 0.8, 8), 8)
 
 
 # --- sweep -----------------------------------------------------------------
@@ -562,7 +733,7 @@ def _sweep_with_reached(monkeypatch, fields, weights, x0, *args, **kwargs):
 
     def wrapped(*reach_args):
         cycle = reach(*reach_args)
-        reached.append((reach_args[4], cycle))
+        reached.append((reach_args[3], cycle))
         return cycle
 
     monkeypatch.setattr(kcycle.cycle, "_reach", wrapped)

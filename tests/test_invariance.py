@@ -12,14 +12,15 @@ the original sweep's, rearranged as the symmetry says:
 - time rescaling: fields c*V_j at delta/c give the same points.
 
 The transformed fields are built from the original expression trees
-here, not by the package. Differences are bounded by the scenario's
-cycle_tol. The corpus scenarios are swept at their own tolerances. The
-random property covers only a solver tightened tenfold (Newton and
-integrator tolerances, as verify tightens its re-integration): a solve
-stops once its residual is within tol, so its points are only accurate
-to about tol times the cycle Jacobian's condition, and at their own
-tolerances two sweeps of one random branch differ by up to a few
-cycle_tol.
+here, not by the package. The corpus scenarios are swept at their own
+tolerances, and their differences are bounded by cycle_tol. Random
+families are swept twice: at their own tolerances, bounded by
+2*cycle_tol, and with the solver tightened tenfold (Newton and
+integrator tolerances, as verify tightens its re-integration), bounded
+by cycle_tol. A solve accepts a point only when its Newton correction
+is within tol, so each sweep is within about tol of the branch and two
+of them within twice that; `scripts/invariance_scan.py` measures the
+spread over many more families.
 """
 
 import numpy as np
@@ -56,9 +57,10 @@ def _sweep_points(scn, fields, weights, delta_max, tighten):
     return np.array([rec.cycle.points.points for rec in result.records])
 
 
-def _check_invariances(scn, tighten):
+def _check_invariances(scn, tighten, bound=1.0):
+    """The three symmetries hold to `bound` times cycle_tol."""
     fields, w = list(scn.fields), list(scn.weights)
-    k, dmax, tol = scn.k, scn.sweep.delta_max, scn.cycle_tol
+    k, dmax, tol = scn.k, scn.sweep.delta_max, bound * scn.cycle_tol
     base = _sweep_points(scn, fields, w, dmax, tighten)
 
     rotated = _sweep_points(scn, fields[1:] + fields[:1], w[1:] + w[:1], dmax,
@@ -87,3 +89,11 @@ def test_random_linear_cycles_obey_rotation_reversal_and_rescaling(seed, n,
                                                                    k):
     _check_invariances(scenario_from_dict(random_linear_scenario(
         np.random.default_rng(seed), n, k, "random")), TIGHTEN)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       k=st.integers(2, 4))
+def test_random_linear_cycles_obey_symmetries_at_own_tolerances(seed, n, k):
+    _check_invariances(scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(seed), n, k, "random")), 1.0, bound=2.0)
