@@ -48,11 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# each flag some command reads, and the number of values it takes
-_FLAG_VALUES = {"--scenario": 1, "--tol": 1, "--json": 0, "--out": 1,
-                "--verbose": 0, "--delta": 1}
-
-
 class _Unread(argparse.Action):
     """Notes a flag its command does not read, with its value consumed, so
     that the value is not taken for a positional argument."""
@@ -104,9 +99,16 @@ def build_parser() -> _Parser:
                                    "integration tolerance")
     p_verify.add_argument("record", metavar="FILE",
                           help="cycle record JSON written by 'cycle'")
-    for command in sub.choices.values():
-        for flag, count in _FLAG_VALUES.items():
-            if flag not in command._option_string_actions:
+    commands = sub.choices.values()
+    # each flag some command reads, and the number of values it takes
+    arity = {flag: 0 if action.nargs == 0 else 1
+             for command in commands for action in command._actions
+             for flag in action.option_strings}
+    for command in commands:
+        reads = {flag for action in command._actions
+                 for flag in action.option_strings}
+        for flag, count in arity.items():
+            if flag not in reads:
                 command.add_argument(flag, nargs=count, action=_Unread,
                                      dest="unread",
                                      default=argparse.SUPPRESS,
