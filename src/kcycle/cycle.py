@@ -55,7 +55,7 @@ from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
                      DomainError, SolverError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
-from .stasis import Weights, _check_family
+from .stasis import Weights, _check_family, residual_norm
 from .expr import eval_field, jacobian_field
 
 DEFAULT_CYCLE_TOL = 1e-10
@@ -408,7 +408,7 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
             branch_lost = True
             failure_reason = str(exc)
             break
-        dist = max(float(np.linalg.norm(p - x0)) for p in cycle.points)
+        dist = max(residual_norm(p - x0) for p in cycle.points)
         reached.append((target, cycle.points.points, dist,
                         cycle.closure_residual, cycle.newton_iters))
     deltas, points, distances, closures, iters = zip(*reached)

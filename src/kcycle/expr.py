@@ -6,6 +6,15 @@ integer literal exponent, and the functions sin, cos, exp, tanh, sqrt
 (see README for the full grammar). Parsed trees are immutable; partial
 derivatives are built symbolically with constant folding and cached per
 field, so Jacobians are exact up to floating-point rounding.
+
+Evaluation runs compiled writers: generated functions write(x, out) that
+assign each value straight into its slot of the caller's row, with the
+float operations of the tree walk `eval_expr`, which they fall back to
+for the DomainError when those operations raise. A Jacobian entry whose
+tree holds no variable is evaluated once, by the walk, and kept as a
+constant for the caller to write once per buffer (`flow` writes it once
+per workspace); an entry whose evaluation raises stays in the per-call
+writer, so its error surfaces at every evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")
 # and unary signs in the source (the parser recurses on them), and the
 # height of each component's tree (long chains of binary operators nest
 # there). A derivative tree is at most about three times as high, so both
-# the compiled evaluators and the recursive tree walks stay well inside
+# the compiled writers and the recursive tree walks stay well inside
 # Python's parenthesis and recursion limits.
 MAX_DEPTH = 60
 
@@ -331,24 +340,37 @@ def eval_expr(e: Expr, x) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _constant_value(e):
+    """The value of the tree e walked with no variables bound, or None
+    where it reads one (the empty point raises IndexError) or leaves its
+    domain."""
+    try:
+        return eval_expr(e, ())
+    except (IndexError, DomainError):
+        return None
+
+
 def _compile(rows):
-    """Compile expression rows (row i holds component i's expressions) to
-    one function of a list of n floats: the tuple of all their values in
-    row-major order. The code mirrors the tree structure exactly (fully
+    """Compile expression rows to one function write(x, out) of a list x
+    of n floats: row i holds component i's (slot, expression) pairs, and
+    write assigns each expression's value to out[slot], in row-major
+    order. The code mirrors the tree structure exactly (fully
     parenthesized), so it performs the same float operations in the same
     order as eval_expr; where those raise, the tree walk raises the
     DomainError. The `try` sits inside the generated function so that an
     evaluation stays one call. A folded constant may be inf or nan."""
-    body = ", ".join(_py_src(e) for row in rows for e in row)
+    body = "".join(f"        out[{slot}] = {_py_src(e)}\n"
+                   for row in rows for slot, e in row)
     scope = {"math": math, "inf": math.inf, "nan": math.nan,
              "walk": _walk_rows, "rows": rows}
-    exec("def evaluate(x):\n"
+    exec("def write(x, out):\n"
          "    try:\n"
-         f"        return ({body},)\n"
+         f"{body}"
+         "        return\n"
          "    except (ZeroDivisionError, ValueError, OverflowError):\n"
          "        pass\n"
-         "    return walk(rows, x)\n", scope)
-    return scope["evaluate"]
+         "    walk(rows, x, out)\n", scope)
+    return scope["write"]
 
 
 def _py_src(e):
@@ -487,7 +509,12 @@ class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
     Immutable after construction; the symbolic Jacobian and the compiled
-    evaluators are memoized on first use.
+    writers are memoized on first use. A writer takes a list of n floats
+    and the caller's row and assigns each value to its slot there. A
+    Jacobian entry whose tree contains no variable is evaluated once, by
+    the tree walk, and kept as a constant; an entry whose evaluation
+    raises stays in the per-call writer, so its error surfaces at every
+    evaluation, where it would without the split.
     """
 
     def __init__(self, dimension: int, components):
@@ -500,8 +527,8 @@ class VectorField:
         self.dimension = dimension
         self.components = components
         self._jac_exprs = None
-        self._eval_fn = None
-        self._jac_fn = None
+        self._value_writer = None
+        self._jac_parts = None
 
     def jacobian_exprs(self):
         """n x n grid of partial-derivative trees, built once."""
@@ -512,20 +539,37 @@ class VectorField:
             )
         return self._jac_exprs
 
-    def evaluator(self):
-        """Compiled map from a list of n floats to the tuple of the n
-        component values, built once. Where a value leaves its domain it
+    def value_writer(self):
+        """write(x, out): the n component values of the list of floats x
+        into out[0..n-1], built once. Where a value leaves its domain it
         raises the DomainError that names the component."""
-        if self._eval_fn is None:
-            self._eval_fn = _compile([(c,) for c in self.components])
-        return self._eval_fn
+        if self._value_writer is None:
+            self._value_writer = _compile(
+                [((i, c),) for i, c in enumerate(self.components)])
+        return self._value_writer
 
-    def jacobian_evaluator(self):
-        """Compiled map from a list of n floats to the n*n Jacobian entries
-        in row-major order, built once; it raises like evaluator()."""
-        if self._jac_fn is None:
-            self._jac_fn = _compile(self.jacobian_exprs())
-        return self._jac_fn
+    def jacobian_parts(self):
+        """(constant, write), built once. constant is a read-only flat,
+        row-major n*n array that holds the Jacobian entries that do not
+        vary with x, and 0 in every other slot; write(x, out) writes those
+        other entries into their slots of such a row out and raises like
+        value_writer(). write is None when no entry is left to it."""
+        if self._jac_parts is None:
+            n = self.dimension
+            constant = np.zeros(n * n)
+            rows = []
+            for i, row in enumerate(self.jacobian_exprs()):
+                varying = []
+                for l, e in enumerate(row):
+                    value = _constant_value(e)
+                    if value is None:
+                        varying.append((i * n + l, e))
+                    else:
+                        constant[i * n + l] = value
+                rows.append(tuple(varying))
+            constant.flags.writeable = False
+            self._jac_parts = (constant, _compile(rows) if any(rows) else None)
+        return self._jac_parts
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"
@@ -558,29 +602,33 @@ def as_point(field: VectorField, x) -> np.ndarray:
 
 def eval_field(field: VectorField, x) -> np.ndarray:
     """Evaluate all components at x, returning a length-n vector."""
+    out = np.empty(field.dimension)
     # plain Python floats: numpy scalars would turn div-by-zero and
     # sqrt(negative) into warnings instead of exceptions
-    return np.array(field.evaluator()(as_point(field, x).tolist()),
-                    dtype=float)
+    field.value_writer()(as_point(field, x).tolist(), out)
+    return out
 
 
 def jacobian_field(field: VectorField, x) -> np.ndarray:
     """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
     n = field.dimension
-    entries = field.jacobian_evaluator()(as_point(field, x).tolist())
-    return np.array(entries, dtype=float).reshape(n, n)
+    x = as_point(field, x)
+    constant, write = field.jacobian_parts()
+    out = constant.copy()
+    if write is not None:
+        write(x.tolist(), out)
+    return out.reshape(n, n)
 
 
-def _walk_rows(rows, x) -> tuple:
-    """Re-walk the trees after compiled code raised: the values of `rows`
-    (row i holds component i's expressions) in row-major order, or the
-    DomainError of the offending expression tagged with its component."""
-    out = []
+def _walk_rows(rows, x, out):
+    """Re-walk the trees after compiled code raised: write the values of
+    `rows` (row i holds component i's (slot, expression) pairs) into out,
+    or raise the DomainError of the offending expression tagged with its
+    component."""
     for i, row in enumerate(rows):
-        for e in row:
+        for slot, e in row:
             try:
-                out.append(eval_expr(e, x))
+                out[slot] = eval_expr(e, x)
             except DomainError as err:
                 err.component = i + 1
                 raise
-    return tuple(out)

@@ -42,16 +42,21 @@ integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
 initial state. `_leg` checks the point's shape once and writes the
 initial state straight into the stepper's state row. The right-hand side
-runs on the field's compiled evaluators and is built as a binder:
-binding a stage input and a stage row makes their views once, and the
-bound call is then one call of each evaluator on plain floats whose
-values, and with sensitivities the J·P matrix product, are written into
-the row. Dormand-Prince binds its stage calls once per field and kind of
-leg in a workspace (`_Workspace`) that also holds every buffer it
-writes; a leg checks the workspace out and puts it back when it ends, so
-legs reuse it one at a time and a leg's results do not depend on the
-legs before it. RK4 builds its right-hand side per leg.
-The evaluators raise the DomainError that names the component
+runs on the field's compiled writers and is built as a binder: binding a
+stage input and a stage row makes their views once, and the bound call
+then hands plain floats to the writers, which write the values straight
+into the stage row and, with sensitivities, the Jacobian entries into an
+(n, n) buffer, from which the J·P matrix product goes into the row.
+The Jacobian's constant entries (those whose tree holds no variable,
+all of them on an affine field) are written into that buffer once, when
+the right-hand side is built, so a stage writes only the entries that
+vary with x; an entry whose evaluation raises is among those, so its
+error surfaces at every stage. Dormand-Prince binds its stage calls
+once per field and kind of leg in a workspace (`_Workspace`) that also
+holds every buffer it writes; a leg checks the workspace out and puts it
+back when it ends, so legs reuse it one at a time and a leg's results do
+not depend on the legs before it. RK4 builds its right-hand side per
+leg. The writers raise the DomainError that names the component
 themselves.
 Backward time t < 0 steps with -h on the same right-hand side and
 workspace: Dormand-Prince scales its tableau by the signed step and RK4
@@ -367,36 +372,44 @@ def _rhs(field, sensitivity):
 
     bind makes the views of out once, and those of y once for a run of
     binds of the same y (a workspace's six stage calls all read its stage
-    input); each call then runs the field's compiled evaluators on plain
-    floats, which raise the DomainError that names the component
-    themselves. The Jacobian's entries go to an (n, n) buffer allocated
-    once here, and J P is multiplied straight into out.
+    input); each call then runs the field's compiled writers on plain
+    floats, which write straight into the stage row and raise the
+    DomainError that names the component themselves. The Jacobian goes
+    to an (n, n) buffer allocated here, whose constant entries are
+    written once, here, so that a call writes only the entries that vary
+    with x (an entry whose evaluation raises is among them), and none on
+    an affine field; J P is multiplied straight into out.
     """
     n = field.dimension
-    values = field.evaluator()
-    if sensitivity:
-        entries = field.jacobian_evaluator()
-        jac = np.empty((n, n))
-        jac_flat = jac.reshape(-1)
+    values = field.value_writer()
+    if not sensitivity:
+        def bind(y, out):
+            def call():
+                values(y.tolist(), out)
+            return call
+        return bind
+    constant, entries = field.jacobian_parts()
+    jac_flat = constant.copy()
+    jac = jac_flat.reshape(n, n)
     bound = (None,)  # (y, x, P): the last bound input and its views
 
     def bind(y, out):
         nonlocal bound
-        if sensitivity:
-            if bound[0] is not y:
-                bound = (y, y[:n], y[n:].reshape(n, n))
-            _, x, p = bound
-            v, jp = out[:n], out[n:].reshape(n, n)
-
+        if bound[0] is not y:
+            bound = (y, y[:n], y[n:].reshape(n, n))
+        _, x, p = bound
+        v, jp = out[:n], out[n:].reshape(n, n)
+        # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
+        if entries is None:
             def call():
-                xs = x.tolist()
-                v[:] = values(xs)
-                jac_flat[:] = entries(xs)
-                # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
+                values(x.tolist(), v)
                 np.dot(jac, p, jp)
         else:
             def call():
-                out[:] = values(y.tolist())
+                xs = x.tolist()
+                values(xs, v)
+                entries(xs, jac_flat)
+                np.dot(jac, p, jp)
         return call
     return bind
 

@@ -29,6 +29,9 @@ REGULARITY_FLOOR = 1e-12
 
 MAX_NEWTON_ITERS = 50
 
+# below this 2-norm the sum of squares is subnormal or 0
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -151,10 +154,14 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
 
 def residual_norm(r) -> float:
     """The 2-norm of r; rescaled only where the plain norm overflows on a
-    finite vector, so every finite plain norm is returned as it is."""
+    finite vector, or falls below sqrt(tiny) on a nonzero one (there the
+    sum of squares left the normal range and underflowed in part or in
+    full), so every plain norm from a normal sum of squares is returned
+    as it is."""
     with np.errstate(over="ignore"):
         rn = float(np.linalg.norm(r))
-        if rn == np.inf and np.isfinite(r).all():
+        if (rn == np.inf and np.isfinite(r).all()) or (
+                rn < _SQRT_TINY and np.any(r)):
             big = np.max(np.abs(r))
             rn = float(big * np.linalg.norm(r / big))
     return rn

@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's own integrator, Newton
-solver, and symbolic differentiation: finite differences, scipy's
-scaling-and-squaring matrix exponential, cofactor-expansion determinants,
-closed-form affine flows, a scipy shooting solver, the field -V
-built from V's expression trees (for backward flows), and a Dormand-Prince
-5(4) loop that allocates every stage, to check the package's in-place
-stepper bit for bit. Tests compare the implementation against these,
-never the other way around.
+solver and compiled field code, and all but `tree_rhs` its symbolic
+differentiation: finite differences, scipy's scaling-and-squaring matrix
+exponential, cofactor-expansion determinants, closed-form affine flows,
+a scipy shooting solver, the field -V built from V's expression trees
+(for backward flows), a leg's right-hand side that walks the field's
+trees, its derivative trees included, with `expr.eval_expr`, and a
+Dormand-Prince 5(4) loop that allocates every stage, to check the
+package's in-place stepper bit for bit. Tests compare the implementation
+against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -20,13 +22,32 @@ import scipy.linalg
 import scipy.optimize
 
 from kcycle import VectorField
-from kcycle.expr import Unary
+from kcycle.expr import Unary, eval_expr
 
 
 def negated_field(field):
     """The field -V, each component wrapped in a "neg" node."""
     return VectorField(field.dimension,
                        [Unary("neg", c) for c in field.components])
+
+
+def tree_rhs(field, sensitivity):
+    """rhs(y) of one leg of `field`: V(y), or (V(x), J(x) P) flattened for
+    y = (x, P) when `sensitivity`, each value and Jacobian entry walked
+    from its tree (the package's derivative trees) by eval_expr, which
+    performs the float operations the compiled writers do."""
+    n = field.dimension
+    jac = field.jacobian_exprs()
+
+    def values(x):
+        return np.array([eval_expr(c, x) for c in field.components])
+
+    def rhs(y):
+        x = y[:n]
+        j = np.array([[eval_expr(e, x) for e in row] for row in jac])
+        return np.concatenate([values(x),
+                               (j @ y[n:].reshape(n, n)).reshape(-1)])
+    return rhs if sensitivity else values
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,

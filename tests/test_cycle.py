@@ -694,6 +694,14 @@ def test_sweep_slope_near_one(pair):
     assert 0.9 <= slope <= 1.1
 
 
+def test_sweep_distances_below_the_squares_underflow(pair):
+    # the points are +-2.44e-304 .. +-2.5e-301, whose squares underflow
+    fields, w = pair
+    result = sweep_delta(fields, w, [0.0], 1e-300, 4)
+    assert np.all(result.distances > 0.0)
+    assert abs(loglog_slope(result) - 1.0) <= 0.05
+
+
 def test_sweep_huge_delta_max_flags_largest(pair):
     fields, w = pair
     result = sweep_delta(fields, w, [0.0], 1000.0, 32)

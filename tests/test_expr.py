@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcycle import (DimensionError, DomainError, DslError, eval_field,
-                    jacobian_field, parse_field, unparse_field)
+from kcycle import (DimensionError, DomainError, DslError, StepLimitError,
+                    eval_field, integrate_flow, jacobian_field, parse_field,
+                    unparse_field)
 from kcycle.expr import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
                          diff_expr, eval_expr, unparse_expr)
 
@@ -94,9 +95,11 @@ def test_nesting_past_limit_is_dsl_error(kind, depth):
 
 
 def test_eval_division_by_zero_identifies_component():
-    # the compiled evaluator raises the public function's DomainError
+    # the compiled writer raises the public function's DomainError
     f = parse_field("x1; 1/x1", 2)
-    for evaluate in (partial(eval_field, f), f.evaluator()):
+    write = f.value_writer()
+    for evaluate in (partial(eval_field, f),
+                     lambda x: write(x, np.empty(2))):
         with pytest.raises(DomainError) as err:
             evaluate([0.0, 1.0])
         assert err.value.component == 2
@@ -105,7 +108,9 @@ def test_eval_division_by_zero_identifies_component():
 
 def test_jacobian_domain_error_identifies_component():
     f = parse_field("x2; sqrt(x1)", 2)
-    for evaluate in (partial(jacobian_field, f), f.jacobian_evaluator()):
+    write = f.jacobian_parts()[1]
+    for evaluate in (partial(jacobian_field, f),
+                     lambda x: write(x, np.empty(4))):
         with pytest.raises(DomainError) as err:
             evaluate([0.0, 1.0])
         assert err.value.component == 2
@@ -114,9 +119,13 @@ def test_jacobian_domain_error_identifies_component():
 
 
 def test_folded_infinite_constant_evaluates():
-    # d/dx1 folds 1e300 * 1e300 into the constant inf
+    # d/dx1 folds 1e300 * 1e300 into the constant inf; the sensitivity
+    # leg's every step is non-finite, so its step size collapses
     f = parse_field("1e300*x1*1e300", 1)
     assert jacobian_field(f, [1.0]).tolist() == [[math.inf]]
+    with pytest.raises(StepLimitError) as err:
+        integrate_flow(f, [1.0], 0.5)
+    assert str(err.value) == "step size collapsed at t=0"
 
 
 def test_eval_sqrt_negative():

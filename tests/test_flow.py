@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kcycle.expr as expr
 import kcycle.flow as flow
 from kcycle import (DimensionError, DomainError, FlowDomainError,
                     IntegratorConfig, SolverError, StepLimitError, eval_field,
@@ -20,7 +21,7 @@ from kcycle import (DimensionError, DomainError, FlowDomainError,
 
 from conftest import CORPUS_NAMES, scenario_path
 from oracles import (affine_flow, central_fd_jacobian, negated_field,
-                     reference_dopri)
+                     reference_dopri, tree_rhs)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 RK4 = IntegratorConfig(method="rk4_fixed")
@@ -345,23 +346,11 @@ def test_est_local_error_within_tolerance(corpus):
         assert res.est_local_error <= bound
 
 
-def _reference_rhs(field, sensitivity):
-    """A leg's right-hand side built from the public evaluators alone."""
-    n = field.dimension
-    if not sensitivity:
-        return partial(eval_field, field)
-
-    def rhs(y):
-        dphi = jacobian_field(field, y[:n]) @ y[n:].reshape(n, n)
-        return np.concatenate([eval_field(field, y[:n]), dphi.reshape(-1)])
-    return rhs
-
-
 @pytest.mark.parametrize("method", flow.METHODS)
 @pytest.mark.parametrize("sensitivity", [True, False],
                          ids=["sensitivity", "endpoint"])
 @pytest.mark.parametrize("t", [0.3, -0.3], ids=["forward", "backward"])
-@pytest.mark.parametrize("name", ["trig_3d", "wide"])
+@pytest.mark.parametrize("name", ["trig_3d", "wide", "pair_1d"])
 def test_bound_rhs_is_bit_identical_to_public_evaluators(
         corpus, name, t, sensitivity, method):
     if name == "wide":
@@ -369,7 +358,8 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
             np.random.default_rng(0), 6, 4, "wide"))
         field, x = scn.fields[0], scn.stasis_guess
     else:
-        field, x = corpus[name].fields[0], np.array([0.1, -0.2, 0.3])
+        field = corpus[name].fields[0]
+        x = np.array([0.1, -0.2, 0.3])[:field.dimension]
     n = field.dimension
     cfg = IntegratorConfig(method=method)
     stepper = _dopri if method == "dopri_adaptive" else flow._rk4
@@ -377,7 +367,7 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
     work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     # the leg controls the step size on the state, its first n entries
-    want, steps, est = stepper(_into(_reference_rhs(work, sensitivity)), y0,
+    want, steps, est = stepper(_into(tree_rhs(work, sensitivity)), y0,
                                abs(t), cfg, n)
     if sensitivity:
         got = integrate_flow(field, x, t, cfg)
@@ -420,16 +410,26 @@ def test_backward_domain_error_names_the_forward_component(run):
 
 def test_jacobian_failure_alone_falls_back_to_the_tree_walk():
     # at x1 = 0, sqrt(x1) evaluates but its derivative 0.5/sqrt(x1)
-    # divides by zero: the sensitivity leg fails with the walk's
-    # DomainError, and the endpoint-only leg stays at the equilibrium
-    f = parse_field("0 - sqrt(x1)", 1)
-    with pytest.raises(FlowDomainError) as err:
-        integrate_flow(f, [0.0], 1.0)
-    assert err.value.time == 0.0
-    cause = err.value.__cause__
-    assert isinstance(cause, DomainError) and cause.component == 1
-    assert "division by zero" in str(cause)
-    assert flow_endpoint(f, [0.0], 1.0).tolist() == [0.0]
+    # divides by zero; the derivative of x1/1e200, 1e200/(1e200)^2, holds
+    # no variable but overflows, so it is evaluated per call all the same.
+    # The sensitivity leg fails with the walk's DomainError, and the
+    # endpoint-only leg stays put (x1/1e200 moves 1 by about 1e-200)
+    for source, x, cause_text in [
+            ("0 - sqrt(x1)", 0.0,
+             "division by zero in '1.0 / (2.0 * sqrt(x1))'"),
+            ("x1/1e200", 1.0, "overflow in power 1e+200^2 in '1e+200^2'")]:
+        f = parse_field(source, 1)
+        with pytest.raises(FlowDomainError) as err:
+            integrate_flow(f, [x], 0.5)
+        assert err.value.time == 0.0
+        assert str(err.value) == (f"field evaluation failed at t=0: "
+                                  f"component 1: {cause_text}")
+        cause = err.value.__cause__
+        assert isinstance(cause, DomainError) and cause.component == 1
+        with pytest.raises(DomainError) as err:
+            jacobian_field(f, [x])
+        assert str(err.value) == f"component 1: {cause_text}"
+        assert flow_endpoint(f, [x], 0.5).tolist() == [x]
 
 
 def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
@@ -449,6 +449,36 @@ def test_leg_makes_no_evaluator_wrapper_call_per_stage(monkeypatch):
     assert res.steps_taken >= 20
     assert calls.count("eval_field") <= 1
     assert calls.count("jacobian_field") <= 1
+
+
+def _trees(rows):
+    """The expression trees held in nested tuples or lists."""
+    if isinstance(rows, (tuple, list)):
+        return set().union(*map(_trees, rows))
+    return {rows} if isinstance(rows, (expr.Const, expr.Var, expr.Unary,
+                                       expr.Binary, expr.Power)) else set()
+
+
+def test_affine_sensitivity_stage_evaluates_no_jacobian_entry(monkeypatch):
+    # an affine field's Jacobian entries are constants, written once per
+    # workspace: its stage calls run compiled code of the components only
+    called = []
+    compile_rows = expr._compile
+
+    def logging_compile(rows):
+        write, trees = compile_rows(rows), _trees(rows)
+
+        def logged(*args):
+            called.append(trees)
+            return write(*args)
+        return logged
+
+    monkeypatch.setattr(expr, "_compile", logging_compile)
+    f = parse_field("x2 + 1; -x1 - 0.5*x2", 2)
+    res = integrate_flow(f, [0.3, 0.1], 2.0)
+    assert res.steps_taken > 1
+    assert len(called) == 1 + 6 * res.steps_taken
+    assert all(trees <= set(f.components) for trees in called)
 
 
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
@@ -517,12 +547,12 @@ def test_legs_match_the_allocating_reference_dopri(t):
         work = field if t > 0 else negated_field(field)
         got = integrate_flow(field, x, t)
         y0 = np.concatenate([x, np.eye(n).reshape(-1)])
-        want, steps, est = reference_dopri(_reference_rhs(work, True), y0,
+        want, steps, est = reference_dopri(tree_rhs(work, True), y0,
                                            abs(t), cfg, n)
         assert np.array_equal(got.endpoint, want[:n]), (name, j)
         assert np.array_equal(got.sensitivity, want[n:].reshape(n, n))
         assert (got.steps_taken, got.est_local_error) == (steps, est)
-        want, _, _ = reference_dopri(_reference_rhs(work, False), x,
+        want, _, _ = reference_dopri(tree_rhs(work, False), x,
                                      abs(t), cfg, n)
         assert np.array_equal(flow_endpoint(field, x, t), want), (name, j)
 

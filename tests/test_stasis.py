@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -283,7 +284,12 @@ def test_residual_norm_keeps_every_finite_norm_and_rescales_an_overflow():
     rng = np.random.default_rng(5)
     for scale in (1e-300, 1.0, 1e150):
         r = rng.normal(size=4) * scale
-        assert residual_norm(r) == float(np.linalg.norm(r))
+        if scale < 1e-154:  # the squares underflow: rescaled
+            assert residual_norm(r) == pytest.approx(
+                math.hypot(*r), rel=1e-15, abs=0.0)
+        else:
+            assert residual_norm(r) == float(np.linalg.norm(r))
+    assert residual_norm(np.zeros(3)) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert residual_norm(np.array([3e200, -4e200])) == pytest.approx(
