@@ -6,13 +6,12 @@ Usage: python scripts/flow_digest.py [--save FILE.npz] [--against FILE.npz]
 Legs: integrate_flow and flow_endpoint from each scenario's guess point
 + 0.1, on every field of every corpus scenario and of the n = 6, k = 4
 families random_linear_scenario(default_rng(s), 6, 4) for s = 1, 2, over
-t = 0.3, -0.7 and 2.0, with both integration methods. One line per
-scenario gives a sha256 over the endpoints, sensitivities, step counts
-and local-error estimates (or the error a leg raised) and its step
-count; the last leg line covers every leg. The legs then run again on
-the same fields in reverse order, and every leg whose bytes differ from
-the first run's is printed: a leg's result must not depend on the legs
-run before it.
+t = 0.3, -0.7 and 2.0: 75 legs. One line per scenario gives a sha256
+over the endpoints, sensitivities, step counts and local-error estimates
+(or the error a leg raised) and its step count; the last leg line covers
+every leg. The legs then run again on the same fields in reverse order,
+and every leg whose bytes differ from the first run's is printed: a
+leg's result must not depend on the legs run before it.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
@@ -49,7 +48,7 @@ from kcycle import (KcycleError, find_stasis, flow_endpoint,  # noqa: E402
                     integrate_flow, load_scenario, loglog_slope,
                     random_linear_scenario, scenario_from_dict, sweep_delta,
                     verify_cycle)
-from kcycle.flow import METHODS, IntegratorConfig  # noqa: E402
+from kcycle.scenario import METHOD  # noqa: E402
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 CORPUS = ("pair_1d", "triad_2d", "linear_2d_a", "linear_3d_b", "trig_3d")
@@ -77,14 +76,13 @@ def wide_scenarios():
 
 
 def legs(scn):
-    """(key, field, x, t, cfg) of every leg of one scenario."""
+    """(key, field, x, t, cfg) of every leg of one scenario; the key names
+    the method, as the keys saved by earlier versions do."""
     x = scn.guess_point() + 0.1
-    for method in METHODS:
-        cfg = IntegratorConfig(scn.integrator.rel_tol, scn.integrator.abs_tol,
-                               scn.integrator.max_steps, method)
-        for j, field in enumerate(scn.fields):
-            for t in TIMES:
-                yield f"{scn.name}|{method}|{j}|{t!r}", field, x, t, cfg
+    for j, field in enumerate(scn.fields):
+        for t in TIMES:
+            yield (f"{scn.name}|{METHOD}|{j}|{t!r}", field, x, t,
+                   scn.integrator)
 
 
 def run_leg(field, x, t, cfg):

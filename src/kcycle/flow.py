@@ -12,32 +12,29 @@ not force the steps down to abs_tol, and P stays accurate relative to
 its norm, which is what its Jacobians need, even where the state's own
 error is 0 (at an equilibrium). A step with a non-finite entry anywhere
 in the augmented state is rejected.
-Two steppers are provided: an adaptive Dormand-Prince 5(4) embedded pair
-with PI step-size control (default), and a uniform-step RK4 with
-per-step Richardson error estimates that refines the whole pass until
-the estimate meets tolerance (cross-check method). Dormand-Prince first
-tries the whole leg as one step: the legs of a cycle solve are short
-against the fields' time scales, so that attempt is often accepted, and
-when it is not, the error-controlled shrink (at least 0.2x per
-rejection) finds a step that is (Hairer, Norsett & Wanner, Solving ODEs
-I, II.4). Dormand-Prince evaluates its last stage at the new state,
-which therefore serves as the next step's first stage (first same as
-last), and a rejected step keeps its first stage: every step after the
-first costs six right-hand-side evaluations instead of seven. It keeps
-the state in row 0 and the seven stages in rows 1-7 of one work array,
-allocated once per field and kind of leg and checked out per leg, and
-scales the tableau by the signed step once per attempt, so that each stage
-input y + sum_j (h a_ij) k_j is one matrix product over rows 0..i and
-the error estimate sum_j (h e_j) k_j is one more. These products, and a
-sensitivity stage's J P, go through np.dot rather than `@` or np.matmul:
-a generalized ufunc's out= dispatch costs about 1 us more per call at
-these sizes, and a step makes seven such products, thirteen with
-sensitivities. h multiplies each
-tableau weight rather than the weighted sum, and y joins the sum, so
-the results differ from the textbook's y + h (sum_j a_ij k_j) only in
-rounding. A stage that leaves the field's domain is a trial, not a point
-of the trajectory, so Dormand-Prince rejects that step; only a step size
-that collapses there ends the leg.
+The stepper is the adaptive Dormand-Prince 5(4) embedded pair with PI
+step-size control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
+It first tries the whole leg as one step: the legs of a cycle solve are
+short against the fields' time scales, so that attempt is often
+accepted, and when it is not, the error-controlled shrink (at least 0.2x
+per rejection) finds a step that is. Dormand-Prince evaluates its last
+stage at the new state, which therefore serves as the next step's first
+stage (first same as last), and a rejected step keeps its first stage:
+every step after the first costs six right-hand-side evaluations instead
+of seven. It keeps the state in row 0 and the seven stages in rows 1-7
+of one work array, allocated once per field and kind of leg and checked
+out per leg, and scales the tableau by the signed step once per attempt,
+so that each stage input y + sum_j (h a_ij) k_j is one matrix product
+over rows 0..i and the error estimate sum_j (h e_j) k_j is one more.
+These products, and a sensitivity stage's J P, go through np.dot rather
+than `@` or np.matmul: a generalized ufunc's out= dispatch costs about 1
+us more per call at these sizes, and a step makes seven such products,
+thirteen with sensitivities. h multiplies each tableau weight rather
+than the weighted sum, and y joins the sum, so the results differ from
+the textbook's y + h (sum_j a_ij k_j) only in rounding. A stage that
+leaves the field's domain is a trial, not a point of the trajectory, so
+Dormand-Prince rejects that step; only a step size that collapses there
+ends the leg.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_leg`, and differ only in the right-hand side and the
 initial state. `_leg` checks the point's shape once and writes the
@@ -55,15 +52,14 @@ error surfaces at every stage. Dormand-Prince binds its stage calls
 once per field and kind of leg in a workspace (`_Workspace`) that also
 holds every buffer it writes; a leg checks the workspace out and puts it
 back when it ends, so legs reuse it one at a time and a leg's results do
-not depend on the legs before it. RK4 builds its right-hand side per
-leg. The writers raise the DomainError that names the component
-themselves.
+not depend on the legs before it. The writers raise the DomainError
+that names the component themselves.
 Backward time t < 0 steps with -h on the same right-hand side and
-workspace: Dormand-Prince scales its tableau by the signed step and RK4
-takes signed macro steps. IEEE negation is exact, so this is bitwise the
-negated field's flow over |t|; errors report the leg's own time.
-Overflow and NaN surface as non-finite steps, which both steppers
-reject, so numpy's floating-point warnings are silenced for the whole
+workspace: Dormand-Prince scales its tableau by the signed step. IEEE
+negation is exact, so this is bitwise the negated field's flow over |t|;
+errors report the leg's own time.
+Overflow and NaN surface as non-finite steps, which the stepper rejects,
+so numpy's floating-point warnings are silenced for the whole
 integration.
 """
 
@@ -80,27 +76,22 @@ from .errors import DomainError, FlowDomainError, StepLimitError
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
 from .expr import VectorField, as_point, eval_field, jacobian_field
 
-METHODS = ("dopri_adaptive", "rk4_fixed")
-
 
 @dataclass
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 10**6
-    method: str = "dopri_adaptive"
 
     def __post_init__(self):
         if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
             raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
 
     def tightened(self, factor: float) -> "IntegratorConfig":
         return IntegratorConfig(self.rel_tol / factor, self.abs_tol / factor,
-                                self.max_steps, self.method)
+                                self.max_steps)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -151,17 +142,6 @@ def _coefficients():
     return coef, partial(np.multiply, _DP_TABLE, out=coef[:, 1:])
 
 
-def _error_scale(peak, tail, cfg):
-    """abs_tol + rel_tol * peak in place, where peak holds |y_i| and its
-    view tail, the entries past the state's (empty for a state-only leg),
-    takes their largest (the sensitivity's norm); returns peak."""
-    if tail.size:
-        tail[...] = _largest(tail)
-    peak *= cfg.rel_tol
-    peak += cfg.abs_tol
-    return peak
-
-
 def _domain_failure(exc, t):
     """The FlowDomainError for a DomainError on the leg at time t."""
     t += 0.0  # a backward leg's -0.0 reads as 0
@@ -210,8 +190,10 @@ def _dopri(ws, time, cfg):
     shrinks h as any other does, so a span too long for one step costs a
     few rejected attempts, and a subnormal span's first h is not 0.
 
-    Error control is on the max norm of the scaled embedded estimate
-    (`_error_scale`), so on success every accepted step satisfies
+    Error control is on the max norm of the embedded estimate divided
+    entry by entry by abs_tol + rel_tol * max(|y_i|, |y_new_i|), where the
+    entries past the state's (the sensitivity's) all take the largest of
+    theirs, so on success every accepted step satisfies
     |err_i| <= abs_tol + rel_tol*|y_i| for the state's entries i < n and
     |err_i| <= abs_tol + rel_tol*max_{j>=n}|y_j| for the rest; est is the
     largest state |err_i| accepted. A non-finite entry anywhere rejects
@@ -238,7 +220,7 @@ def _dopri(ws, time, cfg):
     abs_y, abs_new, abs_e, scale, tail, state_error = (
         ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail, ws.state_error)
     scale_coef, error_weights, plan = ws.scale_coef, ws.error_weights, ws.plan
-    max_steps = cfg.max_steps
+    rel_tol, abs_tol, max_steps = cfg.rel_tol, cfg.abs_tol, cfg.max_steps
     span = abs(time)
     sign = -1.0 if time < 0.0 else 1.0
     t = 0.0
@@ -282,7 +264,10 @@ def _dopri(ws, time, cfg):
         np.dot(error_weights, stages, abs_e)
         np.abs(abs_e, out=abs_e)
         np.maximum(abs_y, abs_new, out=scale)
-        _error_scale(scale, tail, cfg)
+        if tail.size:  # the sensitivity's entries take its norm
+            tail[...] = _largest(tail)
+        scale *= rel_tol
+        scale += abs_tol
         err = float(_largest(np.divide(abs_e, scale, out=scale)))
         if err <= 1.0:
             t += h
@@ -298,70 +283,6 @@ def _dopri(ws, time, cfg):
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
     return state.copy(), steps, est
-
-
-def _rk4_step(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    # h times the mean slope: (h / 6) would underflow for a subnormal h
-    return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-
-
-def _rk4(bind, y0, time, cfg, n):
-    """Uniform-step RK4 with Richardson comparison per step from y0, in
-    signed macro steps over time; bind(y, out) as `_rhs` returns, through
-    an adapter that allocates and binds each slope. It is the cross-check
-    method, so it keeps no workspace: every leg allocates its own arrays.
-
-    Each macro step is taken once at h and once as two h/2 steps; the
-    difference/15 estimates the local error of the fine result, which is
-    what propagates. The whole pass is redone with doubled resolution
-    until the estimate, scaled as in `_dopri` with the state's n entries
-    first, passes; est is the state's; a non-finite entry anywhere fails
-    the pass. A DomainError raises FlowDomainError at once, at the macro
-    step's (signed) start: a fixed-step pass cannot tell a trial stage
-    that overshoots the domain from a trajectory that leaves it without
-    refining toward max_steps. The second half step is h - h/2, so the
-    halves always cover h. The first pass takes eight macro steps, or one
-    when the half steps of eight would be subnormal: a subnormal |time| / 8
-    rounds to a few units of 5e-324, and its half to 0.
-    """
-    def slope(y):
-        out = np.empty(y.size)
-        bind(y, out)()
-        return out
-
-    n_steps = 8 if abs(time) / 16.0 >= np.finfo(float).tiny else 1
-    while True:
-        if 2 * n_steps > cfg.max_steps:
-            raise StepLimitError(
-                f"fixed-step refinement exceeded {cfg.max_steps} steps")
-        h = time / n_steps
-        y = y0.copy()
-        est = 0.0
-        worst = 0.0
-        ok = True
-        for i in range(n_steps):
-            try:
-                y_big = _rk4_step(slope, y, h)
-                y_half = _rk4_step(slope, y, 0.5 * h)
-                y_fine = _rk4_step(slope, y_half, h - 0.5 * h)
-            except DomainError as exc:
-                raise _domain_failure(exc, i * h) from exc
-            diff = np.abs(y_big - y_fine) / 15.0
-            if not np.all(np.isfinite(y_fine)):
-                ok = False
-                break
-            peak = np.abs(y_fine)
-            scale = _error_scale(peak, peak[n:], cfg)
-            worst = max(worst, float(np.max(diff / scale)))
-            est = max(est, float(np.max(diff[:n])))
-            y = y_fine
-        if ok and worst <= 1.0:
-            return y, 2 * n_steps, est
-        n_steps *= 2
 
 
 def _rhs(field, sensitivity):
@@ -436,12 +357,11 @@ def _leg(field, x, t, cfg, sensitivity):
     returns the initial state exactly; a negative t steps with -h, and its
     errors report the leg's own (negative) time.
 
-    A Dormand-Prince leg checks out the field's workspace for its kind of
-    leg, in either direction, building it on first use, and puts it back
-    when it ends, however it ends. A leg that finds none checked in,
-    because another thread or an enclosing leg holds it, builds its own,
-    so no two legs ever share buffers. The workspaces live as long as the
-    field does.
+    A leg checks out the field's workspace for its kind of leg, in either
+    direction, building it on first use, and puts it back when it ends,
+    however it ends. A leg that finds none checked in, because another
+    thread or an enclosing leg holds it, builds its own, so no two legs
+    ever share buffers. The workspaces live as long as the field does.
     """
     n = field.dimension
     x = as_point(field, x)
@@ -451,9 +371,6 @@ def _leg(field, x, t, cfg, sensitivity):
     if t == 0.0:
         return _initial_state(np.empty(size), x, n), 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method == "rk4_fixed":
-            return _rk4(_rhs(field, sensitivity),
-                        _initial_state(np.empty(size), x, n), t, cfg, n)
         pool = _WORKSPACES.setdefault(field, {})
         ws = pool.pop(sensitivity, None)
         if ws is None:

@@ -9,6 +9,8 @@ solve for the weights, both pinned means the point seeds the Newton solve.
 Types are checked here, but solver defaults are owned elsewhere: an
 omitted integrator key takes its `flow.DEFAULT_CONFIG` value (checked by
 `IntegratorConfig`), an omitted cycle_tol `cycle.DEFAULT_CYCLE_TOL`.
+The tolerance key `method` names the one integrator, `METHOD`; records
+embed it, so it may be given, but only with that value.
 `read_json` reads both scenario and record files.
 """
 
@@ -28,6 +30,7 @@ from .flow import DEFAULT_CONFIG, IntegratorConfig
 from .stasis import Weights
 
 SCHEMA_VERSION = 1
+METHOD = "dopri_adaptive"
 
 _TOP_KEYS = {"schema_version", "name", "dimension", "fields", "weights",
              "stasis_guess", "stasis_point", "tolerances", "sweep"}
@@ -190,8 +193,10 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
             rel_tol=_positive(tols.get("rel_tol", base.rel_tol), "rel_tol"),
             abs_tol=_positive(tols.get("abs_tol", base.abs_tol), "abs_tol"),
             max_steps=whole_number(tols.get("max_steps", base.max_steps),
-                                   "max_steps", 1),
-            method=tols.get("method", base.method))
+                                   "max_steps", 1))
+        method = tols.get("method", METHOD)
+        if method != METHOD:
+            raise ValueError(f"method must be {METHOD!r}, got {method!r}")
     except ValueError as exc:
         raise ScenarioError(f"{origin}: bad tolerances: {exc}") from exc
 
@@ -236,7 +241,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "rel_tol": s.integrator.rel_tol,
             "abs_tol": s.integrator.abs_tol,
             "max_steps": s.integrator.max_steps,
-            "method": s.integrator.method,
+            "method": METHOD,
         },
         "sweep": ({"delta_max": s.sweep.delta_max, "steps": s.sweep.steps}
                   if s.sweep is not None else None),

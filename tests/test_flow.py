@@ -18,13 +18,13 @@ from kcycle import (DimensionError, DomainError, FlowDomainError,
                     flow_endpoint, integrate_flow, jacobian_field,
                     load_scenario, parse_field, random_linear_scenario,
                     scenario_from_dict)
+from kcycle.scenario import METHOD
 
 from conftest import CORPUS_NAMES, scenario_path
 from oracles import (affine_flow, central_fd_jacobian, negated_field,
-                     reference_dopri, tree_rhs)
+                     reference_dopri, scipy_flow, tree_rhs)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-RK4 = IntegratorConfig(method="rk4_fixed")
 
 # x2' = -sqrt(x2) from 0.04 is x2 = (0.2 - t/2)^2, which reaches zero at
 # t = 0.4. A state error e near there moves that exit by 2*sqrt(e) in
@@ -34,7 +34,7 @@ EXIT_ALLOWANCE = 2.0 * math.sqrt(flow.DEFAULT_CONFIG.abs_tol
 
 
 def _into(rhs):
-    """An rhs(y) that returns its value, as the steppers' binder: bind(y,
+    """An rhs(y) that returns its value, as the stepper's binder: bind(y,
     out) returns a call that writes rhs(y) into out."""
     def bind(y, out):
         def write():
@@ -158,14 +158,17 @@ def test_linear_field_against_expm_oracle():
             1.0, np.linalg.norm(want))
 
 
-def test_rk4_cross_check():
+@pytest.mark.parametrize("t", [0.4, -0.4], ids=["forward", "backward"])
+def test_dop853_cross_check(t):
+    # an independent integrator: scipy's DOP853 on the tree-walked
+    # augmented system; backward, on the negated field over |t|
     f = parse_field("sin(x2); -x1 + tanh(x2)", 2)
     x = [0.3, 0.1]
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="rk4_fixed")
-    adaptive = integrate_flow(f, x, 0.4)
-    fixed = integrate_flow(f, x, 0.4, cfg)
-    assert np.allclose(adaptive.endpoint, fixed.endpoint, atol=1e-9)
-    assert np.allclose(adaptive.sensitivity, fixed.sensitivity, atol=1e-8)
+    got = integrate_flow(f, x, t)
+    work = f if t > 0 else negated_field(f)
+    want = scipy_flow(tree_rhs(work, True), x + [1.0, 0.0, 0.0, 1.0], abs(t))
+    assert np.max(np.abs(got.endpoint - want[:2])) <= 1e-10
+    assert np.max(np.abs(got.sensitivity - want[2:].reshape(2, 2))) <= 1e-10
 
 
 def test_step_exhaustion():
@@ -206,18 +209,6 @@ def test_subnormal_time_advances():
         pytest.approx([5e-323], rel=0.2, abs=0.0)
     res = integrate_flow(f, [0.0], -5e-323, cfg)
     assert res.endpoint == pytest.approx([-5e-323], rel=0.2, abs=0.0)
-    assert res.sensitivity[0, 0] == pytest.approx(1.0)
-
-
-def test_rk4_subnormal_time_advances():
-    # eight steps of span / 8 have half steps that underflow to 0 here, so
-    # the pass used to return the initial state while claiming 16 steps
-    f = parse_field("1 - x1", 1)
-    cfg = IntegratorConfig(method="rk4_fixed")
-    assert flow_endpoint(f, [0.0], 5e-323, cfg) == [5e-323]
-    res = integrate_flow(f, [0.0], -5e-323, cfg)
-    assert res.endpoint == [-5e-323]
-    assert res.steps_taken == 2
     assert res.sensitivity[0, 0] == pytest.approx(1.0)
 
 
@@ -310,20 +301,21 @@ def test_domain_error_reports_time():
     assert "sqrt" in str(err.value)
 
 
-@pytest.mark.parametrize("method", flow.METHODS)
+# the cfg's id is the method's name, so these cases keep their test ids
+@pytest.mark.parametrize("cfg", [flow.DEFAULT_CONFIG], ids=[METHOD])
 @pytest.mark.parametrize("source, a, x, t", [
     ("x1", [[1.0]], [0.0], 10.0),
     ("x1", [[1.0]], [1e-20], 10.0),
     ("x2; -4*x1 + 0.3*x2", [[0.0, 1.0], [-4.0, 0.3]], [0.0, 0.0], 6.0),
 ], ids=["growth", "growth-near-zero", "oscillator"])
 def test_sensitivity_is_accurate_where_the_state_barely_moves(source, a, x,
-                                                             t, method):
+                                                             t, cfg):
     # from an equilibrium (or next to it) the state's local error is 0 (or
     # far below abs_tol), so only the sensitivity's own error control
     # keeps the steps short: P = e^{tA} to the tolerance relative to |P|
     f = parse_field(source, len(x))
     want = scipy.linalg.expm(t * np.array(a))
-    res = integrate_flow(f, x, t, IntegratorConfig(method=method))
+    res = integrate_flow(f, x, t, cfg)
     assert np.max(np.abs(res.sensitivity - want)) <= 1e-7 * np.max(
         np.abs(want))
 
@@ -333,8 +325,6 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
 
 
 def test_est_local_error_within_tolerance(corpus):
@@ -346,13 +336,14 @@ def test_est_local_error_within_tolerance(corpus):
         assert res.est_local_error <= bound
 
 
-@pytest.mark.parametrize("method", flow.METHODS)
+# the cfg's id is the method's name, so these cases keep their test ids
+@pytest.mark.parametrize("cfg", [flow.DEFAULT_CONFIG], ids=[METHOD])
 @pytest.mark.parametrize("sensitivity", [True, False],
                          ids=["sensitivity", "endpoint"])
 @pytest.mark.parametrize("t", [0.3, -0.3], ids=["forward", "backward"])
 @pytest.mark.parametrize("name", ["trig_3d", "wide", "pair_1d"])
 def test_bound_rhs_is_bit_identical_to_public_evaluators(
-        corpus, name, t, sensitivity, method):
+        corpus, name, t, sensitivity, cfg):
     if name == "wide":
         scn = scenario_from_dict(random_linear_scenario(
             np.random.default_rng(0), 6, 4, "wide"))
@@ -361,14 +352,12 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
         field = corpus[name].fields[0]
         x = np.array([0.1, -0.2, 0.3])[:field.dimension]
     n = field.dimension
-    cfg = IntegratorConfig(method=method)
-    stepper = _dopri if method == "dopri_adaptive" else flow._rk4
     # backward: the negated field's trees, built outside the package
     work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     # the leg controls the step size on the state, its first n entries
-    want, steps, est = stepper(_into(tree_rhs(work, sensitivity)), y0,
-                               abs(t), cfg, n)
+    want, steps, est = _dopri(_into(tree_rhs(work, sensitivity)), y0,
+                              abs(t), cfg, n)
     if sensitivity:
         got = integrate_flow(field, x, t, cfg)
         assert np.array_equal(got.endpoint, want[:n])
@@ -496,17 +485,7 @@ def test_trial_stage_outside_the_domain_rejects_the_step(run):
     got = run(f, [1.0], 100.0, relative)
     end = got.endpoint if run is integrate_flow else got
     assert end[0] == pytest.approx(math.exp(-100.0),
-                                   rel=100.0 * relative.rel_tol)
-
-
-def test_rk4_raises_at_the_first_stage_outside_the_domain():
-    # a fixed-step pass cannot tell a trial stage past the domain from a
-    # trajectory that leaves it, so it raises where the adaptive leg runs
-    f = parse_field("sqrt(x1) - sqrt(x1) - x1", 1)
-    with pytest.raises(FlowDomainError) as err:
-        flow_endpoint(f, [1.0], 100.0, RK4)
-    assert err.value.time == 0.0
-    assert isinstance(err.value.__cause__, DomainError)
+                                   rel=100.0 * relative.rel_tol, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0], ids=["forward", "backward"])
@@ -518,15 +497,6 @@ def test_domain_error_at_the_first_stage_raises_at_once(t):
     assert isinstance(err.value, SolverError)  # the CLI's exit code 1
     assert math.copysign(1.0, err.value.time) == 1.0
     assert "at t=0:" in str(err.value)
-
-
-def test_rk4_backward_domain_error_reports_negative_time():
-    f = parse_field("1; sqrt(x2)", 2)
-    with pytest.raises(FlowDomainError) as err:
-        flow_endpoint(f, [0.0, 0.04], -1.0, RK4)
-    assert -0.4 < err.value.time < 0.0
-    assert f"at t={err.value.time:.6g}:" in str(err.value)
-    assert err.value.__cause__.component == 2
 
 
 def _reference_cases():

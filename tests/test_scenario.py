@@ -119,12 +119,12 @@ def test_tolerance_overrides():
     d = _base_dict()
     d["tolerances"] = {"stasis_tol": 1e-8, "cycle_tol": 1e-9,
                        "rel_tol": 1e-9, "abs_tol": 1e-11,
-                       "max_steps": 1000, "method": "rk4_fixed"}
+                       "max_steps": 1000, "method": "dopri_adaptive"}
     scn = scenario_from_dict(d)
     assert scn.stasis_tol == 1e-8
     assert scn.cycle_tol == 1e-9
-    assert scn.integrator.method == "rk4_fixed"
     assert scn.integrator.max_steps == 1000
+    assert scenario_to_dict(scn)["tolerances"] == d["tolerances"]
     d["tolerances"] = {"unknown_tol": 1.0}
     with pytest.raises(ScenarioError, match="unknown tolerance"):
         scenario_from_dict(d)
