@@ -28,11 +28,15 @@ difference of endpoints and sensitivities relative to their largest
 entry, the legs whose step count changed and the legs whose bytes moved
 (arrays or step count, or a leg that ended in an error in one run
 only), each of them by name; per sweep, the largest move of a cycle
-point and the number of ladder points whose bytes moved. The byte
-comparison tells -0.0 from 0.0, which a difference does not.
+point and the number of ladder points whose bytes moved. Every leg and
+sweep the file holds but this run did not make is named as missing and
+counted as moved, so a run that covers less than the saved one does not
+pass for an unmoved one. The byte comparison tells -0.0 from 0.0, which
+a difference does not.
 
 Exit status: 1 if a leg depends on the legs run before it; else 2 if
---against found any leg or sweep whose bytes moved; else 0.
+--against found any leg or sweep whose bytes moved or that this run did
+not make; else 0.
 """
 
 import argparse
@@ -216,6 +220,15 @@ def sweeps(label, scenarios, saved, against):
     return moved_sweeps
 
 
+def missing(made, against):
+    """Print the leg and sweep keys of `against` that are not in `made`,
+    the keys of this run; returns their number."""
+    gone = sorted({key.removesuffix("|steps") for key in against} - made)
+    for key in gone:
+        print(f"  missing: {key}")
+    return len(gone)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--save", help="write every leg's arrays here")
@@ -234,6 +247,7 @@ def main():
     if args.save:
         np.savez(args.save, **saved)
     if against is not None:
+        moved += missing(set(ran) | set(saved), against)
         print(f"against {args.against}: {moved} legs and sweeps moved")
     return 1 if differ else 2 if moved else 0
 

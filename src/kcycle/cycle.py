@@ -7,41 +7,34 @@ are zeros of the stacked system
     [ G(x_1..x_k, delta); F_1(x_1, delta*m_1) - x_2; ...;
       F_{k-1}(x_{k-1}, delta*m_{k-1}) - x_k ]
 
-where G is the average velocity around the prospective loop,
-G = sum_j (F_j(x_j, delta*m_j) - x_j) / delta, with a removable
-singularity at delta = 0 and limit sum_j m_j V_j(x_j). `_cycle_system`
-assembles the system for every caller on the (k, n) array of points, and
-delta = 0 is data there, not a branch: the endpoints are the points, the
-sensitivities the identity and the top Jacobian blocks m_j dV_j/dx(x_j),
-so the block matrix's determinant magnitude equals
-|det(sum_j m_j dV_j/dx)|. Newton continuation in delta rides this
-structure: the closure of the final leg is implied by the G block (the
-leg displacements telescope) but is re-verified independently before a
-cycle is accepted, because floating point breaks exact telescoping.
+where G = sum_j (F_j(x_j, delta*m_j) - x_j) / delta is the average
+velocity around the loop, with limit sum_j m_j V_j(x_j) at delta = 0.
+`_cycle_system` forms the system for every caller in one loop over the
+legs, writing the endpoints, the residual and the Jacobian's blocks in
+place. delta = 0 is data there, not a branch: the sensitivities are I and
+the top blocks m_j dV_j/dx(x_j), so |det| is |det(sum_j m_j dV_j/dx)|.
+The final leg's closure is implied by G (the displacements telescope) but
+is re-verified before a cycle is accepted, because floating point breaks
+exact telescoping.
 
-`solve_cycle` runs `linalg.damped_newton`, the Newton driver of the
-stasis solve too: evaluations with the Jacobian integrate the k legs with
-sensitivities, line-search trials endpoint only, and the accepted trial's
-endpoints come back, so the iteration that finds a point converged
-integrates nothing. A step is `linalg.newton_step`: an SVD singularity
-test, then dense LU; the chain blocks would admit a block-structured
-elimination, not needed while the systems stay desk-scale (nk at most a
-few hundred). A residual within tol does not end the solve: a point is
-only accurate to about tol times the Jacobian's condition there, so one
-more LU solve with the last Jacobian gives the simplified Newton
-correction, and a point whose correction exceeds tol is moved by it
-when the moved point's residual is within tol as well (error-oriented
-termination; Deuflhard, Newton Methods for Nonlinear Problems, ch. 2).
-The same solve gives the branch tangent dx/ddelta.
+`solve_cycle` runs `linalg.damped_newton`: evaluations with the Jacobian
+integrate the k legs with sensitivities, line-search trials endpoint
+only, and the iteration that finds a point converged integrates nothing.
+A residual within tol does not end the solve, as a point is only
+accurate to about tol times the Jacobian's condition: one more LU solve
+with the last Jacobian gives the simplified Newton correction and the
+branch tangent dx/ddelta, and a point whose correction exceeds tol is
+moved by it when the moved point's residual is within tol as well
+(error-oriented termination; Deuflhard, Newton Methods for Nonlinear
+Problems, ch. 2).
 
 A sweep seeds each solve from the branch's own expansion (Euler-Newton
-continuation). At delta = 0 the branch leaves x0 along the tangent
-c = -H_x^-1 H_delta, which needs only the fields and their Jacobians at
-x0, so the first ladder point is seeded at x0 + delta*c. Each solved
-point joins the branch corrected and with its tangent, and later points,
-bisection retries included, are seeded by the Hermite polynomial in
-delta through the last three branch nodes (values and slopes); most of
-them then converge without a Newton step.
+continuation). The first ladder point is seeded at x0 + delta*c, where
+c = -H_x^-1 H_delta needs only the fields and their Jacobians at x0. Each
+solved point joins the branch corrected and with its tangent; later
+points, bisection retries included, are seeded by the Hermite polynomial
+in delta through the last three branch nodes, formed from float weights
+on their values and slopes. Most of them converge without a Newton step.
 """
 
 from __future__ import annotations
@@ -75,17 +68,16 @@ class CyclePoints:
     points: np.ndarray
 
     def __post_init__(self):
-        rows = [np.asarray(p, dtype=float) for p in self.points]
-        if len(rows) < 2:
-            raise DimensionError("a cycle needs at least two points")
-        if any(p.shape != rows[0].shape for p in rows):
+        try:
+            self.points = np.array(self.points, dtype=float)
+        except ValueError:  # ragged rows
             raise DimensionError("cycle points must share one dimension")
-        self.points = np.array(rows)
+        if len(self.points) < 2:
+            raise DimensionError("a cycle needs at least two points")
 
     @classmethod
     def constant(cls, x0, k: int) -> "CyclePoints":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(np.broadcast_to(x0, (k,) + x0.shape))
+        return cls([x0] * k)
 
     def __len__(self):
         return len(self.points)
@@ -179,42 +171,43 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     Returns (ends, res, jac): the leg endpoints F_j(x_j, delta*m_j) as a
     (k, n) array; the residual as a (k, n) array whose row 0 is the
     average velocity and row j the mismatch F_j(x_j, delta*m_j) - x_{j+1};
-    and the (nk, nk) Jacobian, None unless asked for.
+    and the (nk, nk) Jacobian of `cycle_jacobian`, None unless asked for,
+    into which each leg writes its two blocks.
     """
     k, n = pts.shape
     eye = np.eye(n)
-    legs = list(zip(fields, pts, weights))
-    if delta == 0.0:
-        ends, sens = pts, np.broadcast_to(eye, (k, n, n))
-    elif jacobian:
-        flows = [integrate_flow(f, x, delta * m, cfg) for f, x, m in legs]
-        ends = np.array([fl.endpoint for fl in flows])
-        sens = np.array([fl.sensitivity for fl in flows])
-    else:
-        ends = np.array([flow_endpoint(f, x, delta * m, cfg)
-                         for f, x, m in legs])
-    velocity = np.zeros(n)
-    for (f, x, m), end in zip(legs, ends):  # fixed summation order
-        velocity += m * eval_field(f, x) if delta == 0.0 else end - x
-    # the delta = 0 limit is already a velocity: dividing by 1 is exact
-    res = np.vstack([velocity / (delta or 1.0), ends[:-1] - pts[1:]])
-    jac = None
+    ends, res = np.empty((k, n)), np.zeros((k, n))
+    jac = np.zeros((k * n, k * n)) if jacobian else None
     if jacobian:
-        top = (np.array([m * jacobian_field(f, x) for f, x, m in legs])
-               if delta == 0.0 else (sens - eye) / delta)
-        jac = np.zeros((k, n, k, n))
-        jac[0] = np.swapaxes(top, 0, 1)
-        for j in range(1, k):
-            jac[j, :, j - 1], jac[j, :, j] = sens[j - 1], -eye
-        jac = jac.reshape(k * n, k * n)
+        jac.flat[n * (k * n + 1)::k * n + 1] = -1.0
+        blocks = jac.reshape(k, n, k, n)
+    for j, (f, x, m) in enumerate(zip(fields, pts, weights)):
+        if delta == 0.0:
+            ends[j], sens = x, eye
+        elif jacobian:
+            leg = integrate_flow(f, x, delta * m, cfg)
+            ends[j], sens = leg.endpoint, leg.sensitivity
+        else:
+            ends[j] = flow_endpoint(f, x, delta * m, cfg)
+        # the velocity, in a fixed summation order
+        res[0] += m * eval_field(f, x) if delta == 0.0 else ends[j] - x
+        if jacobian:
+            blocks[0, :, j] = (m * jacobian_field(f, x) if delta == 0.0
+                               else (sens - eye) / delta)
+            if j + 1 < k:
+                blocks[j + 1, :, j] = sens
+    res[0] /= delta or 1.0  # the delta = 0 limit is already a velocity
+    res[1:] = ends[:-1] - pts[1:]
     return ends, res, jac
 
 
-def _leg_mismatches(ends, pts) -> tuple:
-    """max|F_j(x_j, delta*m_j) - x_{j+1}| per leg, cyclically: the last
-    entry is the final leg's closure."""
-    gaps = np.abs(ends - np.vstack([pts[1:], pts[:1]]))
-    return tuple(float(v) for v in np.max(gaps, axis=1))
+def _leg_mismatches(ends, res, pts) -> tuple:
+    """max|F_j(x_j, delta*m_j) - x_{j+1}| per leg, cyclically; the chain gaps
+    are the residual's rows 1..k-1, the closure (last) comes from `ends`."""
+    gaps = np.abs(res)
+    gaps[0] = np.abs(ends[-1] - pts[0])
+    worst = np.maximum.reduce(gaps, axis=1).tolist()
+    return tuple(worst[1:] + worst[:1])
 
 
 def average_velocity(fields, weights: Weights, pts: CyclePoints,
@@ -244,12 +237,11 @@ def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
 
 def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
                    cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Jacobian of cycle_residual with respect to the stacked points.
-
-    delta = 0 assembles the analytic block matrix (top row
-    m_j dV_j/dx(x_j), chain blocks I and -I); delta > 0 uses the flow
-    sensitivities, error-controlled relative to their largest entry (see
-    `flow`): top row (dF_j/dx - I)/delta, chain blocks dF_j/dx, -I.
+    """Jacobian of cycle_residual with respect to the stacked points: top
+    row blocks (P_j - I)/delta, chain blocks P_j below the diagonal and -I
+    on it, from the flow sensitivities P_j = dF_j/dx, error-controlled
+    relative to their largest entry (see `flow`). At delta = 0, P_j = I
+    and the top row blocks are m_j dV_j/dx(x_j).
     """
     x = _cycle_rows(fields, weights, pts, delta)
     return _cycle_system(fields, weights, x, delta, cfg, jacobian=True)[2]
@@ -262,14 +254,13 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
     steps) on the stacked cycle system for a fixed delta > 0, then an
     error-oriented acceptance test.
 
-    The point x that Newton returns has its residual r within tol. One LU
-    solve with the last Jacobian J evaluated gives the simplified
-    correction c = -J^-1 r and the branch tangent dx/ddelta
-    (`_newton_terms`). x is kept when |c| <= tol; otherwise x + c is
-    evaluated endpoint only and replaces x, as one more Newton iteration,
-    when its residual is within tol, and else x is kept without a
-    correction. The final leg's closure F_k(x_k, delta*m_k) = x_1 is then
-    re-verified explicitly (10*tol budget) before the cycle is accepted.
+    The point x that Newton returns has its residual r within tol.
+    `_newton_terms` gives the simplified correction c = -J^-1 r with the
+    last Jacobian J evaluated, and the branch tangent dx/ddelta. x is kept
+    when |c| <= tol; else x + c, evaluated endpoint only, replaces it as
+    one more Newton iteration when its residual is within tol, and x is
+    kept without a correction otherwise. The final leg's closure
+    F_k(x_k, delta*m_k) = x_1 is then re-verified (10*tol budget).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -282,25 +273,27 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
                                        jacobian=jacobian)
         if jacobian:
             held[0] = jac
-        return float(np.max(np.abs(res))), res, jac, (ends, res)
+        rn = float(np.maximum.reduce(np.abs(res), axis=None))
+        return rn, res, jac, (ends, res)
 
     x, _, (ends, res), iters = linalg.damped_newton(
         evaluate, _cycle_rows(fields, weights, seed), tol, MAX_CYCLE_ITERS,
         f"cycle at delta={delta:.6g}")
     correction, tangent = _newton_terms(fields, weights, held[0], ends, res,
                                         delta)
-    if correction is not None and np.max(np.abs(correction)) > tol:
+    if correction is not None and \
+            np.maximum.reduce(np.abs(correction), axis=None) > tol:
         try:
             rn, _, _, (ends_c, res_c) = evaluate(x + correction, False)
         except SolverError:
             rn = np.inf
         if rn <= tol:
-            x, ends, iters = x + correction, ends_c, iters + 1
+            x, ends, res, iters = x + correction, ends_c, res_c, iters + 1
             correction, tangent = _newton_terms(fields, weights, held[0],
                                                 ends, res_c, delta)
         else:
             correction = None
-    mismatches = _leg_mismatches(ends, x)
+    mismatches = _leg_mismatches(ends, res, x)
     if mismatches[-1] > 10.0 * tol:
         raise ClosureError(
             f"final-leg closure {mismatches[-1]:.3e} exceeds "
@@ -313,34 +306,34 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
 def _newton_terms(fields, weights, jac, ends, res, delta):
     """(correction, tangent) at a point whose cycle system evaluated to the
     leg endpoints `ends` and residual `res`: one LU solve with the
-    Jacobian `jac` and two right-hand sides, no integration.
+    Jacobian `jac` on the (nk, 2) buffer [-r, -H_delta], no integration.
 
-    The correction is -jac^-1 r. The tangent is -jac^-1 H_delta, where
     H_delta = dR/ddelta has m_j V_j(F_j) as chain row j (the leg ends move
     with their times) and (sum_j m_j V_j(F_j) - r_0)/delta as its top row.
-    Each is None where it comes out non-finite; the tangent also where a
+    Each term is None where it comes out non-finite; the tangent also where a
     field raises DomainError at an endpoint or H_delta overflows, and both
     where jac is singular.
     """
     k, n = ends.shape
-    columns = [res.reshape(-1)]
+    rhs = np.empty((k * n, 2))
+    rhs[:, 0] = -res.reshape(-1)
     try:
-        slopes = np.array([m * eval_field(f, e)
-                           for f, m, e in zip(fields, weights, ends)])
+        slopes = [m * eval_field(f, e)
+                  for f, m, e in zip(fields, weights, ends)]
     except DomainError:
-        pass
+        has_tangent = False
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            h_delta = np.vstack([(sum(slopes) - res[0]) / delta, slopes[:-1]])
-        if np.isfinite(h_delta).all():
-            columns.append(h_delta.reshape(-1))
+            rhs[:n, 1] = -((sum(slopes) - res[0]) / delta)
+        rhs[n:, 1] = -np.concatenate(slopes[:-1])
+        has_tangent = np.isfinite(rhs[:, 1]).all()
     try:
-        sol = np.linalg.solve(jac, -np.column_stack(columns))
+        sol = np.linalg.solve(jac, rhs if has_tangent else rhs[:, :1])
     except np.linalg.LinAlgError:
         return None, None
-    terms = [col.reshape(k, n) if np.isfinite(col).all() else None
-             for col in sol.T] + [None]  # no tangent column: None
-    return terms[0], terms[1]
+    terms = [col.reshape(k, n) if finite else None
+             for col, finite in zip(sol.T, np.isfinite(sol).all(axis=0))]
+    return terms[0], terms[1] if has_tangent else None
 
 
 @dataclass(eq=False, slots=True)
@@ -357,9 +350,9 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
                  tighten: float = 10.0) -> CycleCheck:
     """Re-integrate every leg at tighter tolerance and report mismatches."""
     x = _cycle_rows(fields, weights, cycle.points)
-    ends = _cycle_system(fields, weights, x, cycle.delta,
-                         cfg.tightened(tighten))[0]
-    mismatches = _leg_mismatches(ends, x)
+    ends, res, _ = _cycle_system(fields, weights, x, cycle.delta,
+                                 cfg.tightened(tighten))
+    mismatches = _leg_mismatches(ends, res, x)
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
 
 
@@ -373,12 +366,12 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     first at x0 + delta*c with the analytic tangent c of `_tangent`, later
     ones by Hermite extrapolation through the nodes (delta, x + correction,
     tangent) of the cycles already solved; the records hold the accepted
-    points x, never the corrected ones. A failed
-    ladder step is retried through up to MAX_BISECTIONS midpoint solves
-    toward the last success before the branch is declared lost; the
-    result then flags the largest delta reached and the failure reason
-    instead of raising. Failure at the very first ladder point raises
-    BranchLostError (non-regular setup or a tolerance mismatch).
+    points x, never the corrected ones. A failed ladder step is retried
+    through up to MAX_BISECTIONS midpoint solves toward the last success
+    before the branch is declared lost; the result then flags the largest
+    delta reached and the failure reason instead of raising. Failure at
+    the very first ladder point raises BranchLostError (non-regular setup
+    or a tolerance mismatch).
     """
     if not delta_max >= np.finfo(float).tiny:
         raise ValueError("delta_max must be a positive normal float")
@@ -449,33 +442,40 @@ def _predict(branch, delta):
     """Seed at `delta` from the branch nodes (delta_i, x_i, t_i) so far.
 
     The seed is the confluent Hermite polynomial in delta through the
-    last three nodes, in divided-difference form: each node fixes the
-    value x_i and, unless its tangent t_i is None, the slope t_i too.
-    With only (0, x0, c) known it is x0 + delta*c (Euler-Newton
-    continuation; Allgower and Georg, Introduction to Numerical
-    Continuation Methods, ch. 2). The differences are taken in
-    u = delta_i/delta, where the nodes lie in [0, 1], so that a ladder
-    starting at subnormal deltas does not overflow them.
+    last three nodes: each node fixes the value x_i and, unless its
+    tangent t_i is None, the slope t_i too. With only (0, x0, c) known it
+    is x0 + delta*c (Euler-Newton continuation; Allgower and Georg,
+    Introduction to Numerical Continuation Methods, ch. 2). The seed is
+    formed from float weights, at most six, on the stacked values x_i and
+    scaled slopes delta*t_i by one `np.dot`: the Newton basis at u = 1
+    carried back through the divided-difference recursion (its adjoint).
+    They are taken in u = delta_i/delta, where the nodes lie in [0, 1], so
+    that a ladder starting at subnormal deltas does not overflow them.
     """
-    nodes, coef, slopes = [], [], []
+    nodes, data, slope_rows = [], [], []
     for d, x, t in branch[-3:]:
         nodes.append(d / delta)
-        coef.append(x)
-        slopes.append(None)
+        data.append(x)
         if t is not None:  # a repeated node: its first difference is t
-            nodes.append(d / delta)
-            coef.append(x)
-            slopes.append(delta * t)
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            if j == 1 and slopes[i] is not None:
-                coef[i] = slopes[i]
+            slope_rows.append(len(nodes))
+            nodes.append(nodes[-1])
+            data.append(delta * t)
+    size = len(nodes)
+    w = [1.0]  # the Newton basis at u = 1: prod_{l<i} (1 - u_l)
+    for i in range(1, size):
+        w.append(w[-1] * (1.0 - nodes[i - 1]))
+    slope_w = {}
+    for j in range(size - 1, 0, -1):
+        for i in range(j, size):
+            if j == 1 and i in slope_rows:  # the slope replaced x_i here
+                slope_w[i], w[i] = w[i], 0.0
             else:
-                coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    seed = coef[-1]
-    for i in range(len(nodes) - 2, -1, -1):
-        seed = coef[i] + (1.0 - nodes[i]) * seed
-    return CyclePoints(seed)
+                w[i] /= nodes[i] - nodes[i - j]
+                w[i - 1] -= w[i]
+    for i in slope_rows:  # a repeated value is its node's value
+        w[i - 1], w[i] = w[i - 1] + w[i], slope_w[i]
+    seed = np.dot(w, np.array(data).reshape(size, -1))
+    return CyclePoints(seed.reshape(data[0].shape))
 
 
 def _reach(fields, weights, branch, target, tol, cfg):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -12,8 +13,10 @@ from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     IntegratorConfig, NewtonDivergenceError,
                     SingularJacobianError, SweepRecord, Weights,
                     average_velocity, cycle_jacobian, cycle_residual,
-                    eval_field, find_stasis, flow_endpoint, jacobian_field, loglog_slope, parse_field,
-                    solve_cycle, stasis_residual, sweep_delta, verify_cycle)
+                    eval_field, find_stasis, flow_endpoint, integrate_flow,
+                    jacobian_field, loglog_slope, parse_field,
+                    random_linear_scenario, scenario_from_dict, solve_cycle,
+                    stasis_residual, sweep_delta, verify_cycle)
 from scipy.interpolate import KroghInterpolator
 
 from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
@@ -254,6 +257,46 @@ def test_jacobian_matches_fd_of_residual(corpus):
         assert np.max(np.abs(jac - fd)) <= 1e-5, name
 
 
+def _block_jacobian(fields, w, pts, delta, cfg):
+    """The cycle Jacobian assembled block by block by plain slicing: top
+    blocks m_j dV_j/dx(x_j) at delta = 0, else (P_j - I)/delta from the
+    leg sensitivities P_j; chain blocks P_j (I at delta = 0) and -I."""
+    k, n = pts.shape
+    eye = np.eye(n)
+    jac = np.zeros((k * n, k * n))
+    for j, (f, x, m) in enumerate(zip(fields, pts, w)):
+        cols = slice(j * n, (j + 1) * n)
+        if delta == 0.0:
+            sens = eye
+            jac[:n, cols] = m * jacobian_field(f, x)
+        else:
+            sens = integrate_flow(f, x, delta * m, cfg).sensitivity
+            jac[:n, cols] = (sens - eye) / delta
+        if j > 0:
+            jac[cols, cols] = -eye
+        if j + 1 < k:
+            jac[(j + 1) * n:(j + 2) * n, cols] = sens
+    return jac
+
+
+def test_jacobian_equals_the_block_assembly_bit_for_bit(corpus):
+    # pins the placement of every block for k >= 3 and n >= 2, which the
+    # finite-difference tests only approximate
+    wide = scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(0), 6, 4, "wide-6x4"))
+    rng = np.random.default_rng(35)
+    for scn in (wide, corpus["trig_3d"]):
+        k, n = scn.k, scn.dimension
+        pts = scn.guess_point() + rng.uniform(-0.2, 0.2, (k, n))
+        for delta in (0.0, 0.05, 0.4):
+            got = cycle_jacobian(scn.fields, scn.weights, CyclePoints(pts),
+                                 delta, scn.integrator)
+            want = _block_jacobian(scn.fields, scn.weights, pts, delta,
+                                   scn.integrator)
+            assert got.shape == (k * n, k * n)
+            assert np.array_equal(got, want), (scn.name, delta)
+
+
 # --- solve_cycle -----------------------------------------------------------
 
 def test_solve_cycle_pair_tanh_oracle(pair):
@@ -389,6 +432,48 @@ def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):
         [1] + [0] * 27 + [1] * 4
 
 
+# sensitivity legs, their steps_taken, endpoint-only legs and Newton
+# iterations of each regular corpus sweep, as upper bounds
+WORK_BUDGET = {"pair-1d": (64, 334, 6, 3), "triad-2d": (96, 320, 12, 4),
+               "linear-2d-a": (64, 108, 18, 9),
+               "linear-3d-b": (96, 195, 15, 5), "trig-3d": (96, 338, 15, 5)}
+
+
+def test_corpus_sweeps_stay_within_their_work_budget(regular_corpus,
+                                                     monkeypatch):
+    # counted work that grows fails here, not only in the benchmark; a
+    # change that lowers it re-pins the budget
+    work = [0, 0, 0]
+    integrate, endpoint = kcycle.cycle.integrate_flow, \
+        kcycle.cycle.flow_endpoint
+
+    def sensitivity_leg(*args):
+        leg = integrate(*args)
+        work[0] += 1
+        work[1] += leg.steps_taken
+        return leg
+
+    def endpoint_leg(*args):
+        work[2] += 1
+        return endpoint(*args)
+
+    monkeypatch.setattr(kcycle.cycle, "integrate_flow", sensitivity_leg)
+    monkeypatch.setattr(kcycle.cycle, "flow_endpoint", endpoint_leg)
+    used = {}
+    for scn in regular_corpus.values():
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        work[:] = [0, 0, 0]
+        result = sweep_delta(scn.fields, sp.weights, sp.x0,
+                             scn.sweep.delta_max, scn.sweep.steps,
+                             scn.cycle_tol, scn.integrator)
+        used[scn.name] = (*work, int(result.newton_iters.sum()))
+    assert used.keys() == WORK_BUDGET.keys()
+    for name, budget in WORK_BUDGET.items():
+        assert all(u <= b for u, b in zip(used[name], budget)), \
+            (name, used[name], budget)
+
+
 def test_cycles_approach_oracle_tangent_at_first_order(corpus):
     # x_j(delta) = x0 + delta*c_j + O(delta^2): the first-order error falls
     # at least tenfold per decade of delta (a hundredfold for pair-1d,
@@ -444,12 +529,15 @@ def test_sweep_first_seed_is_oracle_tangent_prediction(corpus, monkeypatch):
 
 def _hermite(nodes, delta):
     """scipy's Krogh interpolant through the (delta_i, x_i, t_i) nodes,
-    matching each value x_i and slope t_i, evaluated at delta; and its
-    rounding scale sum_i |b_i(delta)| max|y_i| over the Hermite basis b_i
-    and the data y_i (values and slopes), the size of the terms whose
-    rounding the extrapolation carries into the result."""
-    xi = [d for d, _, _ in nodes for _ in range(2)]
-    yi = np.array([v for _, x, t in nodes for v in (x, t)])
+    matching each value x_i and, unless t_i is None, each slope t_i,
+    evaluated at delta; and its rounding scale sum_i |b_i(delta)| max|y_i|
+    over the Hermite basis b_i and the data y_i (values and slopes), the
+    size of the terms whose rounding the extrapolation carries into the
+    result."""
+    data = [(d, v) for d, x, t in nodes
+            for v in ((x,) if t is None else (x, t))]
+    xi = [d for d, _ in data]
+    yi = np.array([v for _, v in data])
     basis = KroghInterpolator(xi, np.eye(len(xi)))(delta)
     scale = np.abs(basis) @ np.max(np.abs(yi.reshape(len(xi), -1)), axis=1)
     return KroghInterpolator(xi, yi)(delta), scale
@@ -485,6 +573,64 @@ def test_bisection_retry_is_seeded_by_branch_extrapolation(pair, monkeypatch):
             assert cycle.correction is not None
             nodes.append((delta, cycle.points.points + cycle.correction,
                           cycle.tangent))
+
+
+def _smooth_branch(rng, k, n):
+    """x(delta) and its slope on a smooth random curve in (k, n): a
+    hand-built branch whose nodes `_predict` extrapolates."""
+    a, b, c, d, e = (rng.uniform(-1, 1, (k, n)) for _ in range(5))
+    return (lambda s: a + b * s + c * np.sin(3 * s) + d * np.exp(-2 * s)
+            + e * s * s,
+            lambda s: b + 3 * c * np.cos(3 * s) - 2 * d * np.exp(-2 * s)
+            + 2 * e * s)
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (3, 3), (4, 6)])
+def test_predictor_matches_the_krogh_oracle(k, n):
+    # _predict on hand-built branches of 1, 2 and 3 nodes, each with or
+    # without a tangent (three of them behind an older, off-curve node
+    # that must not count), and k*n up to 24: the seed is the Hermite
+    # polynomial through the last three nodes within the bound of the
+    # bisection test above. The nodes
+    # lie on smooth curves, as a branch's do: on uncorrelated random
+    # data, Krogh's algorithm strays from the exact interpolant by up to
+    # 3 eps times the scale and the divided differences or the weights by
+    # up to 7, which a branch's smooth data do not show
+    rng = np.random.default_rng(k * n)
+    for deltas, target in (([0.0, 0.05, 0.08, 0.12], 0.15),
+                           ([0.01, 0.02, 0.04, 0.08], 0.16),
+                           ([0.0, 0.1, 0.15, 0.2], 0.4)):
+        for size in (1, 2, 3):
+            for tangents in itertools.product((True, False), repeat=size):
+                x, t = _smooth_branch(rng, k, n)
+                branch = [(d, x(d), t(d) if has else None)
+                          for d, has in zip(deltas[-size:], tangents)]
+                if size == 3:
+                    branch.insert(0, (deltas[0], x(deltas[0]) + 1.0,
+                                      t(deltas[0])))
+                seed = kcycle.cycle._predict(branch, target)
+                want, scale = _hermite(branch[-size:], target)
+                assert seed.points.shape == (k, n)
+                assert np.max(np.abs(seed.points - want)) \
+                    <= 4 * EPS * scale, (deltas, size, tangents)
+
+
+def test_predictor_on_a_subnormal_ladder():
+    # nodes at subnormal deltas: no warning, and the seed is the Hermite
+    # polynomial in u = delta_i/delta, the variable `_predict` works in
+    # (scipy's differences in delta itself would overflow)
+    x, t = _smooth_branch(np.random.default_rng(36), 3, 2)
+    ladder = [1e-310 * 2.0 ** i for i in range(4)]
+    branch = [(d, x(d), t(d)) for d in ladder[:3]]
+    branch[1] = branch[1][:2] + (None,)
+    delta = ladder[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seed = kcycle.cycle._predict(branch, delta)
+    want, scale = _hermite([(d / delta, x, None if t is None else delta * t)
+                            for d, x, t in branch], 1.0)
+    assert np.isfinite(seed.points).all()
+    assert np.max(np.abs(seed.points - want)) <= 4 * EPS * scale
 
 
 def test_accepted_cycle_survives_tighter_reintegration(regular_corpus):
