@@ -6,36 +6,43 @@ Usage: python scripts/flow_digest.py [--save FILE.npz] [--against FILE.npz]
 Legs: integrate_flow and flow_endpoint from each scenario's guess point
 + 0.1, on every field of every corpus scenario and of the n = 6, k = 4
 families random_linear_scenario(default_rng(s), 6, 4) for s = 1, 2, over
-t = 0.3, -0.7 and 2.0: 75 legs. One line per scenario gives a sha256
-over the endpoints, sensitivities, step counts and local-error estimates
-(or the error a leg raised) and its step count; the last leg line covers
-every leg. The legs then run again on the same fields in reverse order,
-and every leg whose bytes differ from the first run's is printed: a
-leg's result must not depend on the legs run before it.
+t = 0.3, -0.7 and 2.0: 75 one-leg calls. Families: integrate_flow and
+flow_endpoint on all the fields of each corpus scenario at once, every
+leg from the scenario's stasis point, over the leg times delta*m_j for
+delta = 0.2 and 2.0, as a cycle solve's first evaluation makes them:
+14 family calls. One line per scenario gives a sha256 over the
+endpoints, sensitivities, step counts and local-error estimates (or the
+error a call raised) and its step count; the last line of each kind
+covers every call of that kind. The legs and families then run again on
+the same fields in reverse order, and every call whose bytes differ
+from the first run's is printed: a call's result must not depend on the
+calls run before it.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
 families (both drawn from default_rng(1)). Each scenario prints its
 Newton iterations, the worst verify mismatch over every record as a
-multiple of 10 * cycle_tol, and the log-log slope; each sweep, their
-totals.
+multiple of 10 * cycle_tol, the same with each leg of every record
+integrated alone at verify's tolerance, and the log-log slope; each
+sweep, their totals.
 
 Two runs on different versions of the package differ in these lines
-exactly where results moved. --save writes every leg's arrays and step
+exactly where results moved. --save writes every call's arrays and step
 count and every sweep's cycle points to an .npz file; --against reads
 such a file from another version and prints, per scenario, the largest
 difference of endpoints and sensitivities relative to their largest
-entry, the legs whose step count changed and the legs whose bytes moved
-(arrays or step count, or a leg that ended in an error in one run
-only), each of them by name; per sweep, the largest move of a cycle
-point and the number of ladder points whose bytes moved. Every leg and
+entry, the calls whose step count changed, the calls whose bytes moved
+(arrays or step count, or a call that ended in an error in one run only)
+and the calls the file does not hold (new), each of them by name and
+each moved or new call counted as moved; per sweep, the largest move of a cycle
+point and the number of ladder points whose bytes moved. Every call and
 sweep the file holds but this run did not make is named as missing and
 counted as moved, so a run that covers less than the saved one does not
 pass for an unmoved one. The byte comparison tells -0.0 from 0.0, which
 a difference does not.
 
-Exit status: 1 if a leg depends on the legs run before it; else 2 if
---against found any leg or sweep whose bytes moved or that this run did
+Exit status: 1 if a call depends on the calls run before it; else 2 if
+--against found any call or sweep whose bytes moved or that this run did
 not make; else 0.
 """
 
@@ -58,6 +65,7 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 CORPUS = ("pair_1d", "triad_2d", "linear_2d_a", "linear_3d_b", "trig_3d")
 NON_REGULAR = ("degenerate_vv", "degenerate_const")
 TIMES = (0.3, -0.7, 2.0)
+FAMILY_DELTAS = (0.2, 2.0)
 VERIFY_FACTOR = 10.0
 
 
@@ -89,9 +97,20 @@ def legs(scn):
                    scn.integrator)
 
 
+def families(scn):
+    """(key, fields, points, times, cfg) of every family of one scenario:
+    all its fields, each leg from the stasis point over delta*m_j."""
+    point = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                        scn.stasis_tol)
+    x = np.array([point.x0] * scn.k)
+    for delta in FAMILY_DELTAS:
+        yield (f"{scn.name}|family|{delta!r}", scn.fields, x,
+               [delta * m for m in point.weights], scn.integrator)
+
+
 def run_leg(field, x, t, cfg):
-    """(arrays or error text, steps) of one leg: integrate_flow, then
-    flow_endpoint."""
+    """(arrays or error text, steps) of one call, a leg or a family:
+    integrate_flow, then flow_endpoint."""
     try:
         res = integrate_flow(field, x, t, cfg)
         end = flow_endpoint(field, x, t, cfg)
@@ -110,17 +129,18 @@ def leg_bytes(value, steps):
     return chunk + repr(steps).encode()
 
 
-def digest_legs(saved, against):
-    """Print the leg lines; returns ({key: (leg, bytes)} in run order, the
-    number of legs whose bytes differ from `against`'s)."""
+def digest_legs(kind, calls, scenarios, saved, against):
+    """Print the lines of one kind of call, `calls(scn)` on each scenario;
+    returns ({key: (call, bytes)} in run order, the number of calls whose
+    bytes differ from `against`'s)."""
     total = hashlib.sha256()
     total_steps = moved_legs = 0
     ran = {}
-    for scn in leg_scenarios():
+    for scn in scenarios:
         sha = hashlib.sha256()
         steps_sum = 0
-        worst, moved, changed = 0.0, [], []
-        for key, *leg in legs(scn):
+        worst, moved, changed, fresh = 0.0, [], [], []
+        for key, *leg in calls(scn):
             value, steps = run_leg(*leg)
             steps_sum += steps
             if not isinstance(value, str):
@@ -136,32 +156,40 @@ def digest_legs(saved, against):
                 worst = max(worst, _relative(saved[key], against[key]))
                 if against[key + "|steps"][0] != steps:
                     moved.append(key)
-            if not all(_same_bytes(saved.get(k), against.get(k))
-                       for k in (key, key + "|steps")):
+            if key + "|steps" not in against and key not in against:
+                fresh.append(key)
+            elif not all(_same_bytes(saved.get(k), against.get(k))
+                         for k in (key, key + "|steps")):
                 changed.append(key)
         total_steps += steps_sum
-        moved_legs += len(changed)
-        line = f"legs  {scn.name:18s} {sha.hexdigest()[:16]}  steps {steps_sum}"
+        moved_legs += len(changed) + len(fresh)
+        line = f"{kind:9s} {scn.name:18s} {sha.hexdigest()[:16]}  steps " \
+            f"{steps_sum}"
         if against is not None:
             line += f"  max rel diff {worst:.2e}  step counts moved " \
                     f"{len(moved)}  bytes moved {len(changed)}"
+            if fresh:
+                line += f"  new {len(fresh)}"
         print(line)
         for key in moved:
             print(f"  steps moved: {key} {int(against[key + '|steps'][0])} "
                   f"-> {int(saved[key + '|steps'][0])}")
         for key in changed:
             print(f"  bytes moved: {key}")
-    print(f"legs  all {total.hexdigest()}  steps {total_steps} over "
-          f"{len(ran)} legs")
+        for key in fresh:
+            print(f"  new: {key}")
+    print(f"{kind:9s} all {total.hexdigest()}  steps {total_steps} over "
+          f"{len(ran)} {kind}")
     return ran, moved_legs
 
 
 def reversed_legs(ran):
-    """Run every leg again, last first, on the same fields, and print the
-    legs whose bytes differ from the first run's; returns their number."""
+    """Run every call again, last first, on the same fields, and print the
+    calls whose bytes differ from the first run's; returns their number."""
     differ = [key for key, (leg, chunk) in reversed(ran.items())
               if leg_bytes(*run_leg(*leg)) != chunk]
-    print(f"legs  reversed order: {len(differ)} of {len(ran)} legs differ")
+    print(f"legs and families reversed order: {len(differ)} of {len(ran)} "
+          "calls differ")
     for key in differ:
         print(f"  order moved: {key}")
     return len(differ)
@@ -183,10 +211,18 @@ def _relative(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
+def alone_mismatch(fields, weights, cycle, cfg):
+    """verify's largest leg mismatch with each leg integrated alone."""
+    pts = cycle.points.points
+    return max(float(np.max(np.abs(
+        flow_endpoint(f, x, cycle.delta * m, cfg) - nxt)))
+        for f, x, m, nxt in zip(fields, pts, weights, np.roll(pts, -1, 0)))
+
+
 def sweeps(label, scenarios, saved, against):
     """Print the sweep lines; returns the number of sweeps whose points'
     bytes differ from `against`'s."""
-    newton, worst, moved_sweeps = 0, 0.0, 0
+    newton, worst, worst_alone, moved_sweeps = 0, 0.0, 0.0, 0
     for scn in scenarios:
         point = find_stasis(scn.fields, scn.weights, scn.guess_point(),
                             scn.stasis_tol)
@@ -194,17 +230,23 @@ def sweeps(label, scenarios, saved, against):
                              scn.sweep.delta_max, scn.sweep.steps,
                              scn.cycle_tol, scn.integrator)
         iters = int(result.newton_iters.sum())
+        budget = VERIFY_FACTOR * scn.cycle_tol
         ratio = max(verify_cycle(scn.fields, point.weights, rec.cycle,
-                                 scn.integrator).max_mismatch
-                    / (VERIFY_FACTOR * scn.cycle_tol)
+                                 scn.integrator).max_mismatch / budget
+                    for rec in result.records)
+        tight = scn.integrator.tightened(VERIFY_FACTOR)
+        alone = max(alone_mismatch(scn.fields, point.weights, rec.cycle,
+                                   tight) / budget
                     for rec in result.records)
         newton += iters
         worst = max(worst, ratio)
+        worst_alone = max(worst_alone, alone)
         key = f"sweep|{scn.name}"
         saved[key] = result.points
         line = (f"sweep {label} {scn.name:12s} records "
                 f"{len(result.deltas)} newton {iters} verify_max "
-                f"{ratio:.6g} slope {loglog_slope(result)!r}")
+                f"{ratio:.6g} alone_max {alone:.6g} slope "
+                f"{loglog_slope(result)!r}")
         if against is not None:
             new, old = saved[key], against.get(key)
             same_shape = old is not None and new.shape == old.shape
@@ -216,7 +258,8 @@ def sweeps(label, scenarios, saved, against):
                      f"{points}")
             moved_sweeps += points > 0
         print(line)
-    print(f"sweep {label} total newton {newton} verify_max {worst:.6g}")
+    print(f"sweep {label} total newton {newton} verify_max {worst:.6g} "
+          f"alone_max {worst_alone:.6g}")
     return moved_sweeps
 
 
@@ -240,7 +283,11 @@ def main():
         with np.load(args.against) as data:
             against = dict(data)
     saved = {}
-    ran, moved = digest_legs(saved, against)
+    ran, moved = digest_legs("legs", legs, leg_scenarios(), saved, against)
+    family_ran, family_moved = digest_legs(
+        "families", families, corpus(CORPUS + NON_REGULAR), saved, against)
+    ran.update(family_ran)
+    moved += family_moved
     differ = reversed_legs(ran)
     moved += sweeps("corpus", corpus(CORPUS), saved, against)
     moved += sweeps("wide", wide_scenarios(), saved, against)

@@ -9,17 +9,21 @@ are zeros of the stacked system
 
 where G = sum_j (F_j(x_j, delta*m_j) - x_j) / delta is the average
 velocity around the loop, with limit sum_j m_j V_j(x_j) at delta = 0.
-`_cycle_system` forms the system for every caller in one loop over the
-legs, writing the endpoints, the residual and the Jacobian's blocks in
-place. delta = 0 is data there, not a branch: the sensitivities are I and
-the top blocks m_j dV_j/dx(x_j), so |det| is |det(sum_j m_j dV_j/dx)|.
+`_cycle_system` forms the system for every caller. For delta > 0 it
+integrates the k legs as one family, one call of `integrate_flow` or
+`flow_endpoint` on all the fields at once (multiple shooting on one step
+sequence, see `flow`), and fills the residual and the Jacobian's blocks
+from the family's (k, n) endpoints and (k, n, n) sensitivities with array
+operations. At delta = 0 the sensitivities are I and the top blocks
+m_j dV_j/dx(x_j), so |det| is |det(sum_j m_j dV_j/dx)|.
 The final leg's closure is implied by G (the displacements telescope) but
 is re-verified before a cycle is accepted, because floating point breaks
 exact telescoping.
 
 `solve_cycle` runs `linalg.damped_newton`: evaluations with the Jacobian
-integrate the k legs with sensitivities, line-search trials endpoint
-only, and the iteration that finds a point converged integrates nothing.
+integrate the family of k legs with sensitivities, line-search trials
+endpoint only, and the iteration that finds a point converged integrates
+nothing.
 A residual within tol does not end the solve, as a point is only
 accurate to about tol times the Jacobian's condition: one more LU solve
 with the last Jacobian gives the simplified Newton correction and the
@@ -35,6 +39,7 @@ solved point joins the branch corrected and with its tangent; later
 points, bisection retries included, are seeded by the Hermite polynomial
 in delta through the last three branch nodes, formed from float weights
 on their values and slopes. Most of them converge without a Newton step.
+The distances of the records to x0 are one array norm over the sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
                      DomainError, SolverError)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
-from .stasis import Weights, _check_family, residual_norm
+from .stasis import Weights, _check_family, row_norms
 from .expr import eval_field, jacobian_field
 
 DEFAULT_CYCLE_TOL = 1e-10
@@ -171,33 +176,43 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     Returns (ends, res, jac): the leg endpoints F_j(x_j, delta*m_j) as a
     (k, n) array; the residual as a (k, n) array whose row 0 is the
     average velocity and row j the mismatch F_j(x_j, delta*m_j) - x_{j+1};
-    and the (nk, nk) Jacobian of `cycle_jacobian`, None unless asked for,
-    into which each leg writes its two blocks.
+    and the (nk, nk) Jacobian of `cycle_jacobian`, None unless asked for.
+    For delta > 0 the k legs are one family call of `integrate_flow` or
+    `flow_endpoint`, and every block is filled from its (k, n) and
+    (k, n, n) arrays at once.
     """
     k, n = pts.shape
     eye = np.eye(n)
-    ends, res = np.empty((k, n)), np.zeros((k, n))
-    jac = np.zeros((k * n, k * n)) if jacobian else None
-    if jacobian:
-        jac.flat[n * (k * n + 1)::k * n + 1] = -1.0
-        blocks = jac.reshape(k, n, k, n)
-    for j, (f, x, m) in enumerate(zip(fields, pts, weights)):
-        if delta == 0.0:
-            ends[j], sens = x, eye
-        elif jacobian:
-            leg = integrate_flow(f, x, delta * m, cfg)
-            ends[j], sens = leg.endpoint, leg.sensitivity
-        else:
-            ends[j] = flow_endpoint(f, x, delta * m, cfg)
-        # the velocity, in a fixed summation order
-        res[0] += m * eval_field(f, x) if delta == 0.0 else ends[j] - x
+    # 0, then the velocity terms: accumulated in this fixed order
+    terms = np.zeros((k + 1, n))
+    if delta == 0.0:
+        ends, sens = pts, np.broadcast_to(eye, (k, n, n))
+        terms[1:] = [m * eval_field(f, x)
+                     for f, x, m in zip(fields, pts, weights)]
         if jacobian:
-            blocks[0, :, j] = (m * jacobian_field(f, x) if delta == 0.0
-                               else (sens - eye) / delta)
-            if j + 1 < k:
-                blocks[j + 1, :, j] = sens
+            top = np.array([m * jacobian_field(f, x)
+                            for f, x, m in zip(fields, pts, weights)])
+    else:
+        times = [delta * m for m in weights]
+        if jacobian:
+            legs = integrate_flow(fields, pts, times, cfg)
+            ends, sens = legs.endpoint, legs.sensitivity
+            top = (sens - eye) / delta
+        else:
+            ends = flow_endpoint(fields, pts, times, cfg)
+        np.subtract(ends, pts, out=terms[1:])
+    res = np.empty((k, n))
+    res[0] = np.add.accumulate(terms)[-1]
     res[0] /= delta or 1.0  # the delta = 0 limit is already a velocity
     res[1:] = ends[:-1] - pts[1:]
+    if not jacobian:
+        return ends, res, None
+    jac = np.zeros((k * n, k * n))
+    jac.flat[n * (k * n + 1)::k * n + 1] = -1.0
+    blocks = jac.reshape(k, n, k, n)
+    blocks[0] = top.transpose(1, 0, 2)
+    chain = np.arange(k - 1)
+    blocks[chain + 1, :, chain] = sens[:-1]
     return ends, res, jac
 
 
@@ -348,7 +363,8 @@ class CycleCheck:
 def verify_cycle(fields, weights: Weights, cycle: KCycle,
                  cfg: IntegratorConfig = DEFAULT_CONFIG,
                  tighten: float = 10.0) -> CycleCheck:
-    """Re-integrate every leg at tighter tolerance and report mismatches."""
+    """Re-integrate the legs, as one family, at tighter tolerance and
+    report their mismatches."""
     x = _cycle_rows(fields, weights, cycle.points)
     ends, res, _ = _cycle_system(fields, weights, x, cycle.delta,
                                  cfg.tightened(tighten))
@@ -387,7 +403,7 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
         ladder[-1] = delta_max
     start = _cycle_rows(fields, weights, CyclePoints.constant(x0, len(fields)))
     branch = [(0.0, start, _tangent(fields, weights, start, cfg))]
-    reached = []  # (delta, points, distance, closure, newton_iters)
+    reached = []  # (delta, points, closure, newton_iters)
     branch_lost = False
     failure_reason = None
     for target in ladder:
@@ -401,13 +417,14 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
             branch_lost = True
             failure_reason = str(exc)
             break
-        dist = max(residual_norm(p - x0) for p in cycle.points)
-        reached.append((target, cycle.points.points, dist,
+        reached.append((target, cycle.points.points,
                         cycle.closure_residual, cycle.newton_iters))
-    deltas, points, distances, closures, iters = zip(*reached)
-    return SweepResult(tuple(weights), np.array(deltas), np.array(points),
-                       np.array(distances), np.array(closures),
-                       np.array(iters), branch_lost, failure_reason)
+    deltas, points, closures, iters = zip(*reached)
+    points = np.array(points)
+    distances = np.maximum.reduce(row_norms(points - x0), axis=1)
+    return SweepResult(tuple(weights), np.array(deltas), points, distances,
+                       np.array(closures), np.array(iters), branch_lost,
+                       failure_reason)
 
 
 def _tangent(fields, weights, start, cfg):

@@ -1,63 +1,75 @@
-"""Flows of a vector field and their initial-condition sensitivities.
+"""Flows of vector fields and their initial-condition sensitivities.
 
 The state x and the sensitivity matrix P(t) = d x(t) / d x(0) are advanced
 jointly as one augmented system of dimension n + n^2,
 
     dx/dt = V(x),    dP/dt = J(x(t)) P,    P(0) = I,
 
-on one step sequence. Step-size control measures the state entry by
-entry and P as a whole: each entry of P's local error is scaled by the
-largest entry of P, not by its own. An entry of P near zero then does
-not force the steps down to abs_tol, and P stays accurate relative to
-its norm, which is what its Jacobians need, even where the state's own
-error is 0 (at an equilibrium). A step with a non-finite entry anywhere
-in the augmented state is rejected.
+on one step sequence. A call integrates a *family* of k legs side by
+side: leg j flows field V_j from its own point x_j over its own time t_j.
+The family runs on s in [0, S] with S = max_j |t_j|, where leg j is
+dy_j/ds = tau_j V_j(y_j) with the time scale tau_j = t_j / S, so every
+leg ends at s = S and the longest leg has tau = +-1. Its state is the
+k legs' states side by side, k*n entries, or k*(n + n^2) with
+sensitivities (multiple shooting; Stoer & Bulirsch, Introduction to
+Numerical Analysis, 7.3). A leg of time 0 is not stepped: it returns its
+point, and the identity, exactly. One leg is the family of one, with
+tau = +-1.
+
+Step-size control is per leg: it measures each state entry by itself
+and each leg's P as a whole, each entry of P_j's local error scaled by
+the largest entry of P_j, not by its own. An entry of P near zero then
+does not force the steps down to abs_tol, and P stays accurate relative
+to its norm, which is what its Jacobians need, even where the state's
+own error is 0 (at an equilibrium). A step is accepted when every leg's
+error is; a step with a non-finite entry anywhere in the family's state
+is rejected.
 The stepper is the adaptive Dormand-Prince 5(4) embedded pair with PI
 step-size control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
-It first tries the whole leg as one step: the legs of a cycle solve are
+It first tries the whole span as one step: the legs of a cycle solve are
 short against the fields' time scales, so that attempt is often
 accepted, and when it is not, the error-controlled shrink (at least 0.2x
 per rejection) finds a step that is. Dormand-Prince evaluates its last
 stage at the new state, which therefore serves as the next step's first
 stage (first same as last), and a rejected step keeps its first stage:
-every step after the first costs six right-hand-side evaluations instead
-of seven. It keeps the state in row 0 and the seven stages in rows 1-7
-of one work array, allocated once per field and kind of leg and checked
-out per leg, and scales the tableau by the signed step once per attempt,
-so that each stage input y + sum_j (h a_ij) k_j is one matrix product
-over rows 0..i and the error estimate sum_j (h e_j) k_j is one more.
-These products, and a sensitivity stage's J P, go through np.dot rather
-than `@` or np.matmul: a generalized ufunc's out= dispatch costs about 1
-us more per call at these sizes, and a step makes seven such products,
-thirteen with sensitivities. h multiplies each tableau weight rather
-than the weighted sum, and y joins the sum, so the results differ from
-the textbook's y + h (sum_j a_ij k_j) only in rounding. A stage that
-leaves the field's domain is a trial, not a point of the trajectory, so
-Dormand-Prince rejects that step; only a step size that collapses there
-ends the leg.
+every step after the first costs six right-hand-side evaluations per leg
+instead of seven. It keeps the state in row 0 and the seven stages in
+rows 1-7 of one work array, and scales the tableau by the step once per
+attempt, so that each stage input y + sum_j (h a_ij) k_j is one matrix
+product over rows 0..i for the whole family and the error estimate
+sum_j (h e_j) k_j is one more. These products, and a sensitivity stage's
+J P, go through np.dot rather than `@` or np.matmul: a generalized
+ufunc's out= dispatch costs about 1 us more per call at these sizes, and
+a step makes seven such products, plus one J P per leg and stage with
+sensitivities. h multiplies each tableau weight rather than the weighted
+sum, and y joins the sum, so the results differ from the textbook's
+y + h (sum_j a_ij k_j) only in rounding. After its stage calls, a stage
+row is multiplied entry by entry by the legs' time scales, unless every
+tau is 1. Since IEEE negation is exact, a leg with tau = -1 (a one-leg
+family backward in time) is bitwise the negated field's flow over |t|;
+errors report the failing leg's own time. A stage that leaves a field's
+domain is a trial, not a point of the trajectory, so Dormand-Prince
+rejects that step; only a step size that collapses there ends the
+family.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
-share one body, `_leg`, and differ only in the right-hand side and the
-initial state. `_leg` checks the point's shape once and writes the
-initial state straight into the stepper's state row. The right-hand side
-runs on the field's compiled writers and is built as a binder: binding a
-stage input and a stage row makes their views once, and the bound call
-then hands plain floats to the writers, which write the values straight
-into the stage row and, with sensitivities, the Jacobian entries into an
-(n, n) buffer, from which the J·P matrix product goes into the row.
-The Jacobian's constant entries (those whose tree holds no variable,
-all of them on an affine field) are written into that buffer once, when
-the right-hand side is built, so a stage writes only the entries that
-vary with x; an entry whose evaluation raises is among those, so its
-error surfaces at every stage. Dormand-Prince binds its stage calls
-once per field and kind of leg in a workspace (`_Workspace`) that also
-holds every buffer it writes; a leg checks the workspace out and puts it
-back when it ends, so legs reuse it one at a time and a leg's results do
-not depend on the legs before it. The writers raise the DomainError
-that names the component themselves.
-Backward time t < 0 steps with -h on the same right-hand side and
-workspace: Dormand-Prince scales its tableau by the signed step. IEEE
-negation is exact, so this is bitwise the negated field's flow over |t|;
-errors report the leg's own time.
+share one body, `_legs`, and differ only in the right-hand side and the
+initial state. They take one leg (a field, a point and a time) or a
+family (k fields, a (k, n) array of points and k times). The
+right-hand side runs on each field's compiled writers and is built as a
+binder: binding a leg's stage input and stage row makes their views
+once, and the bound call then hands plain floats to the writers, which
+write the values straight into the stage row and, with sensitivities,
+the Jacobian entries into an (n, n) buffer, from which the J·P matrix
+product goes into the row. The Jacobian's constant entries (those whose
+tree holds no variable, all of them on an affine field) are written into
+that buffer once, when the right-hand side is built, so a stage writes
+only the entries that vary with x; an entry whose evaluation raises is
+among those, so its error surfaces at every stage. Dormand-Prince binds
+its stage calls once per family of fields and kind of leg in a workspace
+(`_Workspace`) that also holds every buffer it writes; a call checks the
+workspace out and puts it back when it ends, so calls reuse it one at a
+time and a call's results do not depend on the calls before it. The
+writers raise the DomainError that names the component themselves.
 Overflow and NaN surface as non-finite steps, which the stepper rejects,
 so numpy's floating-point warnings are silenced for the whole
 integration.
@@ -72,7 +84,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, FlowDomainError, StepLimitError
+from .errors import (DimensionError, DomainError, FlowDomainError,
+                     StepLimitError)
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
 from .expr import VectorField, as_point, eval_field, jacobian_field
 
@@ -99,9 +112,12 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(eq=False)
 class FlowResult:
-    """One leg's endpoint and sensitivity; est_local_error is the largest
-    accepted local-error estimate of the state (the endpoint's entries);
-    the sensitivity's error is controlled relative to its largest entry."""
+    """The endpoint and sensitivity of one leg, shapes (n,) and (n, n), or
+    of a family of k legs, (k, n) and (k, n, n). steps_taken counts the
+    call's attempts, which a family's legs share; est_local_error is the
+    largest accepted local-error estimate of a state entry, over every
+    leg; each sensitivity's error is controlled relative to its largest
+    entry."""
 
     endpoint: np.ndarray
     sensitivity: np.ndarray
@@ -150,79 +166,108 @@ def _domain_failure(exc, t):
 
 
 class _Workspace:
-    """The buffers and bound stage calls of `_dopri` legs on one
-    right-hand side: bind(y, out) returns a call that writes rhs(y) into
-    out, for states of `size` entries whose first n are the point's.
+    """The buffers and bound stage calls of `_dopri` on one family of
+    right-hand sides: binders[j](y, out) returns a call that writes leg
+    j's rhs(y) into out, for leg states of m entries whose first n are the
+    point's. Leg j holds entries j*m..(j+1)*m - 1 of every row.
 
-    The state is row 0 and stage k_j row j + 1 of one (8, size) work
+    The state is row 0 and stage k_j row j + 1 of one (8, k*m) work
     array; `plan` holds, for stage i = 1..6, its coefficient row, the
-    work rows 0..i that row weighs, and its call bound to the stage input
-    y_new, and `start` is stage 0's call bound to row 0. tail and
-    state_error are the views that each attempt's error control reads.
+    work rows 0..i that row weighs, its k leg calls bound to the stage
+    input y_new, each with its leg's index, and the stage row, and
+    `start` is stage 0's calls bound to row 0, with row 1. tail and
+    state_error are the (k, .) views that each attempt's error control
+    reads, and `legs` the state as a (k, m) array. `time_scale` sets the
+    legs' time scales for the next integration: tau_j in `taus`, and in
+    `tau` repeated over leg j's entries; `scaled` is False when every
+    tau is 1 and the stage rows are left as the calls wrote them.
     """
 
-    __slots__ = ("n", "state", "first", "last", "stages", "scale_coef",
+    __slots__ = ("state", "legs", "first", "stages", "scale_coef",
                  "error_weights", "y_new", "abs_y", "abs_new", "abs_e",
-                 "scale", "tail", "state_error", "plan", "start")
+                 "scale", "tail", "state_error", "plan", "start", "tau",
+                 "taus", "lead", "scaled")
 
-    def __init__(self, bind, size, n):
+    def __init__(self, binders, m, n):
+        k = len(binders)
+        size = k * m
         work = np.empty((8, size))
         coef, self.scale_coef = _coefficients()
-        self.n = n
-        self.state, self.first, self.last = work[0], work[1], work[7]
+        self.state, self.first = work[0], work[1]
+        self.legs = self.state.reshape(k, m)
         self.stages = work[1:]
         self.error_weights = coef[6, 1:]
         # y_new is the stage input, which after stage 6 holds the new state
         self.y_new, self.abs_y, self.abs_new, self.abs_e, self.scale = (
             np.empty(size) for _ in range(5))
-        self.tail = self.scale[n:]
-        self.state_error = self.abs_e[:n]
+        self.tail = self.scale.reshape(k, m)[:, n:]
+        self.state_error = self.abs_e.reshape(k, m)[:, :n]
+        self.tau = np.ones((k, m))
+
+        def calls(y, row):
+            ys, rows = y.reshape(k, m), row.reshape(k, m)
+            return tuple((j, bind(ys[j], rows[j]))
+                         for j, bind in enumerate(binders))
         self.plan = [(coef[i - 1, :i + 1], work[:i + 1],
-                      bind(self.y_new, work[i + 1])) for i in range(1, 7)]
-        self.start = bind(self.state, self.first)
+                      calls(self.y_new, work[i + 1]), work[i + 1])
+                     for i in range(1, 7)]
+        self.start = calls(self.state, self.first), self.first
+        self.time_scale([1.0] * k)
+
+    def time_scale(self, taus):
+        self.taus = taus
+        # the longest leg's, whose time the stepper's own errors report
+        self.lead = next(tau for tau in taus if abs(tau) == 1.0)
+        self.scaled = any(tau != 1.0 for tau in taus)
+        if self.scaled:
+            self.tau[...] = np.array(taus)[:, None]
 
 
-def _dopri(ws, time, cfg):
-    """Integrate dy/dt = rhs(y) from 0 to time != 0 in the `_Workspace` ws,
-    whose state row holds y0. A backward leg (time < 0) steps with -h.
+def _dopri(ws, span, cfg):
+    """Integrate the family of the `_Workspace` ws, whose state row holds
+    y0, over s in [0, span], span > 0: leg j is dy_j/ds = tau_j rhs_j(y_j).
 
-    The first attempt covers the whole span |time|; a rejected attempt
-    shrinks h as any other does, so a span too long for one step costs a
-    few rejected attempts, and a subnormal span's first h is not 0.
+    The first attempt covers the whole span; a rejected attempt shrinks h
+    as any other does, so a span too long for one step costs a few
+    rejected attempts, and a subnormal span's first h is not 0.
 
     Error control is on the max norm of the embedded estimate divided
-    entry by entry by abs_tol + rel_tol * max(|y_i|, |y_new_i|), where the
-    entries past the state's (the sensitivity's) all take the largest of
-    theirs, so on success every accepted step satisfies
-    |err_i| <= abs_tol + rel_tol*|y_i| for the state's entries i < n and
-    |err_i| <= abs_tol + rel_tol*max_{j>=n}|y_j| for the rest; est is the
-    largest state |err_i| accepted. A non-finite entry anywhere rejects
-    the step, and so does a DomainError in stages 1-6: a trial stage is
-    not a point of the trajectory. Stage 0 is rhs(y0), evaluated once
-    before the first step, so a DomainError there raises FlowDomainError
-    at once; when domain rejections shrink the step below its floor,
-    FlowDomainError names the last one at the last accepted time. Errors
-    name the leg's own signed time. An accepted step hands over its last
-    stage and |y_new| to the next, a rejected one keeps them, so every
-    attempt costs six evaluations of rhs.
+    entry by entry by abs_tol + rel_tol * max(|y_i|, |y_new_i|), where each
+    leg's entries past its state's (its sensitivity's) all take the
+    largest of theirs, so on success every accepted step satisfies
+    |err_i| <= abs_tol + rel_tol*|y_i| for each leg's state entries and
+    |err_i| <= abs_tol + rel_tol*max|P_j| for the entries of each leg's
+    P_j; est is the largest state |err_i| accepted, over every leg. A
+    non-finite entry anywhere rejects the step, and so does a DomainError
+    in stages 1-6: a trial stage is not a point of the trajectory. Stage
+    0 is rhs(y0), evaluated once before the first step, so a DomainError
+    there raises FlowDomainError at once, at time 0; when domain
+    rejections shrink the step below its floor, FlowDomainError names the
+    last one at its leg's time tau_j s, s the last accepted time. The
+    stepper's own StepLimitErrors name the longest leg's time. An
+    accepted step hands over its last stage and |y_new| to the next, a
+    rejected one keeps them, so every attempt costs six evaluations of
+    each leg's rhs.
 
-    Each attempt scales the tableau by the signed step once
-    (`_coefficients`); stage i's input is then the product of coefficient
-    row i - 1 with work rows 0..i, written into y_new, which the six stage
-    calls read. After stage 6 y_new holds the new state, which an accepted
-    step copies into row 0. The leg writes every buffer before it reads
-    it, so the workspace carries nothing from one leg to the next; the
-    buffers are allocated once per field and kind of leg and checked out
-    per leg (`_leg`), and the returned state is a copy.
+    Each attempt scales the tableau by the step once (`_coefficients`);
+    stage i's input is then the product of coefficient row i - 1 with
+    work rows 0..i, written into y_new, which the stage calls read; each
+    stage row, stage 0's included, is then multiplied by the time scales
+    unless every tau is 1. After stage 6 y_new holds the new state, which
+    an accepted step copies into row 0. The call writes every buffer
+    before it reads it, so the workspace carries nothing from one call to
+    the next; the buffers are allocated once per family of fields and
+    kind of leg and checked out per call (`_legs`), and the returned state
+    is a copy.
     """
-    n, state, first, last, stages, y_new = (
-        ws.n, ws.state, ws.first, ws.last, ws.stages, ws.y_new)
+    state, first, stages, y_new = ws.state, ws.first, ws.stages, ws.y_new
     abs_y, abs_new, abs_e, scale, tail, state_error = (
         ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail, ws.state_error)
     scale_coef, error_weights, plan = ws.scale_coef, ws.error_weights, ws.plan
+    taus, lead, scaled, tau = ws.taus, ws.lead, ws.scaled, ws.tau.reshape(-1)
+    last = stages[6]
     rel_tol, abs_tol, max_steps = cfg.rel_tol, cfg.abs_tol, cfg.max_steps
-    span = abs(time)
-    sign = -1.0 if time < 0.0 else 1.0
+    sensitivity = tail.size > 0
     t = 0.0
     h = span
     steps = 0
@@ -230,30 +275,38 @@ def _dopri(ws, time, cfg):
     err_prev = 1e-4
     h_min = _H_MIN_FACTOR * span
     np.abs(state, out=abs_y)
-    outside = None  # the DomainError of the last domain rejection
+    outside = None  # (DomainError, leg) of the last domain rejection
+    calls, row = ws.start
     try:
-        ws.start()
+        for leg, call in calls:
+            call()
     except DomainError as exc:
         raise _domain_failure(exc, 0.0) from exc
+    if scaled:
+        np.multiply(row, tau, row)
     while t < span:
         if steps >= max_steps or h < h_min:
-            now = sign * t + 0.0  # a backward leg's -0.0 reads as 0
+            now = lead * t + 0.0  # a backward leg's -0.0 reads as 0
             if steps >= max_steps:
                 raise StepLimitError(
                     f"integration exceeded {max_steps} steps at t={now:.6g}")
             if outside is not None:
-                raise _domain_failure(outside, now) from outside
+                exc, leg = outside
+                raise _domain_failure(exc, taus[leg] * t) from exc
             raise StepLimitError(f"step size collapsed at t={now:.6g}")
         h = min(h, span - t)
         steps += 1
-        scale_coef(sign * h)
+        scale_coef(h)
         try:
-            for weights, rows, stage in plan:
+            for weights, rows, calls, row in plan:
                 # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
                 np.dot(weights, rows, y_new)
-                stage()
+                for leg, call in calls:
+                    call()
+                if scaled:
+                    np.multiply(row, tau, row)
         except DomainError as exc:
-            outside = exc
+            outside = exc, leg
             h *= 0.2
             continue
         np.abs(y_new, out=abs_new)
@@ -264,8 +317,8 @@ def _dopri(ws, time, cfg):
         np.dot(error_weights, stages, abs_e)
         np.abs(abs_e, out=abs_e)
         np.maximum(abs_y, abs_new, out=scale)
-        if tail.size:  # the sensitivity's entries take its norm
-            tail[...] = _largest(tail)
+        if sensitivity:  # each P_j's entries take its largest
+            tail[...] = _largest(tail, axis=1, keepdims=True)
         scale *= rel_tol
         scale += abs_tol
         err = float(_largest(np.divide(abs_e, scale, out=scale)))
@@ -275,7 +328,7 @@ def _dopri(ws, time, cfg):
             abs_y, abs_new = abs_new, abs_y
             first[:] = last
             outside = None
-            est = max(est, float(_largest(state_error)))
+            est = max(est, float(_largest(state_error, axis=None)))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
@@ -288,8 +341,8 @@ def _dopri(ws, time, cfg):
 def _rhs(field, sensitivity):
     """The right-hand side of one leg of `field` as a binder: bind(y, out)
     returns a call that writes V(y) into out, or (V(x), J(x) P) for the
-    augmented state y = (x, P) when `sensitivity`, backward legs (which
-    step with -h) included.
+    augmented state y = (x, P) when `sensitivity`; the leg's time scale is
+    applied to out afterwards, by the stepper.
 
     bind makes the views of out once, and those of y once for a run of
     binds of the same y (a workspace's six stage calls all read its stage
@@ -336,68 +389,121 @@ def _rhs(field, sensitivity):
 
 
 def _initial_state(y, x, n):
-    """Write the leg's initial state into y and return it: the point x,
-    then, for a sensitivity leg, the identity flattened row by row."""
-    y[:n] = x
-    y[n:] = 0.0
-    y[n::n + 1] = 1.0
+    """Write the legs' initial states into the (k, m) array y and return
+    it: each leg's point, then, for sensitivity legs, the identity
+    flattened row by row."""
+    y[:, :n] = x
+    y[:, n:] = 0.0
+    y[:, n::n + 1] = 1.0
     return y
 
 
-# field -> {sensitivity: the idle _Workspace of those legs}
+# first field -> {(sensitivity, other fields): the idle _Workspace}
 _WORKSPACES = weakref.WeakKeyDictionary()
 
 
-def _leg(field, x, t, cfg, sensitivity):
-    """Integrate one leg of `field` from the point x over time t;
-    (y, steps, est) with y = x(t), or (x(t), P(t)) flattened when
-    `sensitivity`; est is the state's estimate. y is a new array.
+def _family(fields, points, times):
+    """(fields, points, times) of a family, checked: a tuple of k >= 1
+    fields of one dimension n, a (k, n) float array and a list of k finite
+    float times; DimensionError or ValueError otherwise."""
+    fields = tuple(fields)
+    if not fields:
+        raise DimensionError("a family of legs needs at least one field")
+    n = fields[0].dimension
+    if any(f.dimension != n for f in fields):
+        raise DimensionError("the fields of a family must share a dimension")
+    points = np.asarray(points, dtype=float)
+    if points.shape != (len(fields), n):
+        raise DimensionError(f"points have shape {points.shape}, expected "
+                             f"({len(fields)}, {n})")
+    times = [float(t) for t in times]
+    if len(times) != len(fields):
+        raise DimensionError(
+            f"{len(times)} times for {len(fields)} fields")
+    return fields, points, times
 
-    x must have shape (n,) (DimensionError otherwise, at every t). t = 0
-    returns the initial state exactly; a negative t steps with -h, and its
-    errors report the leg's own (negative) time.
 
-    A leg checks out the field's workspace for its kind of leg, in either
-    direction, building it on first use, and puts it back when it ends,
-    however it ends. A leg that finds none checked in, because another
-    thread or an enclosing leg holds it, builds its own, so no two legs
-    ever share buffers. The workspaces live as long as the field does.
+def _legs(fields, points, times, cfg, sensitivity):
+    """Integrate the family of legs of `fields` from the (k, n) `points`
+    over `times`; (y, steps, est) with y[j] = x_j(t_j), or (x_j(t_j),
+    P_j(t_j)) flattened when `sensitivity`; est is the largest state
+    estimate. y is a new (k, m) array.
+
+    A leg of time 0 returns its initial state exactly and is not stepped;
+    the others run as one family on s in [0, max |t_j|] (see `_dopri`),
+    whose errors report the failing leg's own time.
+
+    A call checks out the workspace of its moving legs' fields for its
+    kind of leg, whatever the times, building it on first use, and puts it
+    back when it ends, however it ends. A call that finds none checked in,
+    because another thread or an enclosing call holds it, builds its own,
+    so no two calls ever share buffers. The workspaces live as long as the
+    family's first field does.
     """
-    n = field.dimension
-    x = as_point(field, x)
-    if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
-    size = n + n * n if sensitivity else n
-    if t == 0.0:
-        return _initial_state(np.empty(size), x, n), 0, 0.0
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"flow time must be finite, got {t}")
+    k, n = points.shape
+    m = n + n * n if sensitivity else n
+    moving = [j for j, t in enumerate(times) if t != 0.0]
+    if len(moving) < k:
+        still = _initial_state(np.empty((k, m)), points, n)
+        if not moving:
+            return still, 0, 0.0
+        fields = [fields[j] for j in moving]
+        points, times = points[moving], [times[j] for j in moving]
+    span = max(abs(t) for t in times)
+    key = (sensitivity, *fields[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        pool = _WORKSPACES.setdefault(field, {})
-        ws = pool.pop(sensitivity, None)
+        pool = _WORKSPACES.setdefault(fields[0], {})
+        ws = pool.pop(key, None)
         if ws is None:
-            ws = _Workspace(_rhs(field, sensitivity), size, n)
+            ws = _Workspace([_rhs(f, sensitivity) for f in fields], m, n)
         try:
-            _initial_state(ws.state, x, n)
-            return _dopri(ws, t, cfg)
+            _initial_state(ws.legs, points, n)
+            ws.time_scale([t / span for t in times])
+            y, steps, est = _dopri(ws, span, cfg)
         finally:
-            pool[sensitivity] = ws
+            pool[key] = ws
+    y = y.reshape(-1, m)
+    if len(moving) < k:
+        still[moving] = y
+        y = still
+    return y, steps, est
 
 
-def integrate_flow(field: VectorField, x, t: float,
-                   cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
-    """Flow endpoint F(x, t) together with its sensitivity dF/dx.
+def integrate_flow(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
+                   ) -> FlowResult:
+    """Flow endpoint F(x, t) together with its sensitivity dF/dx, of one leg
+    (a field, a point of shape (n,) and a time) or of a family of legs
+    (k fields of one dimension, a (k, n) array of points and k times),
+    whose results gain a leading k axis.
 
-    The sensitivity's local error is controlled relative to its largest
-    entry; est_local_error is the state's estimate. t = 0 returns x and
-    the identity exactly. Negative t integrates backward with steps of
-    -h. The endpoint and the sensitivity are disjoint views of one new
-    array.
+    A family's legs run side by side on one step sequence, each on its
+    own time scale t_j / max|t|, with per-leg error control (see the
+    module docstring); steps_taken counts the family's attempts. Each
+    sensitivity's local error is controlled relative to its largest
+    entry; est_local_error is the largest state estimate. A leg of time 0
+    returns its point and the identity exactly. Negative times integrate
+    backward. The endpoint and the sensitivity are disjoint views of one
+    new array.
     """
-    n = field.dimension
-    y, steps, est = _leg(field, x, t, cfg, True)
-    return FlowResult(y[:n], y[n:].reshape(n, n), steps, est)
+    if isinstance(field, VectorField):
+        n = field.dimension
+        x = as_point(field, x)
+        y, steps, est = _legs((field,), x[None], [t], cfg, True)
+        return FlowResult(y[0, :n], y[0, n:].reshape(n, n), steps, est)
+    fields, x, t = _family(field, x, t)
+    k, n = x.shape
+    y, steps, est = _legs(fields, x, t, cfg, True)
+    return FlowResult(y[:, :n], y[:, n:].reshape(k, n, n), steps, est)
 
 
-def flow_endpoint(field: VectorField, x, t: float,
-                  cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """State-only fast path: just F(x, t), no sensitivity co-integration."""
-    return _leg(field, x, t, cfg, False)[0]
+def flow_endpoint(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
+                  ) -> np.ndarray:
+    """State-only fast path: just F(x, t), no sensitivity co-integration,
+    for one leg, shape (n,), or a family of legs, shape (k, n), taken as
+    `integrate_flow` takes them."""
+    if isinstance(field, VectorField):
+        return _legs((field,), as_point(field, x)[None], [t], cfg, False)[0][0]
+    return _legs(*_family(field, x, t), cfg, False)[0]

@@ -167,6 +167,22 @@ def residual_norm(r) -> float:
     return rn
 
 
+def row_norms(r) -> np.ndarray:
+    """The 2-norms of r along its last axis, each rescaled where
+    `residual_norm` rescales, by one array call on the whole of r. The
+    row sums of squares may round differently from `residual_norm`'s
+    dot product, by a few units in the last place."""
+    with np.errstate(over="ignore"):
+        rn = np.linalg.norm(r, axis=-1)
+        redo = ((rn == np.inf) & np.isfinite(r).all(axis=-1)) | (
+            (rn < _SQRT_TINY) & r.any(axis=-1))
+        if redo.any():
+            rows = r[redo]
+            big = np.maximum.reduce(np.abs(rows), axis=-1, keepdims=True)
+            rn[redo] = big[..., 0] * np.linalg.norm(rows / big, axis=-1)
+    return rn
+
+
 def find_weights(fields, x, tol: float) -> Weights:
     """Best probability weighting at a fixed point x.
 

@@ -540,6 +540,10 @@ def test_leg_leaving_the_domain_exits1_naming_the_component(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(
         "kcycle: FlowDomainError: field evaluation failed at t=")
+    # the failing leg's own time: from the seed's point, the stasis point
+    # x1 = 0, x1' = -1 - x1 reaches -0.5 at t = ln 2, inside the leg's 2
+    when = proc.stderr.split("at t=")[1].split(":")[0]
+    assert float(when) == pytest.approx(math.log(2.0), abs=1e-4)
     assert "component 1: sqrt of negative value" in proc.stderr
     assert proc.stderr.endswith("in 'sqrt(x1 + 0.5)'\n")
     assert proc.stderr.count("\n") == 1

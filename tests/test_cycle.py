@@ -17,6 +17,7 @@ from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     jacobian_field, loglog_slope, parse_field,
                     random_linear_scenario, scenario_from_dict, solve_cycle,
                     stasis_residual, sweep_delta, verify_cycle)
+from kcycle.stasis import residual_norm
 from scipy.interpolate import KroghInterpolator
 
 from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
@@ -260,17 +261,20 @@ def test_jacobian_matches_fd_of_residual(corpus):
 def _block_jacobian(fields, w, pts, delta, cfg):
     """The cycle Jacobian assembled block by block by plain slicing: top
     blocks m_j dV_j/dx(x_j) at delta = 0, else (P_j - I)/delta from the
-    leg sensitivities P_j; chain blocks P_j (I at delta = 0) and -I."""
+    leg sensitivities P_j of one family call; chain blocks P_j (I at
+    delta = 0) and -I."""
     k, n = pts.shape
     eye = np.eye(n)
     jac = np.zeros((k * n, k * n))
+    if delta != 0.0:
+        family = integrate_flow(fields, pts, [delta * m for m in w], cfg)
     for j, (f, x, m) in enumerate(zip(fields, pts, w)):
         cols = slice(j * n, (j + 1) * n)
         if delta == 0.0:
             sens = eye
             jac[:n, cols] = m * jacobian_field(f, x)
         else:
-            sens = integrate_flow(f, x, delta * m, cfg).sensitivity
+            sens = family.sensitivity[j]
             jac[:n, cols] = (sens - eye) / delta
         if j > 0:
             jac[cols, cols] = -eye
@@ -279,13 +283,34 @@ def _block_jacobian(fields, w, pts, delta, cfg):
     return jac
 
 
+def _loop_residual(fields, w, pts, delta, cfg):
+    """The cycle residual summed leg by leg: row 0 is 0 + the velocity
+    terms in leg order, divided by delta, from the endpoints of one
+    family call; rows 1..k-1 the chain gaps."""
+    k, n = pts.shape
+    if delta == 0.0:
+        ends = pts
+        terms = [m * eval_field(f, x) for f, x, m in zip(fields, pts, w)]
+    else:
+        ends = flow_endpoint(fields, pts, [delta * m for m in w], cfg)
+        terms = [e - x for e, x in zip(ends, pts)]
+    res = np.zeros((k, n))
+    for term in terms:
+        res[0] += term
+    res[0] /= delta or 1.0
+    for j in range(1, k):
+        res[j] = ends[j - 1] - pts[j]
+    return res.reshape(-1)
+
+
 def test_jacobian_equals_the_block_assembly_bit_for_bit(corpus):
     # pins the placement of every block for k >= 3 and n >= 2, which the
-    # finite-difference tests only approximate
+    # finite-difference tests only approximate, and the residual's
+    # summation order against a leg-by-leg loop
     wide = scenario_from_dict(random_linear_scenario(
         np.random.default_rng(0), 6, 4, "wide-6x4"))
     rng = np.random.default_rng(35)
-    for scn in (wide, corpus["trig_3d"]):
+    for scn in (wide, corpus["trig_3d"], corpus["pair_1d"]):
         k, n = scn.k, scn.dimension
         pts = scn.guess_point() + rng.uniform(-0.2, 0.2, (k, n))
         for delta in (0.0, 0.05, 0.4):
@@ -295,6 +320,11 @@ def test_jacobian_equals_the_block_assembly_bit_for_bit(corpus):
                                    scn.integrator)
             assert got.shape == (k * n, k * n)
             assert np.array_equal(got, want), (scn.name, delta)
+            res = cycle_residual(scn.fields, scn.weights, CyclePoints(pts),
+                                 delta, scn.integrator)
+            assert res.tobytes() == _loop_residual(
+                scn.fields, scn.weights, pts, delta,
+                scn.integrator).tobytes(), (scn.name, delta)
 
 
 # --- solve_cycle -----------------------------------------------------------
@@ -398,13 +428,14 @@ def test_solve_cycle_trig_matches_scipy_shooting_oracle(corpus):
 def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
     # triad-2d is affine, so one Newton step lands on the cycle: k legs
     # with sensitivities for the step, k endpoint-only legs for the
-    # accepted trial, and nothing more to find it converged
+    # accepted trial, and nothing more to find it converged; a family call
+    # counts its k legs, one per field
     calls = {"sens": 0, "end": 0}
 
     def counted(fn, key):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+        def wrapped(fields, *args, **kwargs):
+            calls[key] += len(fields)
+            return fn(fields, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(kcycle.cycle, "integrate_flow",
@@ -429,14 +460,15 @@ def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):
     # correction was within it
     result = regular_sweeps["trig_3d"][1]
     assert [rec.cycle.newton_iters for rec in result.records] == \
-        [1] + [0] * 27 + [1] * 4
+        [1] + [0] * 28 + [1] * 3
 
 
-# sensitivity legs, their steps_taken, endpoint-only legs and Newton
-# iterations of each regular corpus sweep, as upper bounds
-WORK_BUDGET = {"pair-1d": (64, 334, 6, 3), "triad-2d": (96, 320, 12, 4),
-               "linear-2d-a": (64, 108, 18, 9),
-               "linear-3d-b": (96, 195, 15, 5), "trig-3d": (96, 338, 15, 5)}
+# sensitivity legs, the steps_taken of their family calls (the attempts
+# the k legs of a call share), endpoint-only legs and Newton iterations
+# of each regular corpus sweep, as upper bounds
+WORK_BUDGET = {"pair-1d": (64, 167, 6, 3), "triad-2d": (96, 109, 12, 4),
+               "linear-2d-a": (64, 59, 14, 7),
+               "linear-3d-b": (96, 98, 3, 1), "trig-3d": (96, 142, 12, 4)}
 
 
 def test_corpus_sweeps_stay_within_their_work_budget(regular_corpus,
@@ -447,18 +479,18 @@ def test_corpus_sweeps_stay_within_their_work_budget(regular_corpus,
     integrate, endpoint = kcycle.cycle.integrate_flow, \
         kcycle.cycle.flow_endpoint
 
-    def sensitivity_leg(*args):
-        leg = integrate(*args)
-        work[0] += 1
-        work[1] += leg.steps_taken
-        return leg
+    def sensitivity_legs(fields, *args):
+        legs = integrate(fields, *args)
+        work[0] += len(fields)
+        work[1] += legs.steps_taken
+        return legs
 
-    def endpoint_leg(*args):
-        work[2] += 1
-        return endpoint(*args)
+    def endpoint_legs(fields, *args):
+        work[2] += len(fields)
+        return endpoint(fields, *args)
 
-    monkeypatch.setattr(kcycle.cycle, "integrate_flow", sensitivity_leg)
-    monkeypatch.setattr(kcycle.cycle, "flow_endpoint", endpoint_leg)
+    monkeypatch.setattr(kcycle.cycle, "integrate_flow", sensitivity_legs)
+    monkeypatch.setattr(kcycle.cycle, "flow_endpoint", endpoint_legs)
     used = {}
     for scn in regular_corpus.values():
         sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
@@ -881,7 +913,7 @@ def test_sweep_rejects_subnormal_delta_max(pair):
 def _sweep_with_reached(monkeypatch, fields, weights, x0, *args, **kwargs):
     """sweep_delta(fields, weights, x0, ...) and the records built from
     each cycle `_reach` returned, as SweepRecord(target, cycle, largest
-    |x_j - x0|)."""
+    residual_norm(x_j - x0))."""
     reached = []
     reach = kcycle.cycle._reach
 
@@ -893,7 +925,7 @@ def _sweep_with_reached(monkeypatch, fields, weights, x0, *args, **kwargs):
     monkeypatch.setattr(kcycle.cycle, "_reach", wrapped)
     result = sweep_delta(fields, weights, x0, *args, **kwargs)
     x0 = np.asarray(x0, dtype=float)
-    want = [SweepRecord(target, cycle, max(float(np.linalg.norm(p - x0))
+    want = [SweepRecord(target, cycle, max(residual_norm(p - x0)
                                            for p in cycle.points))
             for target, cycle in reached]
     return result, want
@@ -914,8 +946,12 @@ def _assert_same_records(got, want):
             [p.tobytes() for p in old.cycle.points]
         assert _bits(rec.cycle.leg_times) == _bits(old.cycle.leg_times)
         assert rec.cycle.leg_times == old.cycle.leg_times
-        assert _bits([rec.cycle.closure_residual, rec.max_distance_to_x0]) \
-            == _bits([old.cycle.closure_residual, old.max_distance_to_x0])
+        assert _bits([rec.cycle.closure_residual]) == \
+            _bits([old.cycle.closure_residual])
+        # the distances are one array norm over the sweep, whose sums of
+        # squares may round apart from a point's own norm
+        assert abs(rec.max_distance_to_x0 - old.max_distance_to_x0) <= \
+            2.0 * np.spacing(old.max_distance_to_x0)
         assert rec.cycle.newton_iters == old.cycle.newton_iters
 
 
@@ -990,13 +1026,25 @@ def test_sweep_monotone_tail_and_slope_on_regulars(regular_sweeps):
         assert 0.9 <= slope <= 1.5, (name, slope)
 
 
+def _one_leg_mismatch(fields, weights, cycle, cfg):
+    """The largest max|F_j(x_j, delta*m_j) - x_{j+1}| over the legs,
+    cyclically, each leg integrated alone rather than in a family."""
+    pts = cycle.points.points
+    return max(float(np.max(np.abs(
+        flow_endpoint(f, x, cycle.delta * m, cfg) - nxt)))
+        for f, x, m, nxt in zip(fields, pts, weights, np.roll(pts, -1, 0)))
+
+
 def test_every_sweep_record_verifies(regular_corpus, regular_sweeps):
     # a predicted seed may already meet the tolerance and be accepted
     # without a Newton step; every record, those included, must still pass
-    # verify (10x tighter integration, 10*cycle_tol budget)
+    # verify (10x tighter integration, 10*cycle_tol budget), and so must
+    # its legs integrated one by one at that tighter tolerance, which
+    # share no step sequence with the family the solve integrated
     at_zero = 0
     for name, (sp, result) in regular_sweeps.items():
         scn = regular_corpus[name]
+        tight = scn.integrator.tightened(10.0)
         assert len(result.records) == scn.sweep.steps, name
         assert abs(loglog_slope(result) - 1.0) <= 0.05, name
         for rec in result.records:
@@ -1004,5 +1052,8 @@ def test_every_sweep_record_verifies(regular_corpus, regular_sweeps):
                                  scn.integrator)
             assert check.max_mismatch <= 10.0 * scn.cycle_tol, \
                 (name, rec.delta, check.max_mismatch)
+            alone = _one_leg_mismatch(scn.fields, sp.weights, rec.cycle,
+                                      tight)
+            assert alone <= 10.0 * scn.cycle_tol, (name, rec.delta, alone)
             at_zero += rec.cycle.newton_iters == 0
     assert at_zero > 0

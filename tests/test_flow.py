@@ -213,9 +213,9 @@ def test_subnormal_time_advances():
 
 
 def _dopri(bind, y0, span, cfg, n):
-    """flow._dopri over a fresh workspace of the binder `bind` whose state
-    row holds y0: (y, steps, est)."""
-    ws = flow._Workspace(bind, y0.size, n)
+    """flow._dopri over a fresh one-leg workspace of the binder `bind`
+    whose state row holds y0: (y, steps, est)."""
+    ws = flow._Workspace([bind], y0.size, n)
     ws.state[:] = y0
     return flow._dopri(ws, span, cfg)
 
@@ -772,15 +772,189 @@ def test_both_directions_check_out_one_workspace(run, monkeypatch):
         run(f, [0.1, -0.2, 0.3], t)
     assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
     sensitivity = run is integrate_flow
-    assert list(flow._WORKSPACES[f].items()) == [(sensitivity, seen[0])]
+    assert list(flow._WORKSPACES[f].items()) == [((sensitivity,), seen[0])]
 
 
 def test_a_dropped_field_frees_its_workspaces():
     f = _trig_field()
     integrate_flow(f, [0.1, -0.2, 0.3], 0.3)
     flow_endpoint(f, [0.1, -0.2, 0.3], -0.3)
-    assert set(flow._WORKSPACES[f]) == {True, False}
+    assert set(flow._WORKSPACES[f]) == {(True,), (False,)}
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
+
+
+# --- families of legs ----------------------------------------------------
+
+def _families():
+    """(name, fields, points, times, cfg) of a family on every corpus
+    scenario and one n = 6, k = 4 scenario, at three total times, with all
+    legs forward and with alternating directions, from points spread
+    around the guess."""
+    scns = [load_scenario(scenario_path(name)) for name in CORPUS_NAMES]
+    scns.append(scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(1), 6, 4, "wide")))
+    rng = np.random.default_rng(7)
+    for scn in scns:
+        k, n = scn.k, scn.dimension
+        for delta in (0.05, 0.4, 2.0):
+            for signs in ([1.0] * k, [(-1.0) ** j for j in range(k)]):
+                x = scn.guess_point() + rng.uniform(-0.2, 0.2, (k, n))
+                t = [s * delta * m for s, m in zip(signs, scn.weights)]
+                yield scn.name, scn.fields, x, t, scn.integrator
+
+
+def _unit(cfg, a):
+    """One unit of the local tolerance on an array whose largest entry
+    sets the relative part."""
+    return cfg.abs_tol + cfg.rel_tol * np.max(np.abs(a))
+
+
+def test_each_leg_of_a_family_agrees_with_the_leg_alone():
+    # a family shares one step sequence, so its legs round apart from the
+    # legs integrated alone, but stay within one unit of the local
+    # tolerance of them, both kinds of leg, state and sensitivity
+    cases = 0
+    for name, fields, x, t, cfg in _families():
+        k, n = x.shape
+        got = integrate_flow(fields, x, t, cfg)
+        ends = flow_endpoint(fields, x, t, cfg)
+        assert got.endpoint.shape == ends.shape == (k, n)
+        assert got.sensitivity.shape == (k, n, n)
+        assert isinstance(got.steps_taken, int) and got.steps_taken >= 1
+        for j, (f, xj, tj) in enumerate(zip(fields, x, t)):
+            one = integrate_flow(f, xj, tj, cfg)
+            end = flow_endpoint(f, xj, tj, cfg)
+            assert np.max(np.abs(got.endpoint[j] - one.endpoint)) <= \
+                _unit(cfg, one.endpoint), (name, t, j)
+            assert np.max(np.abs(got.sensitivity[j] - one.sensitivity)) <= \
+                _unit(cfg, one.sensitivity), (name, t, j)
+            assert np.max(np.abs(ends[j] - end)) <= _unit(cfg, end), \
+                (name, t, j)
+            cases += 1
+    assert cases == 6 * 21  # six families on eight scenarios, 21 fields
+
+
+@pytest.mark.parametrize("t", [0.3, -0.3], ids=["forward", "backward"])
+def test_a_family_of_one_is_the_leg_bit_for_bit(t):
+    # the one leg runs on the time scale +-1: the stepper's operations are
+    # the lone leg's, sign included
+    for name, j, field, x in _reference_cases():
+        one = integrate_flow(field, x, t)
+        fam = integrate_flow([field], [x], [t])
+        assert fam.endpoint.tobytes() == one.endpoint.tobytes(), (name, j)
+        assert fam.sensitivity.tobytes() == one.sensitivity.tobytes()
+        assert (fam.steps_taken, fam.est_local_error) == \
+            (one.steps_taken, one.est_local_error)
+        assert flow_endpoint([field], [x], [t]).tobytes() == \
+            flow_endpoint(field, x, t).tobytes(), (name, j)
+
+
+def test_trig_family_dop853_cross_check(corpus):
+    # an independent integrator on each leg of a trig-3d family whose legs
+    # run forward and backward on different time scales: scipy's DOP853 on
+    # the tree-walked augmented system, backward on the negated field
+    scn = corpus["trig_3d"]
+    x = scn.guess_point() + np.array([[0.1, -0.2, 0.05], [0.0, 0.1, -0.1],
+                                      [-0.15, 0.05, 0.2]])
+    t = [0.4, -0.25, 0.1]
+    got = integrate_flow(scn.fields, x, t)
+    for j, (f, xj, tj) in enumerate(zip(scn.fields, x, t)):
+        work = f if tj > 0 else negated_field(f)
+        want = scipy_flow(tree_rhs(work, True),
+                          np.concatenate([xj, np.eye(3).reshape(-1)]),
+                          abs(tj))
+        assert np.max(np.abs(got.endpoint[j] - want[:3])) <= 1e-10, j
+        assert np.max(np.abs(got.sensitivity[j] - want[3:].reshape(3, 3))) \
+            <= 1e-10, j
+
+
+def test_zero_time_leg_of_a_family_is_its_point_and_the_identity():
+    # a leg of time 0 is not stepped, so its field is not even evaluated
+    # (x2 = -1 is outside sqrt's domain), and the other legs are the
+    # family without it, bit for bit
+    fields = [parse_field("sin(x2); -x1 + tanh(x2)", 2), _sqrt_field(),
+              parse_field("x2; -x1", 2)]
+    x = np.array([[0.3, 0.1], [-0.0, -1.0], [1.0, 0.5]])
+    for zero in (0.0, -0.0):
+        t = [0.4, zero, -0.7]
+        got = integrate_flow(fields, x, t)
+        ends = flow_endpoint(fields, x, t)
+        assert got.endpoint[1].tobytes() == x[1].tobytes()
+        assert ends[1].tobytes() == x[1].tobytes()
+        assert got.sensitivity[1].tobytes() == np.eye(2).tobytes()
+        rest = integrate_flow(fields[::2], x[::2], t[::2])
+        assert got.endpoint[::2].tobytes() == rest.endpoint.tobytes()
+        assert got.sensitivity[::2].tobytes() == rest.sensitivity.tobytes()
+        assert got.steps_taken == rest.steps_taken
+        assert ends[::2].tobytes() == \
+            flow_endpoint(fields[::2], x[::2], t[::2]).tobytes()
+    still = integrate_flow(fields, x, [0.0, -0.0, 0.0])
+    assert still.endpoint.tobytes() == x.tobytes()
+    assert still.sensitivity.tobytes() == np.array([np.eye(2)] * 3).tobytes()
+    assert (still.steps_taken, still.est_local_error) == (0, 0.0)
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_family_domain_error_names_the_failing_legs_own_time(run):
+    # leg 1 runs backward over 1 and leaves sqrt's domain at its own time
+    # t = -0.4; leg 0, twice as long, sets the family's span, so the
+    # family stops at s = 0.8, which is not the time reported
+    fields = [parse_field("x2; -x1", 2), _sqrt_field()]
+    x = [[1.0, 0.0], [0.0, 0.04]]
+    with pytest.raises(FlowDomainError) as err:
+        run(fields, x, [2.0, -1.0])
+    assert abs(err.value.time + 0.4) <= EXIT_ALLOWANCE
+    assert str(err.value).startswith("field evaluation failed at t=-0.4: ")
+    cause = err.value.__cause__
+    assert isinstance(cause, DomainError)
+    assert cause.component == 2 and "'sqrt(x2)'" in str(cause)
+    # a leg whose own point is outside the domain fails at once, at t=0
+    with pytest.raises(FlowDomainError) as err:
+        run(fields, [[1.0, 0.0], [0.0, -1.0]], [2.0, -1.0])
+    assert err.value.time == 0.0 and "at t=0:" in str(err.value)
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+def test_family_shapes_are_checked(run):
+    f, g = parse_field("x2; -x1", 2), parse_field("1; x1", 2)
+    with pytest.raises(DimensionError):
+        run([f, g], [[0.0, 0.0]], [0.1, 0.1])
+    with pytest.raises(DimensionError):
+        run([f, g], np.zeros((2, 3)), [0.1, 0.1])
+    with pytest.raises(DimensionError):
+        run([f, g], np.zeros((2, 2)), [0.1])
+    with pytest.raises(DimensionError):
+        run([f, parse_field("x1", 1)], np.zeros((2, 2)), [0.1, 0.1])
+    with pytest.raises(DimensionError):
+        run([], np.zeros((0, 2)), [])
+    with pytest.raises(ValueError):
+        run([f, g], np.zeros((2, 2)), [0.1, math.inf])
+
+
+def test_family_workspace_reuse_is_invisible():
+    # one workspace per family of fields and kind of leg, under the first
+    # field; calls on it, each after a call on it that the step limit
+    # ended mid-way, equal the same calls on fresh fields
+    def make():
+        return [_trig_field(), _trig_field(), _trig_field()]
+
+    kept = make()
+    x = np.array([[0.1, -0.2, 0.3], [0.0, 0.1, 0.2], [0.3, 0.0, -0.1]])
+    calls = [([0.3, -0.1, 0.2], True), ([0.3, -0.1, 0.2], False),
+             ([2.0, 0.5, -2.0], True), ([-0.05, 0.05, 0.01], False)]
+    for times, sensitivity in calls:
+        run = integrate_flow if sensitivity else flow_endpoint
+        with pytest.raises(StepLimitError):
+            run(kept, x, [8.0, -8.0, 8.0], IntegratorConfig(max_steps=2))
+        got, want = run(kept, x, times), run(make(), x, times)
+        if sensitivity:
+            assert got.endpoint.tobytes() == want.endpoint.tobytes()
+            assert got.sensitivity.tobytes() == want.sensitivity.tobytes()
+            assert got.steps_taken == want.steps_taken
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert set(flow._WORKSPACES[kept[0]]) == {(True, *kept[1:]),
+                                              (False, *kept[1:])}

@@ -16,7 +16,7 @@ from kcycle import (BoundaryWeightError, DimensionError,
                     weighted_jacobian)
 from kcycle.linalg import damped_newton, newton_step, singular_values
 from kcycle.stasis import (MAX_NEWTON_ITERS, WEIGHT_FLOOR,
-                           _simplex_least_squares, residual_norm)
+                           _simplex_least_squares, residual_norm, row_norms)
 
 
 @pytest.fixture
@@ -296,6 +296,29 @@ def test_residual_norm_keeps_every_finite_norm_and_rescales_an_overflow():
             5e200, rel=1e-15)
         assert residual_norm(np.array([np.inf, 1.0])) == np.inf
         assert residual_norm(np.array([1.5e308, 1.5e308])) == np.inf
+
+
+def test_row_norms_match_residual_norm_within_two_ulps():
+    # one array call over every row, rescaled where a row's squares
+    # underflow or overflow, against residual_norm row by row
+    rng = np.random.default_rng(11)
+    rows = [rng.normal(size=(8, 3)) * scale
+            for scale in (5e-322, 1e-300, 1e-160, 1.0, 1e150, 1e200)]
+    rows.append(np.array([[0.0, 0.0, 0.0], [3e200, -4e200, 0.0],
+                          [np.inf, 1.0, 0.0], [1.5e308, 1.5e308, 0.0],
+                          [np.nan, 1.0, 0.0], [0.0, 1e-320, 0.0],
+                          [1.5e-154, 0.0, 0.0], [1e-200, 1e200, 0.0]]))
+    rows = np.concatenate(rows).reshape(7, 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = row_norms(rows)
+    assert got.shape == (7, 8)
+    for g, r in zip(got.reshape(-1), rows.reshape(-1, 3)):
+        want = residual_norm(r)
+        if not np.isfinite(want):
+            assert g.tobytes() == np.float64(want).tobytes(), r
+        else:
+            assert abs(g - want) <= 2.0 * np.spacing(want), r
 
 
 def test_find_weights_non_finite_field_value_is_infeasible(monkeypatch):
