@@ -11,12 +11,11 @@ flow_endpoint on all the fields of each corpus scenario at once, every
 leg from the scenario's stasis point, over the leg times delta*m_j for
 delta = 0.2 and 2.0, as a cycle solve's first evaluation makes them:
 14 family calls. One line per scenario gives a sha256 over the
-endpoints, sensitivities, step counts and local-error estimates (or the
-error a call raised) and its step count; the last line of each kind
-covers every call of that kind. The legs and families then run again on
-the same fields in reverse order, and every call whose bytes differ
-from the first run's is printed: a call's result must not depend on the
-calls run before it.
+endpoints, sensitivities and step counts (or the error a call raised)
+and its step count; the last line of each kind covers every call of
+that kind. The legs and families then run again on the same fields in
+reverse order, and every call whose bytes differ from the first run's
+is printed: a call's result must not depend on the calls run before it.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
@@ -40,6 +39,12 @@ sweep the file holds but this run did not make is named as missing and
 counted as moved, so a run that covers less than the saved one does not
 pass for an unmoved one. The byte comparison tells -0.0 from 0.0, which
 a difference does not.
+
+A file saved by a version of this script whose calls also held the
+largest local-error estimate has one more number per call, so every call
+reads as moved against it. The script imports the package of the
+checkout it lies in, so make a baseline with this script copied into the
+other checkout's scripts/ directory and run from there.
 
 Exit status: 1 if a call depends on the calls run before it; else 2 if
 --against found any call or sweep whose bytes moved or that this run did
@@ -116,8 +121,7 @@ def run_leg(field, x, t, cfg):
         end = flow_endpoint(field, x, t, cfg)
     except KcycleError as exc:
         return f"{type(exc).__name__}: {exc}", 0
-    est = np.array([res.est_local_error])
-    return (res.endpoint, res.sensitivity, end, est), res.steps_taken
+    return (res.endpoint, res.sensitivity, end), res.steps_taken
 
 
 def leg_bytes(value, steps):

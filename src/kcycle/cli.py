@@ -73,10 +73,11 @@ def build_parser() -> _Parser:
     solve.add_argument("--out", metavar="DIR", default=".",
                        help="directory for result artifacts (default: .)")
     solve.add_argument("--verbose", action="store_true",
-                       help="re-integrate each leg of the final cycle "
-                            "(sweep: the last ladder point) with "
-                            "sensitivities and print its steps and largest "
-                            "local-error estimate on stderr")
+                       help="print on stderr the attempts of one family "
+                            "call with sensitivities on the final cycle "
+                            "(sweep: the last ladder point): the work of "
+                            "one cycle Jacobian there, the solve's own "
+                            "call when Newton took no step")
     parser = _Parser(prog="kcycle",
                      description="Stasis points and switching cycles of "
                                  "weighted vector-field systems.")
@@ -289,17 +290,18 @@ def cmd_cycle(args) -> int:
         print(f"newton iters:     {cycle.newton_iters}")
         print(f"record:           {out_path}")
     if args.verbose:
-        _print_leg_stats(scn, cycle)
+        _print_leg_stats(scn, cycle.points.points, cycle.delta,
+                         point.weights)
     return EXIT_OK
 
 
-def _print_leg_stats(scn, cycle):
-    print("leg integrations (steps, est local error):", file=sys.stderr)
-    for j, (f, p, t) in enumerate(zip(scn.fields, cycle.points,
-                                      cycle.leg_times), start=1):
-        res = integrate_flow(f, p, t, scn.integrator)
-        print(f"  leg {j}: {res.steps_taken} steps, "
-              f"est {res.est_local_error:.3e}", file=sys.stderr)
+def _print_leg_stats(scn, points, delta, weights):
+    """One stderr line: the attempts of the family call on the (k, n)
+    cycle `points` over the leg times delta*m_j, as the solve makes it."""
+    res = integrate_flow(scn.fields, points, [delta * m for m in weights],
+                         scn.integrator)
+    print(f"leg family: {scn.k} legs, {res.steps_taken} attempts",
+          file=sys.stderr)
 
 
 def cmd_sweep(args) -> int:
@@ -357,7 +359,8 @@ def cmd_sweep(args) -> int:
         print(f"csv:           {csv_path}")
         print(f"summary:       {json_path}")
     if args.verbose:
-        _print_leg_stats(scn, result.records[-1].cycle)
+        _print_leg_stats(scn, result.points[-1], result.largest_delta,
+                         point.weights)
     return EXIT_OK
 
 

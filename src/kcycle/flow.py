@@ -114,15 +114,12 @@ DEFAULT_CONFIG = IntegratorConfig()
 class FlowResult:
     """The endpoint and sensitivity of one leg, shapes (n,) and (n, n), or
     of a family of k legs, (k, n) and (k, n, n). steps_taken counts the
-    call's attempts, which a family's legs share; est_local_error is the
-    largest accepted local-error estimate of a state entry, over every
-    leg; each sensitivity's error is controlled relative to its largest
-    entry."""
+    call's attempts, which a family's legs share; each sensitivity's error
+    is controlled relative to its largest entry."""
 
     endpoint: np.ndarray
     sensitivity: np.ndarray
     steps_taken: int
-    est_local_error: float
 
 
 # Dormand-Prince 5(4) tableau; row i of _DP_A holds the stage-i weights.
@@ -175,17 +172,18 @@ class _Workspace:
     array; `plan` holds, for stage i = 1..6, its coefficient row, the
     work rows 0..i that row weighs, its k leg calls bound to the stage
     input y_new, each with its leg's index, and the stage row, and
-    `start` is stage 0's calls bound to row 0, with row 1. tail and
-    state_error are the (k, .) views that each attempt's error control
-    reads, and `legs` the state as a (k, m) array. `time_scale` sets the
-    legs' time scales for the next integration: tau_j in `taus`, and in
-    `tau` repeated over leg j's entries; `scaled` is False when every
-    tau is 1 and the stage rows are left as the calls wrote them.
+    `start` is stage 0's calls bound to row 0, with row 1. tail is the
+    (k, m - n) view of each leg's sensitivity entries that each attempt's
+    error control reads, and `legs` the state as a (k, m) array.
+    `time_scale` sets the legs' time scales for the next integration:
+    tau_j in `taus`, and in `tau` repeated over leg j's entries; `scaled`
+    is False when every tau is 1 and the stage rows are left as the calls
+    wrote them.
     """
 
     __slots__ = ("state", "legs", "first", "stages", "scale_coef",
                  "error_weights", "y_new", "abs_y", "abs_new", "abs_e",
-                 "scale", "tail", "state_error", "plan", "start", "tau",
+                 "scale", "tail", "plan", "start", "tau",
                  "taus", "lead", "scaled")
 
     def __init__(self, binders, m, n):
@@ -201,7 +199,6 @@ class _Workspace:
         self.y_new, self.abs_y, self.abs_new, self.abs_e, self.scale = (
             np.empty(size) for _ in range(5))
         self.tail = self.scale.reshape(k, m)[:, n:]
-        self.state_error = self.abs_e.reshape(k, m)[:, :n]
         self.tau = np.ones((k, m))
 
         def calls(y, row):
@@ -237,14 +234,13 @@ def _dopri(ws, span, cfg):
     largest of theirs, so on success every accepted step satisfies
     |err_i| <= abs_tol + rel_tol*|y_i| for each leg's state entries and
     |err_i| <= abs_tol + rel_tol*max|P_j| for the entries of each leg's
-    P_j; est is the largest state |err_i| accepted, over every leg. A
-    non-finite entry anywhere rejects the step, and so does a DomainError
-    in stages 1-6: a trial stage is not a point of the trajectory. Stage
-    0 is rhs(y0), evaluated once before the first step, so a DomainError
-    there raises FlowDomainError at once, at time 0; when domain
-    rejections shrink the step below its floor, FlowDomainError names the
-    last one at its leg's time tau_j s, s the last accepted time. The
-    stepper's own StepLimitErrors name the longest leg's time. An
+    P_j. A non-finite entry anywhere rejects the step, and so does a
+    DomainError in stages 1-6: a trial stage is not a point of the
+    trajectory. Stage 0 is rhs(y0), evaluated once before the first step,
+    so a DomainError there raises FlowDomainError at once, at time 0; when
+    domain rejections shrink the step below its floor, FlowDomainError
+    names the last one at its leg's time tau_j s, s the last accepted
+    time. The stepper's own StepLimitErrors name the longest leg's time. An
     accepted step hands over its last stage and |y_new| to the next, a
     rejected one keeps them, so every attempt costs six evaluations of
     each leg's rhs.
@@ -261,8 +257,8 @@ def _dopri(ws, span, cfg):
     is a copy.
     """
     state, first, stages, y_new = ws.state, ws.first, ws.stages, ws.y_new
-    abs_y, abs_new, abs_e, scale, tail, state_error = (
-        ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail, ws.state_error)
+    abs_y, abs_new, abs_e, scale, tail = (
+        ws.abs_y, ws.abs_new, ws.abs_e, ws.scale, ws.tail)
     scale_coef, error_weights, plan = ws.scale_coef, ws.error_weights, ws.plan
     taus, lead, scaled, tau = ws.taus, ws.lead, ws.scaled, ws.tau.reshape(-1)
     last = stages[6]
@@ -271,7 +267,6 @@ def _dopri(ws, span, cfg):
     t = 0.0
     h = span
     steps = 0
-    est = 0.0
     err_prev = 1e-4
     h_min = _H_MIN_FACTOR * span
     np.abs(state, out=abs_y)
@@ -328,14 +323,13 @@ def _dopri(ws, span, cfg):
             abs_y, abs_new = abs_new, abs_y
             first[:] = last
             outside = None
-            est = max(est, float(_largest(state_error, axis=None)))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
             err_prev = err_c
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    return state.copy(), steps, est
+    return state.copy(), steps
 
 
 def _rhs(field, sensitivity):
@@ -425,9 +419,9 @@ def _family(fields, points, times):
 
 def _legs(fields, points, times, cfg, sensitivity):
     """Integrate the family of legs of `fields` from the (k, n) `points`
-    over `times`; (y, steps, est) with y[j] = x_j(t_j), or (x_j(t_j),
-    P_j(t_j)) flattened when `sensitivity`; est is the largest state
-    estimate. y is a new (k, m) array.
+    over `times`; (y, steps) with y[j] = x_j(t_j), or (x_j(t_j),
+    P_j(t_j)) flattened when `sensitivity`, and steps the family's
+    attempts. y is a new (k, m) array.
 
     A leg of time 0 returns its initial state exactly and is not stepped;
     the others run as one family on s in [0, max |t_j|] (see `_dopri`),
@@ -449,7 +443,7 @@ def _legs(fields, points, times, cfg, sensitivity):
     if len(moving) < k:
         still = _initial_state(np.empty((k, m)), points, n)
         if not moving:
-            return still, 0, 0.0
+            return still, 0
         fields = [fields[j] for j in moving]
         points, times = points[moving], [times[j] for j in moving]
     span = max(abs(t) for t in times)
@@ -462,14 +456,14 @@ def _legs(fields, points, times, cfg, sensitivity):
         try:
             _initial_state(ws.legs, points, n)
             ws.time_scale([t / span for t in times])
-            y, steps, est = _dopri(ws, span, cfg)
+            y, steps = _dopri(ws, span, cfg)
         finally:
             pool[key] = ws
     y = y.reshape(-1, m)
     if len(moving) < k:
         still[moving] = y
         y = still
-    return y, steps, est
+    return y, steps
 
 
 def integrate_flow(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
@@ -483,20 +477,19 @@ def integrate_flow(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
     own time scale t_j / max|t|, with per-leg error control (see the
     module docstring); steps_taken counts the family's attempts. Each
     sensitivity's local error is controlled relative to its largest
-    entry; est_local_error is the largest state estimate. A leg of time 0
-    returns its point and the identity exactly. Negative times integrate
-    backward. The endpoint and the sensitivity are disjoint views of one
-    new array.
+    entry. A leg of time 0 returns its point and the identity exactly.
+    Negative times integrate backward. The endpoint and the sensitivity
+    are disjoint views of one new array.
     """
     if isinstance(field, VectorField):
         n = field.dimension
         x = as_point(field, x)
-        y, steps, est = _legs((field,), x[None], [t], cfg, True)
-        return FlowResult(y[0, :n], y[0, n:].reshape(n, n), steps, est)
+        y, steps = _legs((field,), x[None], [t], cfg, True)
+        return FlowResult(y[0, :n], y[0, n:].reshape(n, n), steps)
     fields, x, t = _family(field, x, t)
     k, n = x.shape
-    y, steps, est = _legs(fields, x, t, cfg, True)
-    return FlowResult(y[:, :n], y[:, n:].reshape(k, n, n), steps, est)
+    y, steps = _legs(fields, x, t, cfg, True)
+    return FlowResult(y[:, :n], y[:, n:].reshape(k, n, n), steps)
 
 
 def flow_endpoint(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG

@@ -69,8 +69,8 @@ _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 
 def reference_dopri(rhs, y0, span, cfg, n):
     """Dormand-Prince 5(4) over [0, span], span > 0, for rhs(y) -> array,
-    allocating every stage input, stage and error vector; (y, attempts,
-    est) as the package's stepper reports them.
+    allocating every stage input, stage and error vector; (y, attempts)
+    as the package's stepper reports them.
 
     The same floating-point operations in the same order as `kcycle.flow`
     states them: stage i's input is [1, h a_i] @ [y; k_0..k_{i-1}] and the
@@ -82,7 +82,7 @@ def reference_dopri(rhs, y0, span, cfg, n):
     DomainError propagates.
     """
     y = np.array(y0, dtype=float)
-    t, steps, est, err_prev = 0.0, 0, 0.0, 1e-4
+    t, steps, err_prev = 0.0, 0, 1e-4
     h = span
     h_min = 16.0 * np.finfo(float).eps * span
     k = [rhs(y)] + [None] * 6
@@ -106,14 +106,13 @@ def reference_dopri(rhs, y0, span, cfg, n):
             t += h
             y = y_new
             k[0] = k[6]
-            est = max(est, float(abs_e[:n].max()))
             err_c = max(err, 1e-10)
             fac = 0.9 * err_c ** -0.14 * err_prev ** 0.08
             h *= min(5.0, max(0.2, fac))
             err_prev = err_c
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    return y, steps, est
+    return y, steps
 
 
 def central_fd_jacobian(func, x, h=1e-6):

@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from kcycle import InputError, KcycleError, SolverError, errors
+from kcycle import (InputError, KcycleError, SolverError, cli, errors,
+                    integrate_flow, load_scenario)
 from kcycle.cli import _UsageError, main
 from kcycle.serialize import csv_lines, dumps
 
@@ -222,12 +223,31 @@ def test_cycle_non_regular_exit1(tmp_path, capsys):
     assert "not regular" in capsys.readouterr().err
 
 
-def test_cycle_verbose_prints_integrator_stats(tmp_path, capsys):
-    code = run_cli("cycle", "--scenario", str(scenario_path("pair_1d")),
-                   "--delta", "0.2", "--out", str(tmp_path), "--verbose")
+def _counted_family_calls(monkeypatch):
+    """Wrap `kcycle.cli.integrate_flow`; returns the list of its results."""
+    results = []
+
+    def counting(*args):
+        results.append(integrate_flow(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "integrate_flow", counting)
+    return results
+
+
+def test_cycle_verbose_prints_integrator_stats(tmp_path, capsys,
+                                                monkeypatch):
+    # one family call on the recorded cycle, all three legs at once
+    calls = _counted_family_calls(monkeypatch)
+    code = run_cli("cycle", "--scenario", str(scenario_path("trig_3d")),
+                   "--delta", "0.4", "--out", str(tmp_path), "--verbose")
     assert code == 0
-    err = capsys.readouterr().err
-    assert "steps" in err and "leg 2" in err
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "leg family: 3 legs, 18 attempts\n"
+    record = json.loads((tmp_path / "trig-3d_cycle.json").read_text())
+    scn = load_scenario(scenario_path("trig_3d"))
+    assert integrate_flow(scn.fields, record["points"], record["leg_times"],
+                          scn.integrator).steps_taken == 18
 
 
 # --- sweep -----------------------------------------------------------------
@@ -288,6 +308,46 @@ def test_sweep_byte_identical_reruns(tmp_path, capsys):
     json_a = (out_a / "linear-2d-a_sweep.json").read_bytes()
     json_b = (out_b / "linear-2d-a_sweep.json").read_bytes()
     assert json_a == json_b
+
+
+def test_sweep_verbose_prints_the_last_ladder_points_attempts(
+        tmp_path, capsys, monkeypatch):
+    calls = _counted_family_calls(monkeypatch)
+    code = run_cli("sweep", "--scenario", str(scenario_path("pair_1d")),
+                   "--out", str(tmp_path), "--verbose")
+    assert code == 0
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    # the last CSV row and the summary's weights, as written
+    last = (tmp_path / "pair-1d_sweep.csv").read_text().split("\n")[-2]
+    delta, *points = [float(v) for v in last.split(",")[:3]]
+    weights = json.loads((tmp_path / "pair-1d_sweep.json").read_text())[
+        "weights"]
+    scn = load_scenario(scenario_path("pair_1d"))
+    steps = integrate_flow(scn.fields, [[x] for x in points],
+                           [delta * m for m in weights],
+                           scn.integrator).steps_taken
+    assert err == f"leg family: 2 legs, {steps} attempts\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("cycle", "--delta", "0.4"), ["trig-3d_cycle.json"]),
+    (("sweep",), ["trig-3d_sweep.csv", "trig-3d_sweep.json"]),
+], ids=["cycle", "sweep"])
+def test_verbose_leaves_stdout_and_artifacts_byte_identical(
+        tmp_path, capsys, argv, files):
+    got = []
+    for flags in ((), ("--verbose",)):
+        out = tmp_path / str(len(flags))
+        code = run_cli(*argv, "--scenario", str(scenario_path("trig_3d")),
+                       "--out", str(out), "--json", *flags)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert bool(captured.err) == bool(flags)
+        got.append([captured.out.encode()]
+                   + [(out / name).read_bytes() for name in files])
+        assert sorted(os.listdir(out)) == sorted(files)
+    assert got[0] == got[1]
 
 
 # --- verify ----------------------------------------------------------------

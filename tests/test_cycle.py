@@ -565,7 +565,13 @@ def _hermite(nodes, delta):
     evaluated at delta; and its rounding scale sum_i |b_i(delta)| max|y_i|
     over the Hermite basis b_i and the data y_i (values and slopes), the
     size of the terms whose rounding the extrapolation carries into the
-    result."""
+    result.
+
+    The scale counts the rounding of the data, not of the evaluation, so
+    the predictor tests' bound of 4 eps times it holds for smooth branch
+    data, not for arbitrary nodes: on uncorrelated random values and
+    slopes the solver's predictor differs from Krogh by up to 8.1 eps
+    times the scale."""
     data = [(d, v) for d, x, t in nodes
             for v in ((x,) if t is None else (x, t))]
     xi = [d for d, _ in data]

@@ -47,7 +47,6 @@ def test_scalar_affine_closed_form():
     f = parse_field("1 - x1", 1)
     res = integrate_flow(f, [0.0], 0.1)
     assert res.endpoint[0] == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
-    assert res.est_local_error <= 1e-12 + 1e-10 * 2.0
 
 
 def test_zero_time_is_exact_identity():
@@ -214,7 +213,7 @@ def test_subnormal_time_advances():
 
 def _dopri(bind, y0, span, cfg, n):
     """flow._dopri over a fresh one-leg workspace of the binder `bind`
-    whose state row holds y0: (y, steps, est)."""
+    whose state row holds y0: (y, steps)."""
     ws = flow._Workspace([bind], y0.size, n)
     ws.state[:] = y0
     return flow._dopri(ws, span, cfg)
@@ -244,7 +243,7 @@ def test_dopri_reuses_first_stage(source, span, max_steps, rejects):
     # stage inputs grows large
     f = parse_field(source, 2)
     log = []
-    y, steps, _ = _dopri(_stage_log(partial(eval_field, f), log),
+    y, steps = _dopri(_stage_log(partial(eval_field, f), log),
                          np.zeros(2), span,
                          IntegratorConfig(max_steps=max_steps), 2)
     assert y[0] == pytest.approx(span)
@@ -281,7 +280,7 @@ def test_rejected_whole_span_attempt_keeps_the_leg_accurate():
     # sensitivity of x' = -x over the same span
     f = parse_field("1; -x2", 2)
     log = []
-    y, steps, _ = _dopri(_stage_log(partial(eval_field, f), log),
+    y, steps = _dopri(_stage_log(partial(eval_field, f), log),
                          np.array([0.0, 1.0]), 5.0, IntegratorConfig(), 2)
     assert log[6][0] == 5.0 and log[7][0] < 1.0
     assert y[0] == pytest.approx(5.0)
@@ -327,15 +326,6 @@ def test_config_validation():
         IntegratorConfig(max_steps=0)
 
 
-def test_est_local_error_within_tolerance(corpus):
-    scn = corpus["trig_3d"]
-    cfg = scn.integrator
-    for f in scn.fields:
-        res = integrate_flow(f, np.zeros(3), 0.3, cfg)
-        bound = cfg.abs_tol + cfg.rel_tol * (3.0 + np.max(np.abs(res.endpoint)))
-        assert res.est_local_error <= bound
-
-
 # the cfg's id is the method's name, so these cases keep their test ids
 @pytest.mark.parametrize("cfg", [flow.DEFAULT_CONFIG], ids=[METHOD])
 @pytest.mark.parametrize("sensitivity", [True, False],
@@ -356,13 +346,13 @@ def test_bound_rhs_is_bit_identical_to_public_evaluators(
     work = field if t > 0 else negated_field(field)
     y0 = np.concatenate([x, np.eye(n).reshape(-1)]) if sensitivity else x
     # the leg controls the step size on the state, its first n entries
-    want, steps, est = _dopri(_into(tree_rhs(work, sensitivity)), y0,
-                              abs(t), cfg, n)
+    want, steps = _dopri(_into(tree_rhs(work, sensitivity)), y0,
+                         abs(t), cfg, n)
     if sensitivity:
         got = integrate_flow(field, x, t, cfg)
         assert np.array_equal(got.endpoint, want[:n])
         assert np.array_equal(got.sensitivity, want[n:].reshape(n, n))
-        assert (got.steps_taken, got.est_local_error) == (steps, est)
+        assert got.steps_taken == steps
     else:
         assert np.array_equal(flow_endpoint(field, x, t, cfg), want)
 
@@ -510,19 +500,19 @@ def _reference_cases():
 @pytest.mark.parametrize("t", [0.5, -0.5], ids=["forward", "backward"])
 def test_legs_match_the_allocating_reference_dopri(t):
     # the in-place stepper performs the reference's operations in the
-    # reference's order: equal bits, step counts and estimates
+    # reference's order: equal bits and step counts
     cfg = flow.DEFAULT_CONFIG
     for name, j, field, x in _reference_cases():
         n = field.dimension
         work = field if t > 0 else negated_field(field)
         got = integrate_flow(field, x, t)
         y0 = np.concatenate([x, np.eye(n).reshape(-1)])
-        want, steps, est = reference_dopri(tree_rhs(work, True), y0,
-                                           abs(t), cfg, n)
+        want, steps = reference_dopri(tree_rhs(work, True), y0,
+                                      abs(t), cfg, n)
         assert np.array_equal(got.endpoint, want[:n]), (name, j)
         assert np.array_equal(got.sensitivity, want[n:].reshape(n, n))
-        assert (got.steps_taken, got.est_local_error) == (steps, est)
-        want, _, _ = reference_dopri(tree_rhs(work, False), x,
+        assert got.steps_taken == steps
+        want, _ = reference_dopri(tree_rhs(work, False), x,
                                      abs(t), cfg, n)
         assert np.array_equal(flow_endpoint(field, x, t), want), (name, j)
 
@@ -628,8 +618,7 @@ def _outcome(field, x, t, cfg, sensitivity):
     try:
         if sensitivity:
             res = integrate_flow(field, x, t, cfg)
-            return (res.endpoint, res.sensitivity, res.steps_taken,
-                    res.est_local_error)
+            return res.endpoint, res.sensitivity, res.steps_taken
         return (flow_endpoint(field, x, t, cfg),)
     except (FlowDomainError, StepLimitError) as exc:
         return type(exc), str(exc), getattr(exc, "time", None)
@@ -846,8 +835,7 @@ def test_a_family_of_one_is_the_leg_bit_for_bit(t):
         fam = integrate_flow([field], [x], [t])
         assert fam.endpoint.tobytes() == one.endpoint.tobytes(), (name, j)
         assert fam.sensitivity.tobytes() == one.sensitivity.tobytes()
-        assert (fam.steps_taken, fam.est_local_error) == \
-            (one.steps_taken, one.est_local_error)
+        assert fam.steps_taken == one.steps_taken
         assert flow_endpoint([field], [x], [t]).tobytes() == \
             flow_endpoint(field, x, t).tobytes(), (name, j)
 
@@ -894,7 +882,7 @@ def test_zero_time_leg_of_a_family_is_its_point_and_the_identity():
     still = integrate_flow(fields, x, [0.0, -0.0, 0.0])
     assert still.endpoint.tobytes() == x.tobytes()
     assert still.sensitivity.tobytes() == np.array([np.eye(2)] * 3).tobytes()
-    assert (still.steps_taken, still.est_local_error) == (0, 0.0)
+    assert still.steps_taken == 0
 
 
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
