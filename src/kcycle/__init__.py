@@ -8,11 +8,12 @@ regular point carries: point tuples x_1..x_k closed up by flowing each
 x_j along field j for time delta*m_j.
 """
 
-from .errors import (BoundaryWeightError, BranchLostError, ClosureError,
-                     DimensionError, DomainError, DslError, FlowDomainError,
-                     InfeasibleWeightsError, InputError, KcycleError,
-                     NewtonDivergenceError, RecordError, ScenarioError,
-                     SingularJacobianError, SolverError, StepLimitError)
+from .errors import (ArgumentError, BoundaryWeightError, BranchLostError,
+                     ClosureError, DimensionError, DomainError, DslError,
+                     FlowDomainError, InfeasibleWeightsError, InputError,
+                     KcycleError, NewtonDivergenceError, RecordError,
+                     ScenarioError, SingularJacobianError, SolverError,
+                     StepLimitError)
 from .expr import (VectorField, eval_field, jacobian_field, parse_field,
                    unparse_field)
 from .flow import FlowResult, IntegratorConfig, flow_endpoint, integrate_flow
@@ -31,18 +32,18 @@ from .scenario import (Scenario, SweepSpec, load_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryWeightError", "BranchLostError", "ClosureError", "CycleCheck",
-    "CyclePoints", "DimensionError", "DomainError", "DslError",
+    "ArgumentError", "BoundaryWeightError", "BranchLostError", "ClosureError",
+    "CycleCheck", "CyclePoints", "DimensionError", "DomainError", "DslError",
     "FlowDomainError", "FlowResult", "InfeasibleWeightsError", "InputError",
     "IntegratorConfig", "KCycle", "KcycleError", "NewtonDivergenceError",
     "RecordError", "RegularityReport", "Scenario", "ScenarioError",
     "SingularJacobianError", "SolverError", "StasisPoint", "StepLimitError",
     "SweepRecord", "SweepResult", "SweepSpec", "VectorField", "Weights",
-    "average_velocity", "check_regularity", "cycle_jacobian",
-    "cycle_residual", "eval_field", "find_stasis", "find_weights",
-    "flow_endpoint", "integrate_flow", "jacobian_field", "load_scenario",
-    "loglog_slope", "parse_field", "random_linear_scenario",
-    "scenario_from_dict", "scenario_to_dict", "solve_cycle",
-    "stasis_residual", "sweep_delta", "unparse_field", "verify_cycle",
-    "weight_hull_dimension", "weighted_jacobian",
+    "average_velocity", "check_regularity", "cycle_jacobian", "cycle_residual",
+    "eval_field", "find_stasis", "find_weights", "flow_endpoint",
+    "integrate_flow", "jacobian_field", "load_scenario", "loglog_slope",
+    "parse_field", "random_linear_scenario", "scenario_from_dict",
+    "scenario_to_dict", "solve_cycle", "stasis_residual", "sweep_delta",
+    "unparse_field", "verify_cycle", "weight_hull_dimension",
+    "weighted_jacobian",
 ]

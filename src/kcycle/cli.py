@@ -10,7 +10,6 @@ fixed key order, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -21,10 +20,11 @@ from . import serialize
 from .cycle import (CyclePoints, KCycle, loglog_slope, solve_cycle,
                     sweep_delta, verify_cycle)
 from .errors import (InputError, KcycleError, RecordError,
-                     SingularJacobianError, SolverError)
+                     SingularJacobianError, SolverError, finite_number,
+                     leg_times, positive_number, whole_number)
 from .flow import integrate_flow
-from .scenario import (Scenario, finite_number, load_scenario, read_json,
-                       scenario_from_dict, scenario_to_dict, whole_number)
+from .scenario import (Scenario, load_scenario, read_json,
+                       scenario_from_dict, scenario_to_dict)
 from .stasis import (StasisPoint, Weights, check_regularity, find_stasis,
                      find_weights, residual_norm, stasis_residual,
                      weight_hull_dimension)
@@ -124,9 +124,8 @@ def _slug(name: str) -> str:
 def _require_scenario(args) -> Scenario:
     if not args.scenario:
         raise _UsageError("--scenario is required for this command")
-    if args.tol is not None and not (math.isfinite(args.tol)
-                                     and args.tol > 0):
-        raise _UsageError("--tol must be a positive finite number")
+    if args.tol is not None:
+        positive_number(args.tol, "--tol")
     return load_scenario(args.scenario)
 
 
@@ -265,9 +264,7 @@ def _cycle_record(scn: Scenario, point: StasisPoint, cycle: KCycle) -> dict:
 
 
 def cmd_cycle(args) -> int:
-    if args.delta is None or not (math.isfinite(args.delta)
-                                  and args.delta > 0):
-        raise _UsageError("--delta must be a positive finite number")
+    positive_number(args.delta, "--delta")
     scn = _require_scenario(args)
     tol = args.tol if args.tol is not None else scn.cycle_tol
     point, _ = _resolve_stasis(scn, scn.stasis_tol)
@@ -298,7 +295,7 @@ def cmd_cycle(args) -> int:
 def _print_leg_stats(scn, points, delta, weights):
     """One stderr line: the attempts of the family call on the (k, n)
     cycle `points` over the leg times delta*m_j, as the solve makes it."""
-    res = integrate_flow(scn.fields, points, [delta * m for m in weights],
+    res = integrate_flow(scn.fields, points, leg_times(delta, weights),
                          scn.integrator)
     print(f"leg family: {scn.k} legs, {res.steps_taken} attempts",
           file=sys.stderr)
@@ -382,33 +379,25 @@ def cmd_verify(args) -> int:
     try:
         weights = Weights(tuple(finite_number(v, "weight")
                                 for v in data["weights"]))
-        delta = finite_number(data["delta"], "delta")
-        leg_times = [finite_number(t, "leg time") for t in data["leg_times"]]
+        delta = positive_number(data["delta"], "delta")
+        times = tuple(finite_number(t, "leg time") for t in data["leg_times"])
         pts = CyclePoints(tuple(np.array([finite_number(v, "point entry")
                                           for v in p])
                                 for p in data["points"]))
-        cycle_tol = finite_number(data["cycle_tol"], "cycle_tol")
+        cycle_tol = positive_number(data["cycle_tol"], "cycle_tol")
         closure = finite_number(data.get("closure_residual", 0.0),
                                 "closure_residual")
         newton_iters = whole_number(data.get("newton_iters", 0),
                                     "newton_iters", 0)
     except (TypeError, ValueError, KcycleError) as exc:
         raise RecordError(f"{args.record}: bad record contents: {exc}") from exc
-    if len(leg_times) != len(weights) or len(pts) != len(weights) \
-            or len(weights) != scn.k or pts[0].shape != (scn.dimension,):
-        raise RecordError(f"{args.record}: record sizes do not match its "
-                          "scenario")
-    if delta <= 0 or cycle_tol <= 0:
-        raise RecordError(f"{args.record}: delta and cycle_tol must be "
-                          "positive")
-    # leg_times must be exactly delta*m_j as computed; an edited delta
-    # cannot reproduce them
-    for j, (t, m) in enumerate(zip(leg_times, weights), start=1):
-        if t != delta * m:
-            raise RecordError(
-                f"{args.record}: leg_times[{j}] = {t!r} != delta*m_{j} = "
-                f"{delta * m!r}; record is inconsistent")
-    cycle = KCycle(pts, delta, tuple(leg_times), closure, newton_iters)
+    # leg_times must be exactly delta*m_j as computed, which an edited
+    # delta cannot reproduce; verify_cycle checks the sizes
+    if times != leg_times(delta, weights):
+        raise RecordError(
+            f"{args.record}: leg_times {list(times)!r} != delta*m_j = "
+            f"{list(leg_times(delta, weights))!r}; record is inconsistent")
+    cycle = KCycle(pts, delta, times, closure, newton_iters)
     check = verify_cycle(scn.fields, weights, cycle, scn.integrator)
     budget = 10.0 * cycle_tol
     passed = check.max_mismatch <= budget

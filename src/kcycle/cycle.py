@@ -45,15 +45,17 @@ The distances of the records to x0 are one array norm over the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from .errors import (BranchLostError, ClosureError, DimensionError,
-                     DomainError, SolverError)
+                     DomainError, SolverError, family, finite_number,
+                     leg_times, normal_number, positive_number, whole_number)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
-from .stasis import Weights, _check_family, row_norms
+from .stasis import Weights, row_norms
 from .expr import eval_field, jacobian_field
 
 DEFAULT_CYCLE_TOL = 1e-10
@@ -149,25 +151,10 @@ class SweepResult:
         correction."""
         return tuple(
             SweepRecord(d, KCycle(CyclePoints(x), d,
-                                  tuple(d * m for m in self.weights), c, i),
-                        dist)
+                                  leg_times(d, self.weights), c, i), dist)
             for d, x, dist, c, i in zip(
                 self.deltas.tolist(), self.points, self.distances.tolist(),
                 self.closures.tolist(), self.newton_iters.tolist()))
-
-
-def _cycle_rows(fields, weights, pts: CyclePoints, delta: float = 0.0):
-    """The (k, n) array of `pts`, checked against the family and delta."""
-    n = _check_family(fields, weights)
-    if len(pts) != len(fields):
-        raise DimensionError(
-            f"{len(pts)} cycle points for {len(fields)} fields")
-    if pts[0].shape != (n,):
-        raise DimensionError(
-            f"cycle points have shape {pts[0].shape}, expected ({n},)")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return pts.points
 
 
 def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
@@ -193,7 +180,7 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
             top = np.array([m * jacobian_field(f, x)
                             for f, x, m in zip(fields, pts, weights)])
     else:
-        times = [delta * m for m in weights]
+        times = leg_times(delta, weights)
         if jacobian:
             legs = integrate_flow(fields, pts, times, cfg)
             ends, sens = legs.endpoint, legs.sensitivity
@@ -233,7 +220,8 @@ def average_velocity(fields, weights: Weights, pts: CyclePoints,
     delta = 0 takes the removable-singularity limit sum_j m_j V_j(x_j),
     which coincides with the stasis residual when the points coincide.
     """
-    x = _cycle_rows(fields, weights, pts, delta)
+    x = family(fields, weights, pts.points)[1]
+    delta = finite_number(delta, "delta", 0.0)
     return _cycle_system(fields, weights, x, delta, cfg)[1][0]
 
 
@@ -246,7 +234,8 @@ def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
     is implied: delta times the first block telescopes to
     F_k(x_k, delta*m_k) - x_1 once the chain blocks vanish.
     """
-    x = _cycle_rows(fields, weights, pts, delta)
+    x = family(fields, weights, pts.points)[1]
+    delta = finite_number(delta, "delta", 0.0)
     return _cycle_system(fields, weights, x, delta, cfg)[1].reshape(-1)
 
 
@@ -258,7 +247,8 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
     relative to their largest entry (see `flow`). At delta = 0, P_j = I
     and the top row blocks are m_j dV_j/dx(x_j).
     """
-    x = _cycle_rows(fields, weights, pts, delta)
+    x = family(fields, weights, pts.points)[1]
+    delta = finite_number(delta, "delta", 0.0)
     return _cycle_system(fields, weights, x, delta, cfg, jacobian=True)[2]
 
 
@@ -277,10 +267,8 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
     kept without a correction otherwise. The final leg's closure
     F_k(x_k, delta*m_k) = x_1 is then re-verified (10*tol budget).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    delta = positive_number(delta, "delta")
+    tol = positive_number(tol, "tol")
     held = [None]  # the last Jacobian evaluated
 
     def evaluate(x, jacobian):
@@ -292,8 +280,8 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
         return rn, res, jac, (ends, res)
 
     x, _, (ends, res), iters = linalg.damped_newton(
-        evaluate, _cycle_rows(fields, weights, seed), tol, MAX_CYCLE_ITERS,
-        f"cycle at delta={delta:.6g}")
+        evaluate, family(fields, weights, seed.points)[1], tol,
+        MAX_CYCLE_ITERS, f"cycle at delta={delta:.6g}")
     correction, tangent = _newton_terms(fields, weights, held[0], ends, res,
                                         delta)
     if correction is not None and \
@@ -314,7 +302,7 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
             f"final-leg closure {mismatches[-1]:.3e} exceeds "
             f"{10.0 * tol:.3e}; integration tolerance is too loose "
             "relative to the Newton tolerance")
-    return KCycle(CyclePoints(x), delta, tuple(delta * m for m in weights),
+    return KCycle(CyclePoints(x), delta, leg_times(delta, weights),
                   max(mismatches), iters, tangent, correction)
 
 
@@ -365,7 +353,7 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
                  tighten: float = 10.0) -> CycleCheck:
     """Re-integrate the legs, as one family, at tighter tolerance and
     report their mismatches."""
-    x = _cycle_rows(fields, weights, cycle.points)
+    x = family(fields, weights, cycle.points.points)[1]
     ends, res, _ = _cycle_system(fields, weights, x, cycle.delta,
                                  cfg.tightened(tighten))
     mismatches = _leg_mismatches(ends, res, x)
@@ -389,19 +377,16 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     the very first ladder point raises BranchLostError (non-regular setup
     or a tolerance mismatch).
     """
-    if not delta_max >= np.finfo(float).tiny:
-        raise ValueError("delta_max must be a positive normal float")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    delta_max = normal_number(delta_max, "delta_max")
+    steps = whole_number(steps, "steps", 1)
+    tol = positive_number(tol, "tol")
     x0 = np.asarray(x0, dtype=float)
-    if steps == 1:
-        ladder = [delta_max]
-    else:
-        lo = delta_max / SWEEP_LADDER_SPAN
-        ratio = (delta_max / lo) ** (1.0 / (steps - 1))
-        ladder = [lo * ratio ** i for i in range(steps)]
-        ladder[-1] = delta_max
-    start = _cycle_rows(fields, weights, CyclePoints.constant(x0, len(fields)))
+    start = family(fields, weights,
+                   CyclePoints.constant(x0, len(fields)).points)[1]
+    # each ladder value is formed when the sweep reaches it
+    lo = delta_max / SWEEP_LADDER_SPAN
+    ratio = (delta_max / lo) ** (1.0 / max(steps - 1, 1))
+    ladder = chain((lo * ratio ** i for i in range(steps - 1)), [delta_max])
     branch = [(0.0, start, _tangent(fields, weights, start, cfg))]
     reached = []  # (delta, points, closure, newton_iters)
     branch_lost = False

@@ -1,8 +1,21 @@
-"""Exception types shared across the solver modules.
+"""Exception types shared across the solver modules, and the argument
+rules that every entry checks by.
 
 Every error derives from exactly one of InputError (malformed input; the
-CLI exits 64) and SolverError (a solver failed; the CLI exits 1).
+CLI exits 64) and SolverError (a solver failed; the CLI exits 1). Each
+rule that an argument obeys is one function here: a finite, a positive
+or a whole number, a sweep's delta_max, the shape of a family of fields
+with its weights, points and times, and the leg times delta*m_j. A
+broken number rule raises ArgumentError, which is a ValueError as well,
+so that library callers see a ValueError naming the argument and the CLI
+exits 64. Numpy scalars are numbers; booleans are not.
 """
+
+import math
+import numbers
+import sys
+
+import numpy as np
 
 
 class KcycleError(Exception):
@@ -15,6 +28,11 @@ class InputError(KcycleError):
 
 class SolverError(KcycleError):
     """A well-formed problem on which a solver or integrator failed."""
+
+
+class ArgumentError(InputError, ValueError):
+    """An argument breaks its rule: not a finite, positive or whole number
+    as its entry requires."""
 
 
 class DslError(InputError):
@@ -118,3 +136,75 @@ class ScenarioError(InputError):
 
 class RecordError(InputError):
     """Malformed or internally inconsistent cycle record file."""
+
+
+def finite_number(value, label: str, minimum: float = -math.inf) -> float:
+    """value as a float: a real number, finite and >= minimum."""
+    # float first: numbers.Real's ABC check is many times slower
+    real = isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.nan
+    if not (math.isfinite(number) and number >= minimum):
+        floor = "" if minimum == -math.inf else f" >= {minimum!r}"
+        raise ArgumentError(
+            f"{label} must be a finite number{floor}, got {value!r}")
+    return number
+
+
+def positive_number(value, label: str) -> float:
+    """value as a float: a finite real number > 0."""
+    number = finite_number(value, label)
+    if not number > 0:
+        raise ArgumentError(f"{label} must be positive, got {value!r}")
+    return number
+
+
+def normal_number(value, label: str) -> float:
+    """A sweep's delta_max as a float: finite and at least the smallest
+    normal float, so that the ladder's foot delta_max/1024 is not 0."""
+    return finite_number(value, label, sys.float_info.min)
+
+
+def whole_number(value, label: str, minimum: int) -> int:
+    """value as an int: an integer >= minimum; 2.5, True and "3" are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < minimum:
+        raise ArgumentError(f"{label} must be an integer >= {minimum}, "
+                            f"got {value!r}")
+    return int(value)
+
+
+def family(fields, weights=None, points=None, times=None):
+    """(n, points, times) of a family of k >= 1 fields of one dimension n,
+    checked against the k weights, the (k, n) points and the k times that
+    are given: points as a float array and times as a list of finite
+    floats, each None when not given. DimensionError or ArgumentError
+    otherwise."""
+    if len(fields) < 1:
+        raise DimensionError("need at least one field")
+    k, n = len(fields), fields[0].dimension
+    for j, f in enumerate(fields):
+        if f.dimension != n:
+            raise DimensionError(
+                f"field {j + 1} has dimension {f.dimension}, expected {n}")
+    if weights is not None and len(weights) != k:
+        raise DimensionError(f"{len(weights)} weights for {k} fields")
+    if points is not None:
+        points = np.asarray(points, dtype=float)
+        if points.shape != (k, n):
+            raise DimensionError(f"points have shape {points.shape}, "
+                                 f"expected ({k}, {n})")
+    if times is not None:
+        times = [finite_number(t, "time") for t in times]
+        if len(times) != k:
+            raise DimensionError(f"{len(times)} times for {k} fields")
+    return n, points, times
+
+
+def leg_times(delta, weights) -> tuple:
+    """The leg times delta*m_j of a cycle of total time delta, as every
+    solve forms them; `verify` compares a record's with them exactly."""
+    return tuple(delta * m for m in weights)

@@ -77,17 +77,16 @@ integration.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, FlowDomainError,
-                     StepLimitError)
+from .errors import (DomainError, FlowDomainError, StepLimitError, family,
+                     positive_number, whole_number)
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
-from .expr import VectorField, as_point, eval_field, jacobian_field
+from .expr import VectorField, eval_field, jacobian_field
 
 
 @dataclass
@@ -97,12 +96,12 @@ class IntegratorConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        self.rel_tol = positive_number(self.rel_tol, "rel_tol")
+        self.abs_tol = positive_number(self.abs_tol, "abs_tol")
+        self.max_steps = whole_number(self.max_steps, "max_steps", 1)
 
     def tightened(self, factor: float) -> "IntegratorConfig":
+        factor = positive_number(factor, "tighten factor")
         return IntegratorConfig(self.rel_tol / factor, self.abs_tol / factor,
                                 self.max_steps)
 
@@ -396,25 +395,12 @@ def _initial_state(y, x, n):
 _WORKSPACES = weakref.WeakKeyDictionary()
 
 
-def _family(fields, points, times):
-    """(fields, points, times) of a family, checked: a tuple of k >= 1
-    fields of one dimension n, a (k, n) float array and a list of k finite
-    float times; DimensionError or ValueError otherwise."""
-    fields = tuple(fields)
-    if not fields:
-        raise DimensionError("a family of legs needs at least one field")
-    n = fields[0].dimension
-    if any(f.dimension != n for f in fields):
-        raise DimensionError("the fields of a family must share a dimension")
-    points = np.asarray(points, dtype=float)
-    if points.shape != (len(fields), n):
-        raise DimensionError(f"points have shape {points.shape}, expected "
-                             f"({len(fields)}, {n})")
-    times = [float(t) for t in times]
-    if len(times) != len(fields):
-        raise DimensionError(
-            f"{len(times)} times for {len(fields)} fields")
-    return fields, points, times
+def _as_family(field, x, t):
+    """(fields, points, times) of a call, checked by `errors.family`: one
+    leg (a field, a point and a time) is the family of one."""
+    if isinstance(field, VectorField):
+        field, x, t = (field,), [x], [t]
+    return field, *family(field, points=x, times=t)[1:]
 
 
 def _legs(fields, points, times, cfg, sensitivity):
@@ -434,9 +420,6 @@ def _legs(fields, points, times, cfg, sensitivity):
     so no two calls ever share buffers. The workspaces live as long as the
     family's first field does.
     """
-    for t in times:
-        if not math.isfinite(t):
-            raise ValueError(f"flow time must be finite, got {t}")
     k, n = points.shape
     m = n + n * n if sensitivity else n
     moving = [j for j, t in enumerate(times) if t != 0.0]
@@ -481,14 +464,11 @@ def integrate_flow(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
     Negative times integrate backward. The endpoint and the sensitivity
     are disjoint views of one new array.
     """
-    if isinstance(field, VectorField):
-        n = field.dimension
-        x = as_point(field, x)
-        y, steps = _legs((field,), x[None], [t], cfg, True)
-        return FlowResult(y[0, :n], y[0, n:].reshape(n, n), steps)
-    fields, x, t = _family(field, x, t)
+    fields, x, t = _as_family(field, x, t)
     k, n = x.shape
     y, steps = _legs(fields, x, t, cfg, True)
+    if isinstance(field, VectorField):
+        return FlowResult(y[0, :n], y[0, n:].reshape(n, n), steps)
     return FlowResult(y[:, :n], y[:, n:].reshape(k, n, n), steps)
 
 
@@ -497,6 +477,5 @@ def flow_endpoint(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
     """State-only fast path: just F(x, t), no sensitivity co-integration,
     for one leg, shape (n,), or a family of legs, shape (k, n), taken as
     `integrate_flow` takes them."""
-    if isinstance(field, VectorField):
-        return _legs((field,), as_point(field, x)[None], [t], cfg, False)[0][0]
-    return _legs(*_family(field, x, t), cfg, False)[0]
+    y = _legs(*_as_family(field, x, t), cfg, False)[0]
+    return y[0] if isinstance(field, VectorField) else y

@@ -6,7 +6,10 @@ an optional sweep block. At least one of weights / stasis_point must be
 present: weights pinned means solve for the point, point pinned means
 solve for the weights, both pinned means the point seeds the Newton solve.
 
-Types are checked here, but solver defaults are owned elsewhere: an
+Types and ranges are checked by the argument rules of `errors`
+(`finite_number`, `positive_number`, `whole_number`, `normal_number`),
+the ones the solvers' entries check by, and a rule's ValueError becomes
+a ScenarioError naming the file. Solver defaults are owned elsewhere: an
 omitted integrator key takes its `flow.DEFAULT_CONFIG` value (checked by
 `IntegratorConfig`), an omitted cycle_tol `cycle.DEFAULT_CYCLE_TOL`.
 The tolerance key `method` names the one integrator, `METHOD`; records
@@ -17,14 +20,14 @@ embed it, so it may be given, but only with that value.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cycle import DEFAULT_CYCLE_TOL
-from .errors import DslError, ScenarioError
+from .errors import (DslError, ScenarioError, finite_number, normal_number,
+                     positive_number, whole_number)
 from .expr import parse_field
 from .flow import DEFAULT_CONFIG, IntegratorConfig
 from .stasis import Weights
@@ -93,40 +96,22 @@ def load_scenario(path) -> Scenario:
                               origin=str(path))
 
 
-def finite_number(raw, label: str) -> float:
-    """A JSON number as a float; ValueError for NaN, +-Infinity, booleans,
-    strings and every other non-number."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-            or not abs(raw) <= sys.float_info.max:
-        raise ValueError(f"{label} must be a finite number, got {raw!r}")
-    return float(raw)
-
-
-def whole_number(raw, label: str, minimum: int) -> int:
-    """A JSON integer >= minimum; ValueError for 2.5, true, "3" and such."""
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
-        raise ValueError(f"{label} must be an integer >= {minimum}, "
-                         f"got {raw!r}")
-    return raw
-
-
-def _positive(raw, label: str) -> float:
-    value = finite_number(raw, label)
-    if value <= 0:
-        raise ValueError(f"{label} must be positive, got {raw!r}")
-    return value
-
-
 def _point(raw, n, label):
     if not isinstance(raw, list) or len(raw) != n:
-        raise ScenarioError(f"{label} must be a list of {n} numbers")
-    try:
-        return np.array([finite_number(v, label) for v in raw])
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ValueError(f"{label} must be a list of {n} numbers")
+    return np.array([finite_number(v, label) for v in raw])
 
 
 def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
+    """The Scenario of a parsed scenario file; ScenarioError naming
+    `origin` when it is malformed."""
+    try:
+        return _scenario(data, origin)
+    except ValueError as exc:  # an argument rule's, or Weights'
+        raise ScenarioError(f"{origin}: {exc}") from exc
+
+
+def _scenario(data, origin):
     if not isinstance(data, dict):
         raise ScenarioError(f"{origin}: scenario must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -139,9 +124,7 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{origin}: 'name' must be a non-empty string")
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ScenarioError(f"{origin}: 'dimension' must be an integer >= 1")
+    dim = whole_number(data.get("dimension"), "'dimension'", 1)
     sources = data.get("fields")
     if not isinstance(sources, list) or len(sources) < 2 or \
             not all(isinstance(s, str) for s in sources):
@@ -160,17 +143,13 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
         if not isinstance(raw, list) or len(raw) != len(sources):
             raise ScenarioError(
                 f"{origin}: 'weights' must list one weight per field")
-        try:
-            weights = Weights(tuple(finite_number(v, "weight")
-                                    for v in raw))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{origin}: bad weights: {exc}") from exc
+        weights = Weights(tuple(finite_number(v, "weight") for v in raw))
 
     guess = point = None
     if data.get("stasis_guess") is not None:
-        guess = _point(data["stasis_guess"], dim, f"{origin}: 'stasis_guess'")
+        guess = _point(data["stasis_guess"], dim, "'stasis_guess'")
     if data.get("stasis_point") is not None:
-        point = _point(data["stasis_point"], dim, f"{origin}: 'stasis_point'")
+        point = _point(data["stasis_point"], dim, "'stasis_point'")
     if weights is None and point is None:
         raise ScenarioError(
             f"{origin}: at least one of 'weights' or 'stasis_point' is "
@@ -183,22 +162,18 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
     if unknown:
         raise ScenarioError(
             f"{origin}: unknown tolerance keys {sorted(unknown)}")
-    try:
-        stasis_tol = _positive(tols.get("stasis_tol", DEFAULT_STASIS_TOL),
-                               "stasis_tol")
-        cycle_tol = _positive(tols.get("cycle_tol", DEFAULT_CYCLE_TOL),
-                              "cycle_tol")
-        base = DEFAULT_CONFIG
-        integrator = IntegratorConfig(
-            rel_tol=_positive(tols.get("rel_tol", base.rel_tol), "rel_tol"),
-            abs_tol=_positive(tols.get("abs_tol", base.abs_tol), "abs_tol"),
-            max_steps=whole_number(tols.get("max_steps", base.max_steps),
-                                   "max_steps", 1))
-        method = tols.get("method", METHOD)
-        if method != METHOD:
-            raise ValueError(f"method must be {METHOD!r}, got {method!r}")
-    except ValueError as exc:
-        raise ScenarioError(f"{origin}: bad tolerances: {exc}") from exc
+    stasis_tol = positive_number(tols.get("stasis_tol", DEFAULT_STASIS_TOL),
+                                 "stasis_tol")
+    cycle_tol = positive_number(tols.get("cycle_tol", DEFAULT_CYCLE_TOL),
+                                "cycle_tol")
+    base = DEFAULT_CONFIG
+    integrator = IntegratorConfig(tols.get("rel_tol", base.rel_tol),
+                                  tols.get("abs_tol", base.abs_tol),
+                                  tols.get("max_steps", base.max_steps))
+    method = tols.get("method", METHOD)
+    if method != METHOD:
+        raise ScenarioError(
+            f"{origin}: method must be {METHOD!r}, got {method!r}")
 
     sweep = None
     if data.get("sweep") is not None:
@@ -209,15 +184,10 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
                 f"{sorted(_SWEEP_KEYS)}")
         if "delta_max" not in raw:
             raise ScenarioError(f"{origin}: sweep needs 'delta_max'")
-        try:
-            delta_max = _positive(raw["delta_max"], "sweep delta_max")
-            if delta_max < sys.float_info.min:
-                raise ValueError(f"sweep delta_max {delta_max!r} is below "
-                                 "the smallest normal float")
-            sweep = SweepSpec(delta_max, whole_number(
-                raw.get("steps", DEFAULT_SWEEP_STEPS), "sweep steps", 1))
-        except ValueError as exc:
-            raise ScenarioError(f"{origin}: {exc}") from exc
+        sweep = SweepSpec(
+            normal_number(raw["delta_max"], "sweep delta_max"),
+            whole_number(raw.get("steps", DEFAULT_SWEEP_STEPS),
+                         "sweep steps", 1))
 
     return Scenario(name, dim, tuple(sources), tuple(fields), weights,
                     guess, point, stasis_tol, cycle_tol, integrator, sweep)

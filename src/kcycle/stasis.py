@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (BoundaryWeightError, DimensionError,
-                     InfeasibleWeightsError)
+                     InfeasibleWeightsError, family, finite_number,
+                     positive_number)
 from .expr import eval_field, jacobian_field
 
 # strict positivity floor for weights; hitting it is an error, not a clamp
@@ -40,15 +41,11 @@ class Weights:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(finite_number(float(v), f"weight {j + 1}", WEIGHT_FLOOR)
+                     for j, v in enumerate(self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 1:
             raise ValueError("weights must be non-empty")
-        for j, v in enumerate(vals):
-            if not np.isfinite(v) or v < WEIGHT_FLOOR:
-                raise ValueError(
-                    f"weight {j + 1} is {v!r}; each weight must be >= "
-                    f"{WEIGHT_FLOOR}")
         if abs(sum(vals) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {sum(vals)!r}, expected 1 within "
@@ -84,24 +81,9 @@ class StasisPoint:
     regularity: RegularityReport
 
 
-def _check_family(fields, weights=None):
-    if len(fields) < 1:
-        raise DimensionError("need at least one field")
-    n = fields[0].dimension
-    for j, f in enumerate(fields):
-        if f.dimension != n:
-            raise DimensionError(
-                f"field {j + 1} has dimension {f.dimension}, expected {n}")
-    if weights is not None and len(weights) != len(fields):
-        raise DimensionError(
-            f"{len(weights)} weights for {len(fields)} fields")
-    return n
-
-
 def stasis_residual(fields, weights: Weights, x) -> np.ndarray:
     """sum_j m_j V_j(x)."""
-    n = _check_family(fields, weights)
-    out = np.zeros(n)
+    out = np.zeros(family(fields, weights)[0])
     for m, f in zip(weights, fields):
         out += m * eval_field(f, x)
     return out
@@ -109,7 +91,7 @@ def stasis_residual(fields, weights: Weights, x) -> np.ndarray:
 
 def weighted_jacobian(fields, weights: Weights, x) -> np.ndarray:
     """sum_j m_j dV_j/dx(x), from the symbolic per-field Jacobians."""
-    n = _check_family(fields, weights)
+    n = family(fields, weights)[0]
     out = np.zeros((n, n))
     for m, f in zip(weights, fields):
         out += m * jacobian_field(f, x)
@@ -138,8 +120,7 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     regularity report (a zero-residual point with a singular weighted
     Jacobian is still returned, flagged non-regular).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = positive_number(tol, "tol")
 
     def evaluate(x, jacobian):
         r = stasis_residual(fields, weights, x)
@@ -195,7 +176,8 @@ def find_weights(fields, x, tol: float) -> Weights:
     the optimum pins a weight at WEIGHT_FLOOR (strict positivity is
     required, boundary hits are not clamped away).
     """
-    _check_family(fields)
+    tol = positive_number(tol, "tol")
+    family(fields)
     if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
     cols = np.column_stack([eval_field(f, x) for f in fields])
@@ -276,7 +258,7 @@ def weight_hull_dimension(fields, x) -> int:
     Nullity of the field values stacked with the sum-to-one row; 0 means
     the weighting is unique.
     """
-    _check_family(fields)
+    family(fields)
     k = len(fields)
     cols = np.column_stack([eval_field(f, x) for f in fields])
     stacked = np.vstack([cols, np.ones((1, k))])

@@ -383,10 +383,9 @@ def test_solve_cycle_rejects_a_converged_cycle_that_does_not_close(
 
 def test_solve_cycle_rejects_nonpositive_delta(pair):
     fields, w = pair
-    with pytest.raises(ValueError):
-        solve_cycle(fields, w, CyclePoints.constant([0.0], 2), 0.0)
-    with pytest.raises(ValueError):
-        solve_cycle(fields, w, CyclePoints.constant([0.0], 2), -0.1)
+    for bad in (0.0, -0.1, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            solve_cycle(fields, w, CyclePoints.constant([0.0], 2), bad)
 
 
 def test_solve_cycle_trig_matches_scipy_shooting_oracle(corpus):
@@ -911,8 +910,8 @@ def test_sweep_immediate_failure_raises():
 def test_sweep_rejects_subnormal_delta_max(pair):
     # delta_max / 1024 would underflow to 0 and leave no ladder
     fields, w = pair
-    for bad in (1e-322, 0.0, math.nan):
-        with pytest.raises(ValueError):
+    for bad in (1e-322, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta_max"):
             sweep_delta(fields, w, [0.0], bad, 4)
 
 
