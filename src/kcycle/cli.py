@@ -14,14 +14,12 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import serialize
 from .cycle import (CyclePoints, KCycle, loglog_slope, solve_cycle,
                     sweep_delta, verify_cycle)
-from .errors import (InputError, KcycleError, RecordError,
-                     SingularJacobianError, SolverError, finite_number,
-                     leg_times, positive_number, whole_number)
+from .errors import (InputError, RecordError, SingularJacobianError,
+                     SolverError, finite_number, leg_times, point_array,
+                     positive_number, whole_number)
 from .flow import integrate_flow
 from .scenario import (Scenario, load_scenario, read_json,
                        scenario_from_dict, scenario_to_dict)
@@ -377,28 +375,19 @@ def cmd_verify(args) -> int:
     data = _load_record(args.record)
     scn = scenario_from_dict(data["scenario"], origin=args.record)
     try:
-        weights = Weights(tuple(finite_number(v, "weight")
-                                for v in data["weights"]))
-        delta = positive_number(data["delta"], "delta")
-        times = tuple(finite_number(t, "leg time") for t in data["leg_times"])
-        pts = CyclePoints(tuple(np.array([finite_number(v, "point entry")
-                                          for v in p])
-                                for p in data["points"]))
+        weights = Weights(tuple(data["weights"]))
         cycle_tol = positive_number(data["cycle_tol"], "cycle_tol")
-        closure = finite_number(data.get("closure_residual", 0.0),
-                                "closure_residual")
-        newton_iters = whole_number(data.get("newton_iters", 0),
-                                    "newton_iters", 0)
-    except (TypeError, ValueError, KcycleError) as exc:
+        cycle = KCycle(
+            CyclePoints(point_array(data["points"], (scn.k, scn.dimension),
+                                    "points", finite=True)),
+            positive_number(data["delta"], "delta"), tuple(data["leg_times"]),
+            finite_number(data.get("closure_residual", 0.0),
+                          "closure_residual"),
+            whole_number(data.get("newton_iters", 0), "newton_iters", 0))
+        # verify_cycle checks the sizes, and the leg_times against delta*m_j
+        check = verify_cycle(scn.fields, weights, cycle, scn.integrator)
+    except (TypeError, ValueError, InputError) as exc:
         raise RecordError(f"{args.record}: bad record contents: {exc}") from exc
-    # leg_times must be exactly delta*m_j as computed, which an edited
-    # delta cannot reproduce; verify_cycle checks the sizes
-    if times != leg_times(delta, weights):
-        raise RecordError(
-            f"{args.record}: leg_times {list(times)!r} != delta*m_j = "
-            f"{list(leg_times(delta, weights))!r}; record is inconsistent")
-    cycle = KCycle(pts, delta, times, closure, newton_iters)
-    check = verify_cycle(scn.fields, weights, cycle, scn.integrator)
     budget = 10.0 * cycle_tol
     passed = check.max_mismatch <= budget
     if args.json:
@@ -406,7 +395,7 @@ def cmd_verify(args) -> int:
             "command": "verify",
             "record": str(args.record),
             "scenario": scn.name,
-            "delta": delta,
+            "delta": cycle.delta,
             "leg_mismatches": list(check.leg_mismatches),
             "closure": check.closure,
             "budget": budget,

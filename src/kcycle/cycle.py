@@ -51,9 +51,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (BranchLostError, ClosureError, DimensionError,
-                     DomainError, SolverError, family, finite_number,
-                     leg_times, normal_number, positive_number, whole_number)
+from .errors import (ArgumentError, BranchLostError, ClosureError,
+                     DimensionError, DomainError, SolverError, family,
+                     finite_number, leg_times, normal_number,
+                     point_array, positive_number, whole_number)
 from .flow import DEFAULT_CONFIG, IntegratorConfig, flow_endpoint, integrate_flow
 from .stasis import Weights, row_norms
 from .expr import eval_field, jacobian_field
@@ -75,12 +76,9 @@ class CyclePoints:
     points: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.points = np.array(self.points, dtype=float)
-        except ValueError:  # ragged rows
-            raise DimensionError("cycle points must share one dimension")
-        if len(self.points) < 2:
-            raise DimensionError("a cycle needs at least two points")
+        self.points = point_array(self.points, None, "cycle points").copy()
+        if self.points.ndim != 2 or len(self.points) < 2:
+            raise DimensionError("a cycle needs two or more rows of points")
 
     @classmethod
     def constant(cls, x0, k: int) -> "CyclePoints":
@@ -352,9 +350,13 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
                  cfg: IntegratorConfig = DEFAULT_CONFIG,
                  tighten: float = 10.0) -> CycleCheck:
     """Re-integrate the legs, as one family, at tighter tolerance and
-    report their mismatches."""
+    report their mismatches; delta > 0 and leg_times delta*m_j required."""
     x = family(fields, weights, cycle.points.points)[1]
-    ends, res, _ = _cycle_system(fields, weights, x, cycle.delta,
+    delta = positive_number(cycle.delta, "delta")
+    if tuple(cycle.leg_times) != leg_times(delta, weights):
+        raise ArgumentError(f"leg_times {list(cycle.leg_times)!r} != delta*m_j"
+                            f" = {list(leg_times(delta, weights))!r}")
+    ends, res, _ = _cycle_system(fields, weights, x, delta,
                                  cfg.tightened(tighten))
     mismatches = _leg_mismatches(ends, res, x)
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
@@ -380,9 +382,8 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
     delta_max = normal_number(delta_max, "delta_max")
     steps = whole_number(steps, "steps", 1)
     tol = positive_number(tol, "tol")
-    x0 = np.asarray(x0, dtype=float)
-    start = family(fields, weights,
-                   CyclePoints.constant(x0, len(fields)).points)[1]
+    x0 = point_array(x0, (family(fields, weights)[0],), "x0", finite=True)
+    start = CyclePoints.constant(x0, len(fields)).points
     # each ladder value is formed when the sweep reaches it
     lo = delta_max / SWEEP_LADDER_SPAN
     ratio = (delta_max / lo) ** (1.0 / max(steps - 1, 1))

@@ -4,11 +4,11 @@ rules that every entry checks by.
 Every error derives from exactly one of InputError (malformed input; the
 CLI exits 64) and SolverError (a solver failed; the CLI exits 1). Each
 rule that an argument obeys is one function here: a finite, a positive
-or a whole number, a sweep's delta_max, the shape of a family of fields
-with its weights, points and times, and the leg times delta*m_j. A
-broken number rule raises ArgumentError, which is a ValueError as well,
-so that library callers see a ValueError naming the argument and the CLI
-exits 64. Numpy scalars are numbers; booleans are not.
+or a whole number, a sweep's delta_max, a point or points, a family's
+shape with its weights, points and times, and the leg times delta*m_j.
+A broken number rule raises ArgumentError, which is a ValueError as
+well, so that library callers see a ValueError naming the argument and
+the CLI exits 64. Numpy scalars are numbers; booleans are not.
 """
 
 import math
@@ -31,8 +31,8 @@ class SolverError(KcycleError):
 
 
 class ArgumentError(InputError, ValueError):
-    """An argument breaks its rule: not a finite, positive or whole number
-    as its entry requires."""
+    """An argument breaks its rule: a number or a point's entry that is
+    not a (finite, positive or whole) number as its entry requires."""
 
 
 class DslError(InputError):
@@ -138,16 +138,23 @@ class RecordError(InputError):
     """Malformed or internally inconsistent cycle record file."""
 
 
+def _real(value):
+    """value as a float if it is a real number, else None; a boolean is
+    not one, and an integer past the float range is +-inf."""
+    # float first: numbers.Real's ABC check is many times slower
+    if isinstance(value, float) or (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return None
+
+
 def finite_number(value, label: str, minimum: float = -math.inf) -> float:
     """value as a float: a real number, finite and >= minimum."""
-    # float first: numbers.Real's ABC check is many times slower
-    real = isinstance(value, float) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
-    try:
-        number = float(value) if real else math.nan
-    except OverflowError:  # an integer past the float range
-        number = math.nan
-    if not (math.isfinite(number) and number >= minimum):
+    number = value if type(value) is float else _real(value)
+    if number is None or not (math.isfinite(number) and number >= minimum):
         floor = "" if minimum == -math.inf else f" >= {minimum!r}"
         raise ArgumentError(
             f"{label} must be a finite number{floor}, got {value!r}")
@@ -177,12 +184,41 @@ def whole_number(value, label: str, minimum: int) -> int:
     return int(value)
 
 
+def point_array(value, shape, label: str, finite=False) -> np.ndarray:
+    """value, a point (n,) or the rows of points (k, n), as a float array
+    of `shape` (None: any). DimensionError when value is ragged or of
+    another shape, ArgumentError naming `label` when an entry is not a real
+    number by finite_number's rule, or not finite when `finite`. A float64
+    ndarray is returned as it is."""
+    if type(value) is not np.ndarray or value.dtype != float:
+        ragged = DimensionError(f"{label} has ragged rows")
+        try:
+            grid = np.array(value, dtype=object)
+        except ValueError:  # arrays whose shapes do not stack
+            raise ragged from None
+        reals = [_real(entry) for entry in grid.flat]
+        if None in reals:
+            entry = grid.flat[reals.index(None)]
+            if isinstance(entry, (list, tuple)) or np.ndim(entry):
+                raise ragged
+            raise ArgumentError(
+                f"{label} entries must be numbers, got {entry!r}")
+        value = np.array(reals).reshape(grid.shape)
+    if value.shape != shape and shape is not None:
+        raise DimensionError(
+            f"{label} has shape {value.shape}, expected {shape}")
+    if finite and not np.isfinite(value).all():
+        raise ArgumentError(f"{label} entries must be finite numbers, got "
+                            f"{value.tolist()!r}")
+    return value
+
+
 def family(fields, weights=None, points=None, times=None):
     """(n, points, times) of a family of k >= 1 fields of one dimension n,
     checked against the k weights, the (k, n) points and the k times that
-    are given: points as a float array and times as a list of finite
-    floats, each None when not given. DimensionError or ArgumentError
-    otherwise."""
+    are given: points as a float array (see `point_array`) and times as a
+    list of finite floats, each None when not given. DimensionError or
+    ArgumentError otherwise."""
     if len(fields) < 1:
         raise DimensionError("need at least one field")
     k, n = len(fields), fields[0].dimension
@@ -193,10 +229,7 @@ def family(fields, weights=None, points=None, times=None):
     if weights is not None and len(weights) != k:
         raise DimensionError(f"{len(weights)} weights for {k} fields")
     if points is not None:
-        points = np.asarray(points, dtype=float)
-        if points.shape != (k, n):
-            raise DimensionError(f"points have shape {points.shape}, "
-                                 f"expected ({k}, {n})")
+        points = point_array(points, (k, n), "points")
     if times is not None:
         times = [finite_number(t, "time") for t in times]
         if len(times) != k:

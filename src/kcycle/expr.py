@@ -26,7 +26,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, DslError
+from .errors import (DimensionError, DomainError, DslError, point_array,
+                     whole_number)
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")
 
@@ -519,8 +520,7 @@ class VectorField:
 
     def __init__(self, dimension: int, components):
         components = tuple(components)
-        if dimension < 1:
-            raise DimensionError(f"dimension must be >= 1, got {dimension}")
+        dimension = whole_number(dimension, "dimension", 1)
         if len(components) != dimension:
             raise DimensionError(
                 f"expected {dimension} components, got {len(components)}")
@@ -577,10 +577,8 @@ class VectorField:
 
 def parse_field(source: str, dimension: int) -> VectorField:
     """Parse a semicolon/newline-separated component list into a field."""
-    if dimension < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dimension}")
-    parser = _Parser(source, dimension)
-    comps = parser.parse_components()
+    dimension = whole_number(dimension, "dimension", 1)
+    comps = _Parser(source, dimension).parse_components()
     if len(comps) != dimension:
         raise DslError(
             f"expected {dimension} components, got {len(comps)}")
@@ -591,28 +589,19 @@ def unparse_field(field: VectorField) -> str:
     return "; ".join(unparse_expr(c) for c in field.components)
 
 
-def as_point(field: VectorField, x) -> np.ndarray:
-    """x as a float array of shape (n,); DimensionError for any other shape."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dimension,):
-        raise DimensionError(
-            f"point has shape {x.shape}, field dimension is {field.dimension}")
-    return x
-
-
 def eval_field(field: VectorField, x) -> np.ndarray:
     """Evaluate all components at x, returning a length-n vector."""
     out = np.empty(field.dimension)
     # plain Python floats: numpy scalars would turn div-by-zero and
     # sqrt(negative) into warnings instead of exceptions
-    field.value_writer()(as_point(field, x).tolist(), out)
+    field.value_writer()(point_array(x, out.shape, "x").tolist(), out)
     return out
 
 
 def jacobian_field(field: VectorField, x) -> np.ndarray:
     """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
     n = field.dimension
-    x = as_point(field, x)
+    x = point_array(x, (n,), "x")
     constant, write = field.jacobian_parts()
     out = constant.copy()
     if write is not None:

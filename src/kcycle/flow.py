@@ -84,7 +84,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (DomainError, FlowDomainError, StepLimitError, family,
-                     positive_number, whole_number)
+                     point_array, positive_number, whole_number)
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
 from .expr import VectorField, eval_field, jacobian_field
 
@@ -399,7 +399,7 @@ def _as_family(field, x, t):
     """(fields, points, times) of a call, checked by `errors.family`: one
     leg (a field, a point and a time) is the family of one."""
     if isinstance(field, VectorField):
-        field, x, t = (field,), [x], [t]
+        field, x, t = (field,), point_array(x, None, "x")[None], [t]
     return field, *family(field, points=x, times=t)[1:]
 
 

@@ -51,11 +51,11 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
     which is evaluated again only when its Jacobian is None and its norm
     misses tol. The full step is tried first and halved up to
     MAX_BACKTRACKS times until the trial's norm is <= (1 - ARMIJO_C*lam)
-    times the current one; a trial whose evaluation raises SolverError is
-    rejected. Raises NewtonDivergenceError on a non-finite norm at x, a
-    failed line search (its message says so when x's Jacobian has a
-    non-finite entry) or max_iters steps; `label` names the solve in the
-    messages.
+    times the current (finite) one; a non-finite trial, or one whose
+    evaluation raises SolverError, is rejected. Raises
+    NewtonDivergenceError on a non-finite norm at x, a failed line search
+    (its message says so when x's Jacobian has a non-finite entry) or
+    max_iters steps; `label` names the solve in the messages.
     """
     rn, jac = np.inf, None  # x's norm and Jacobian, once evaluated
     for iteration in range(max_iters + 1):
@@ -79,7 +79,7 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
                 t_rn, t_res, t_jac, t_data = evaluate(trial, False)
             except SolverError:
                 t_rn = np.inf
-            if np.isfinite(t_rn) and t_rn <= (1.0 - ARMIJO_C * lam) * rn:
+            if t_rn <= (1 - ARMIJO_C * lam) * rn and np.isfinite(trial).all():
                 x, rn, res, jac, data = trial, t_rn, t_res, t_jac, t_data
                 break
             lam *= 0.5

@@ -7,9 +7,9 @@ present: weights pinned means solve for the point, point pinned means
 solve for the weights, both pinned means the point seeds the Newton solve.
 
 Types and ranges are checked by the argument rules of `errors`
-(`finite_number`, `positive_number`, `whole_number`, `normal_number`),
-the ones the solvers' entries check by, and a rule's ValueError becomes
-a ScenarioError naming the file. Solver defaults are owned elsewhere: an
+(`point_array`, `positive_number`, `whole_number`, `normal_number`), the
+ones the solvers' entries check by, and a rule's error becomes a
+ScenarioError naming the file. Solver defaults are owned elsewhere: an
 omitted integrator key takes its `flow.DEFAULT_CONFIG` value (checked by
 `IntegratorConfig`), an omitted cycle_tol `cycle.DEFAULT_CYCLE_TOL`.
 The tolerance key `method` names the one integrator, `METHOD`; records
@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .cycle import DEFAULT_CYCLE_TOL
-from .errors import (DslError, ScenarioError, finite_number, normal_number,
-                     positive_number, whole_number)
+from .errors import (DimensionError, DslError, ScenarioError, normal_number,
+                     point_array, positive_number, whole_number)
 from .expr import parse_field
 from .flow import DEFAULT_CONFIG, IntegratorConfig
 from .stasis import Weights
@@ -96,72 +96,59 @@ def load_scenario(path) -> Scenario:
                               origin=str(path))
 
 
-def _point(raw, n, label):
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValueError(f"{label} must be a list of {n} numbers")
-    return np.array([finite_number(v, label) for v in raw])
-
-
 def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
     """The Scenario of a parsed scenario file; ScenarioError naming
     `origin` when it is malformed."""
     try:
-        return _scenario(data, origin)
-    except ValueError as exc:  # an argument rule's, or Weights'
+        return _scenario(data)
+    except (DimensionError, ValueError) as exc:  # _scenario's or a rule's
         raise ScenarioError(f"{origin}: {exc}") from exc
 
 
-def _scenario(data, origin):
+def _scenario(data):
     if not isinstance(data, dict):
-        raise ScenarioError(f"{origin}: scenario must be a JSON object")
+        raise ValueError("scenario must be a JSON object")
     unknown = set(data) - _TOP_KEYS
     if unknown:
-        raise ScenarioError(f"{origin}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     if data.get("schema_version") != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"{origin}: schema_version must be {SCHEMA_VERSION}, got "
-            f"{data.get('schema_version')!r}")
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got "
+                         f"{data.get('schema_version')!r}")
     name = data.get("name")
     if not isinstance(name, str) or not name:
-        raise ScenarioError(f"{origin}: 'name' must be a non-empty string")
+        raise ValueError("'name' must be a non-empty string")
     dim = whole_number(data.get("dimension"), "'dimension'", 1)
     sources = data.get("fields")
     if not isinstance(sources, list) or len(sources) < 2 or \
             not all(isinstance(s, str) for s in sources):
-        raise ScenarioError(
-            f"{origin}: 'fields' must be a list of >= 2 DSL strings")
+        raise ValueError("'fields' must be a list of >= 2 DSL strings")
     fields = []
     for j, src in enumerate(sources):
         try:
             fields.append(parse_field(src, dim))
         except DslError as exc:
-            raise ScenarioError(f"{origin}: field {j + 1}: {exc}") from exc
+            raise ValueError(f"field {j + 1}: {exc}") from exc
 
     weights = None
     if data.get("weights") is not None:
         raw = data["weights"]
         if not isinstance(raw, list) or len(raw) != len(sources):
-            raise ScenarioError(
-                f"{origin}: 'weights' must list one weight per field")
-        weights = Weights(tuple(finite_number(v, "weight") for v in raw))
+            raise ValueError("'weights' must list one weight per field")
+        weights = Weights(tuple(raw))
 
-    guess = point = None
-    if data.get("stasis_guess") is not None:
-        guess = _point(data["stasis_guess"], dim, "'stasis_guess'")
-    if data.get("stasis_point") is not None:
-        point = _point(data["stasis_point"], dim, "'stasis_point'")
+    guess, point = (None if data.get(key) is None else point_array(
+        data[key], (dim,), f"'{key}'", finite=True)
+        for key in ("stasis_guess", "stasis_point"))
     if weights is None and point is None:
-        raise ScenarioError(
-            f"{origin}: at least one of 'weights' or 'stasis_point' is "
-            "required")
+        raise ValueError(
+            "at least one of 'weights' or 'stasis_point' is required")
 
     tols = data.get("tolerances") or {}
     if not isinstance(tols, dict):
-        raise ScenarioError(f"{origin}: 'tolerances' must be an object")
+        raise ValueError("'tolerances' must be an object")
     unknown = set(tols) - _TOL_KEYS
     if unknown:
-        raise ScenarioError(
-            f"{origin}: unknown tolerance keys {sorted(unknown)}")
+        raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
     stasis_tol = positive_number(tols.get("stasis_tol", DEFAULT_STASIS_TOL),
                                  "stasis_tol")
     cycle_tol = positive_number(tols.get("cycle_tol", DEFAULT_CYCLE_TOL),
@@ -172,18 +159,16 @@ def _scenario(data, origin):
                                   tols.get("max_steps", base.max_steps))
     method = tols.get("method", METHOD)
     if method != METHOD:
-        raise ScenarioError(
-            f"{origin}: method must be {METHOD!r}, got {method!r}")
+        raise ValueError(f"method must be {METHOD!r}, got {method!r}")
 
     sweep = None
     if data.get("sweep") is not None:
         raw = data["sweep"]
         if not isinstance(raw, dict) or set(raw) - _SWEEP_KEYS:
-            raise ScenarioError(
-                f"{origin}: 'sweep' must be an object with keys "
-                f"{sorted(_SWEEP_KEYS)}")
+            raise ValueError("'sweep' must be an object with keys "
+                             f"{sorted(_SWEEP_KEYS)}")
         if "delta_max" not in raw:
-            raise ScenarioError(f"{origin}: sweep needs 'delta_max'")
+            raise ValueError("sweep needs 'delta_max'")
         sweep = SweepSpec(
             normal_number(raw["delta_max"], "sweep delta_max"),
             whole_number(raw.get("steps", DEFAULT_SWEEP_STEPS),

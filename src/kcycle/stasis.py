@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import (BoundaryWeightError, DimensionError,
                      InfeasibleWeightsError, family, finite_number,
-                     positive_number)
+                     point_array, positive_number)
 from .expr import eval_field, jacobian_field
 
 # strict positivity floor for weights; hitting it is an error, not a clamp
@@ -41,7 +41,7 @@ class Weights:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(finite_number(float(v), f"weight {j + 1}", WEIGHT_FLOOR)
+        vals = tuple(finite_number(v, f"weight {j + 1}", WEIGHT_FLOOR)
                      for j, v in enumerate(self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 1:
@@ -99,7 +99,8 @@ def weighted_jacobian(fields, weights: Weights, x) -> np.ndarray:
 
 
 def check_regularity(fields, weights: Weights, x) -> RegularityReport:
-    """Singular-value diagnosis of the weighted Jacobian at x."""
+    """Singular-value diagnosis of the weighted Jacobian at finite x."""
+    x = point_array(x, (family(fields, weights)[0],), "x", finite=True)
     mat = weighted_jacobian(fields, weights, x)
     sv = linalg.singular_values(mat)
     sigma_max = float(sv[0])
@@ -112,7 +113,7 @@ def check_regularity(fields, weights: Weights, x) -> RegularityReport:
 
 def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     """Damped Newton (`linalg.damped_newton`, 2-norm, MAX_NEWTON_ITERS
-    steps) on x -> sum_j m_j V_j(x) from x_guess.
+    steps) on x -> sum_j m_j V_j(x) from x_guess, a finite point.
 
     The weighted Jacobian is evaluated only when the driver asks for it:
     line-search trials return the residual alone, and an accepted trial
@@ -121,15 +122,16 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
     Jacobian is still returned, flagged non-regular).
     """
     tol = positive_number(tol, "tol")
+    x = point_array(x_guess, (family(fields, weights)[0],), "x_guess",
+                    finite=True)
 
     def evaluate(x, jacobian):
         r = stasis_residual(fields, weights, x)
         jac = weighted_jacobian(fields, weights, x) if jacobian else None
         return residual_norm(r), r, jac, None
 
-    x, rn, _, _ = linalg.damped_newton(
-        evaluate, np.asarray(x_guess, dtype=float).copy(), tol,
-        MAX_NEWTON_ITERS, "stasis")
+    x, rn, _, _ = linalg.damped_newton(evaluate, x.copy(), tol,
+                                       MAX_NEWTON_ITERS, "stasis")
     return StasisPoint(x, weights, rn, check_regularity(fields, weights, x))
 
 
@@ -165,7 +167,7 @@ def row_norms(r) -> np.ndarray:
 
 
 def find_weights(fields, x, tol: float) -> Weights:
-    """Best probability weighting at a fixed point x.
+    """Best probability weighting at a fixed finite point x.
 
     Minimizes ||sum_j m_j V_j(x)|| over the simplex {m_j >= WEIGHT_FLOOR,
     sum m_j = 1} by active-set least squares over the bound constraints.
@@ -177,7 +179,7 @@ def find_weights(fields, x, tol: float) -> Weights:
     required, boundary hits are not clamped away).
     """
     tol = positive_number(tol, "tol")
-    family(fields)
+    x = point_array(x, (family(fields)[0],), "x", finite=True)
     if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
     cols = np.column_stack([eval_field(f, x) for f in fields])
@@ -200,7 +202,7 @@ def find_weights(fields, x, tol: float) -> Weights:
             f"optimal weighting pins weight(s) {labels} at the positivity "
             f"floor {WEIGHT_FLOOR}; strictly positive weights required",
             pinned=labels)
-    return Weights(tuple(float(v) for v in m))
+    return Weights(tuple(m))
 
 
 def _simplex_least_squares(cols: np.ndarray):
@@ -253,12 +255,12 @@ def _simplex_least_squares(cols: np.ndarray):
 
 
 def weight_hull_dimension(fields, x) -> int:
-    """Dimension of the affine hull of the optimal weightings at x.
+    """Dimension of the affine hull of the optimal weightings at finite x.
 
     Nullity of the field values stacked with the sum-to-one row; 0 means
     the weighting is unique.
     """
-    family(fields)
+    x = point_array(x, (family(fields)[0],), "x", finite=True)
     k = len(fields)
     cols = np.column_stack([eval_field(f, x) for f in fields])
     stacked = np.vstack([cols, np.ones((1, k))])

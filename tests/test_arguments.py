@@ -1,28 +1,33 @@
 """Argument rules of the public entries: tolerances, deltas, ladder steps,
-family shapes and leg times each obey one rule (`kcycle.errors`), and a
-broken one ends in a ValueError or a DimensionError naming the argument,
-never in another exception."""
+dimensions, weights, points, family shapes and leg times each obey one
+rule (`kcycle.errors`), and a broken one ends in a ValueError or a
+DimensionError naming the argument, never in another exception."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcycle
 import kcycle.cycle
-from kcycle import (CyclePoints, DimensionError,
+from kcycle import (ArgumentError, CyclePoints, DimensionError,
                     InfeasibleWeightsError, IntegratorConfig, KCycle,
-                    KcycleError, NewtonDivergenceError, Weights,
-                    average_velocity, cycle_jacobian, cycle_residual,
-                    find_stasis, find_weights, flow_endpoint, integrate_flow,
+                    KcycleError, NewtonDivergenceError, VectorField, Weights,
+                    average_velocity, check_regularity, cycle_jacobian,
+                    cycle_residual, eval_field, find_stasis, find_weights,
+                    flow_endpoint, integrate_flow, jacobian_field,
                     parse_field, solve_cycle, stasis_residual, sweep_delta,
                     verify_cycle, weight_hull_dimension, weighted_jacobian)
 from kcycle.cli import main
+from kcycle.errors import leg_times
 from kcycle.serialize import dumps
 
 from conftest import scenario_path
@@ -92,6 +97,62 @@ def test_a_zero_tighten_factor_is_a_value_error():
         verify_cycle(PAIR, HALF, cycle, tighten=0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.2, math.nan])
+def test_verify_cycle_needs_a_positive_delta(delta):
+    # delta = 0 and -0.2 were verified against the limit and backward legs
+    cycle = solve_cycle(PAIR, HALF, SEED, 0.2)
+    with pytest.raises(ValueError, match="^delta"):
+        verify_cycle(PAIR, HALF, KCycle(cycle.points, delta,
+                                        leg_times(delta, HALF), 0.0, 0))
+
+
+def test_verify_cycle_needs_the_leg_times_a_solve_forms():
+    cycle = solve_cycle(PAIR, HALF, SEED, 0.2)
+    with pytest.raises(ValueError, match="^leg_times"):
+        verify_cycle(PAIR, HALF, KCycle(cycle.points, 0.2, (5.0, 5.0), 0.0,
+                                        0))
+
+
+@pytest.mark.parametrize("dimension", [True, "2", 1.5])
+@pytest.mark.parametrize("entry", ["parse_field", "VectorField"])
+def test_a_dimension_must_be_a_whole_number(entry, dimension):
+    with pytest.raises(ArgumentError, match="^dimension"):
+        if entry == "parse_field":
+            parse_field("x1", dimension)
+        else:
+            VectorField(dimension, PAIR[0].components)
+
+
+@pytest.mark.parametrize("values", [("0.5", "0.5"), (True,), (None,), (1j,)],
+                         ids=["strings", "bool", "none", "complex"])
+def test_a_weight_must_be_a_number(values):
+    with pytest.raises(ArgumentError, match="^weight 1 "):
+        Weights(values)
+
+
+def test_numpy_scalar_weights_are_numbers():
+    assert Weights((np.float32(0.5), np.float64(0.5))).values == (0.5, 0.5)
+
+
+# entry -> (the name of its point argument, call(the point's one entry))
+FINITE_ENTRIES = {
+    "find_stasis": ("x_guess", lambda v: find_stasis(PAIR, HALF, [v], 1e-10)),
+    "find_weights": ("x", lambda v: find_weights(PAIR, [v], 1e-10)),
+    "weight_hull_dimension": ("x", lambda v: weight_hull_dimension(PAIR,
+                                                                   [v])),
+    "check_regularity": ("x", lambda v: check_regularity(PAIR, HALF, [v])),
+    "sweep_delta": ("x0", lambda v: sweep_delta(PAIR, HALF, [v], 0.8, 4)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(FINITE_ENTRIES))
+def test_a_starting_point_must_be_finite(entry, value):
+    label, call = FINITE_ENTRIES[entry]
+    with pytest.raises(ArgumentError, match=f"^{label} entries"):
+        call(value)
+
+
 # --- one family shape rule over every public family entry ----------------
 
 # three 2-D fields whose weighting (1/4, 1/4, 1/2) vanishes at the origin
@@ -139,6 +200,13 @@ SHAPE_ENTRIES = {
                                       0))),
     "sweep_delta": ({"fields", "weights", "point"},
                     lambda f, w, x, t: sweep_delta(f, w, x[0], 0.2, 2)),
+    "eval_field": ({"point"}, lambda f, w, x, t: eval_field(f[0], x[0])),
+    "jacobian_field": ({"point"},
+                       lambda f, w, x, t: jacobian_field(f[0], x[0])),
+    "check_regularity": ({"fields", "weights", "point"},
+                         lambda f, w, x, t: check_regularity(f, w, x[0])),
+    "find_stasis": ({"fields", "weights", "point"},
+                    lambda f, w, x, t: find_stasis(f, w, x[0], 1e-10)),
 }
 
 # defect -> (the argument it breaks, (fields, weights, points, times))
@@ -158,6 +226,9 @@ DEFECTS = {
     "point-too-few": ("points", (FIELDS, WEIGHTS, POINTS[:2], TIMES)),
     "point-of-the-wrong-width": (
         "point", (FIELDS, WEIGHTS, [[0.0, 0.0, 0.0]] * 3, TIMES)),
+    # the first point is ragged in itself, so every row of points is too
+    "ragged-rows": ("point", (FIELDS, WEIGHTS,
+                              [[0.0, [0.0]]] + POINTS[1:], TIMES)),
 }
 
 
@@ -174,9 +245,32 @@ def test_every_family_entry_raises_dimension_error(entry, defect):
         SHAPE_ENTRIES[entry][1](*DEFECTS[defect][1])
 
 
+@pytest.mark.parametrize("value", [None, "0.5", True, 1j],
+                         ids=["none", "string", "bool", "complex"])
+@pytest.mark.parametrize("entry", [
+    entry for entry, (reads, _) in SHAPE_ENTRIES.items()
+    if _breaks(reads, "point")])
+def test_every_point_entry_refuses_a_non_number_entry(entry, value):
+    with pytest.raises(ArgumentError, match=" entries must be "):
+        SHAPE_ENTRIES[entry][1](FIELDS, WEIGHTS, [[value, 0.0]] + POINTS[1:],
+                                TIMES)
+
+
 @pytest.mark.parametrize("entry", sorted(SHAPE_ENTRIES))
 def test_the_shape_cases_are_well_formed_without_their_defect(entry):
     SHAPE_ENTRIES[entry][1](FIELDS, WEIGHTS, POINTS, TIMES)
+
+
+POINT_PARAMETERS = {"x", "x0", "x_guess", "pts", "seed", "cycle"}
+
+
+def test_every_public_entry_that_reads_a_point_is_in_the_shape_table():
+    readers = {name for name in kcycle.__all__
+               if inspect.isfunction(getattr(kcycle, name))
+               and POINT_PARAMETERS & set(inspect.signature(
+                   getattr(kcycle, name)).parameters)}
+    assert {"eval_field", "sweep_delta", "solve_cycle"} <= readers
+    assert readers <= {key.split("-")[0] for key in SHAPE_ENTRIES}
 
 
 def _verify_exit(tmp_path, edit):
@@ -238,34 +332,43 @@ NUMBERS = [math.nan, math.inf, -math.inf, 0.0, 0, -1.0, -0.2, 5e-324,
            1e-310, 1e300, True, np.float32(1e-9), np.float64(0.2),
            np.int64(1), np.float32(np.inf), 0.2, 1e-10]
 STEPS = [-1, 0, 1, 2, 2.5, True, np.int64(2)]
+ENTRIES = [0.0, 0.7, None, "0.5", True, 1j, math.nan, math.inf,
+           np.float32(0.5), Fraction(1, 2)]
 
+# entry -> call(tol, delta, steps, v), v the one entry of a point of PAIR
 NUMBER_ENTRIES = {
-    "find_stasis": lambda tol, delta, steps:
-        find_stasis(PAIR, HALF, [0.7], tol),
-    "find_weights": lambda tol, delta, steps:
-        find_weights(PAIR, [0.0], tol),
-    "solve_cycle": lambda tol, delta, steps:
-        solve_cycle(PAIR, HALF, SEED, delta, tol, SMALL),
-    "sweep_delta": lambda tol, delta, steps:
-        sweep_delta(PAIR, HALF, [0.0], delta, steps, tol, SMALL),
-    "cycle_residual": lambda tol, delta, steps:
-        cycle_residual(PAIR, HALF, SEED, delta, SMALL),
-    "cycle_jacobian": lambda tol, delta, steps:
+    "find_stasis": lambda tol, delta, steps, v:
+        find_stasis(PAIR, HALF, [v], tol),
+    "find_weights": lambda tol, delta, steps, v:
+        find_weights(PAIR, [v], tol),
+    "solve_cycle": lambda tol, delta, steps, v:
+        solve_cycle(PAIR, HALF, CyclePoints([[v], [0.0]]), delta, tol,
+                    SMALL),
+    "sweep_delta": lambda tol, delta, steps, v:
+        sweep_delta(PAIR, HALF, [v], delta, steps, tol, SMALL),
+    "cycle_residual": lambda tol, delta, steps, v:
+        cycle_residual(PAIR, HALF, CyclePoints([[0.0], [v]]), delta, SMALL),
+    "cycle_jacobian": lambda tol, delta, steps, v:
         cycle_jacobian(PAIR, HALF, SEED, delta, SMALL),
-    "integrate_flow": lambda tol, delta, steps:
-        integrate_flow(PAIR, [[0.0], [0.0]], [delta, tol], SMALL),
-    "IntegratorConfig": lambda tol, delta, steps:
+    "integrate_flow": lambda tol, delta, steps, v:
+        integrate_flow(PAIR, [[v], [0.0]], [delta, tol], SMALL),
+    "flow_endpoint": lambda tol, delta, steps, v:
+        flow_endpoint(PAIR[0], [v], delta, SMALL),
+    "eval_field": lambda tol, delta, steps, v: eval_field(PAIR[0], [v]),
+    "weight_hull_dimension": lambda tol, delta, steps, v:
+        weight_hull_dimension(PAIR, [v]),
+    "IntegratorConfig": lambda tol, delta, steps, v:
         IntegratorConfig(tol, delta, steps),
 }
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(entry=st.sampled_from(sorted(NUMBER_ENTRIES)),
        tol=st.sampled_from(NUMBERS), delta=st.sampled_from(NUMBERS),
-       steps=st.sampled_from(STEPS))
+       steps=st.sampled_from(STEPS), value=st.sampled_from(ENTRIES))
 def test_any_number_ends_in_a_result_or_a_named_error(entry, tol, delta,
-                                                      steps):
+                                                      steps, value):
     try:
-        NUMBER_ENTRIES[entry](tol, delta, steps)
+        NUMBER_ENTRIES[entry](tol, delta, steps, value)
     except (KcycleError, ValueError):
         pass

@@ -400,7 +400,8 @@ def test_verify_edited_delta_schema_error(tmp_path, capsys):
     data["delta"] = 0.25  # leg_times no longer equal delta*m_j
     record.write_text(dumps(data))
     assert run_cli("verify", str(record)) == 64
-    assert "leg_times" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "leg_times" in err and str(record) in err
 
 
 def test_verify_missing_key_schema_error(tmp_path, capsys):
