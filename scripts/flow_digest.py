@@ -21,9 +21,8 @@ Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
 five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
 families (both drawn from default_rng(1)). Each scenario prints its
 Newton iterations, the worst verify mismatch over every record as a
-multiple of 10 * cycle_tol, the same with each leg of every record
-integrated alone at verify's tolerance, and the log-log slope; each
-sweep, their totals.
+multiple of 10 * cycle_tol and the log-log slope; each sweep, their
+totals.
 
 Two runs on different versions of the package differ in these lines
 exactly where results moved. --save writes every call's arrays and step
@@ -215,18 +214,10 @@ def _relative(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
-def alone_mismatch(fields, weights, cycle, cfg):
-    """verify's largest leg mismatch with each leg integrated alone."""
-    pts = cycle.points.points
-    return max(float(np.max(np.abs(
-        flow_endpoint(f, x, cycle.delta * m, cfg) - nxt)))
-        for f, x, m, nxt in zip(fields, pts, weights, np.roll(pts, -1, 0)))
-
-
 def sweeps(label, scenarios, saved, against):
     """Print the sweep lines; returns the number of sweeps whose points'
     bytes differ from `against`'s."""
-    newton, worst, worst_alone, moved_sweeps = 0, 0.0, 0.0, 0
+    newton, worst, moved_sweeps = 0, 0.0, 0
     for scn in scenarios:
         point = find_stasis(scn.fields, scn.weights, scn.guess_point(),
                             scn.stasis_tol)
@@ -238,18 +229,13 @@ def sweeps(label, scenarios, saved, against):
         ratio = max(verify_cycle(scn.fields, point.weights, rec.cycle,
                                  scn.integrator).max_mismatch / budget
                     for rec in result.records)
-        tight = scn.integrator.tightened(VERIFY_FACTOR)
-        alone = max(alone_mismatch(scn.fields, point.weights, rec.cycle,
-                                   tight) / budget
-                    for rec in result.records)
         newton += iters
         worst = max(worst, ratio)
-        worst_alone = max(worst_alone, alone)
         key = f"sweep|{scn.name}"
         saved[key] = result.points
         line = (f"sweep {label} {scn.name:12s} records "
                 f"{len(result.deltas)} newton {iters} verify_max "
-                f"{ratio:.6g} alone_max {alone:.6g} slope "
+                f"{ratio:.6g} slope "
                 f"{loglog_slope(result)!r}")
         if against is not None:
             new, old = saved[key], against.get(key)
@@ -262,8 +248,7 @@ def sweeps(label, scenarios, saved, against):
                      f"{points}")
             moved_sweeps += points > 0
         print(line)
-    print(f"sweep {label} total newton {newton} verify_max {worst:.6g} "
-          f"alone_max {worst_alone:.6g}")
+    print(f"sweep {label} total newton {newton} verify_max {worst:.6g}")
     return moved_sweeps
 
 

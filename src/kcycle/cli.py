@@ -245,7 +245,9 @@ def _write_artifact(out_dir: str, name: str, text: str) -> str:
     return path
 
 
-def _cycle_record(scn: Scenario, point: StasisPoint, cycle: KCycle) -> dict:
+def _cycle_record(scn: Scenario, point: StasisPoint, cycle: KCycle,
+                  tol: float) -> dict:
+    """The record of a cycle solved to `tol`, which verify budgets by."""
     return {
         "schema_version": 1,
         "kind": RECORD_KIND,
@@ -257,7 +259,7 @@ def _cycle_record(scn: Scenario, point: StasisPoint, cycle: KCycle) -> dict:
         "points": [[float(v) for v in p] for p in cycle.points],
         "closure_residual": cycle.closure_residual,
         "newton_iters": cycle.newton_iters,
-        "cycle_tol": scn.cycle_tol,
+        "cycle_tol": tol,
     }
 
 
@@ -270,7 +272,7 @@ def cmd_cycle(args) -> int:
     seed = CyclePoints.constant(point.x0, scn.k)
     cycle = solve_cycle(scn.fields, point.weights, seed, args.delta, tol,
                         scn.integrator)
-    record = _cycle_record(scn, point, cycle)
+    record = _cycle_record(scn, point, cycle, tol)
     out_path = _write_artifact(args.out, f"{_slug(scn.name)}_cycle.json",
                                serialize.dumps(record))
     if args.json:

@@ -254,8 +254,8 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
                 tol: float = DEFAULT_CYCLE_TOL,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> KCycle:
     """Damped Newton (`linalg.damped_newton`, max norm, MAX_CYCLE_ITERS
-    steps) on the stacked cycle system for a fixed delta > 0, then an
-    error-oriented acceptance test.
+    steps) on the stacked cycle system for a fixed delta > 0 from a
+    finite seed, then an error-oriented acceptance test.
 
     The point x that Newton returns has its residual r within tol.
     `_newton_terms` gives the simplified correction c = -J^-1 r with the
@@ -277,9 +277,10 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
         rn = float(np.maximum.reduce(np.abs(res), axis=None))
         return rn, res, jac, (ends, res)
 
+    n = family(fields, weights)[0]
+    x = point_array(seed.points, (len(fields), n), "seed", finite=True)
     x, _, (ends, res), iters = linalg.damped_newton(
-        evaluate, family(fields, weights, seed.points)[1], tol,
-        MAX_CYCLE_ITERS, f"cycle at delta={delta:.6g}")
+        evaluate, x, tol, MAX_CYCLE_ITERS, f"cycle at delta={delta:.6g}")
     correction, tangent = _newton_terms(fields, weights, held[0], ends, res,
                                         delta)
     if correction is not None and \
@@ -399,7 +400,7 @@ def sweep_delta(fields, weights: Weights, x0, delta_max: float, steps: int,
             if not reached:
                 raise BranchLostError(
                     f"continuation failed at the smallest delta "
-                    f"{target:.6g}: {exc}", last_delta=0.0) from exc
+                    f"{target:.6g}: {exc}") from exc
             branch_lost = True
             failure_reason = str(exc)
             break
@@ -501,8 +502,7 @@ def _reach(fields, weights, branch, target, tol, cfg):
                     or mid >= attempt * (1 - 1e-12):
                 raise BranchLostError(
                     f"lost the branch between delta={base_delta:.6g} and "
-                    f"delta={attempt:.6g}: {exc}",
-                    last_delta=base_delta) from exc
+                    f"delta={attempt:.6g}: {exc}") from exc
             pending.append(mid)
             continue
         pending.pop()

@@ -125,10 +125,6 @@ class ClosureError(SolverError):
 class BranchLostError(SolverError):
     """Continuation could not advance past the recorded delta."""
 
-    def __init__(self, message, last_delta=None):
-        self.last_delta = last_delta
-        super().__init__(message)
-
 
 class ScenarioError(InputError):
     """Malformed scenario file or inconsistent scenario contents."""
@@ -186,16 +182,19 @@ def whole_number(value, label: str, minimum: int) -> int:
 
 def point_array(value, shape, label: str, finite=False) -> np.ndarray:
     """value, a point (n,) or the rows of points (k, n), as a float array
-    of `shape` (None: any). DimensionError when value is ragged or of
-    another shape, ArgumentError naming `label` when an entry is not a real
-    number by finite_number's rule, or not finite when `finite`. A float64
-    ndarray is returned as it is."""
+    of `shape` (None: any). DimensionError when value is ragged, has more
+    than two axes or is of another shape, ArgumentError naming `label`
+    when an entry is not a real number by finite_number's rule, or not
+    finite when `finite`. A float64 ndarray is returned as it is."""
     if type(value) is not np.ndarray or value.dtype != float:
         ragged = DimensionError(f"{label} has ragged rows")
         try:
             grid = np.array(value, dtype=object)
         except ValueError:  # arrays whose shapes do not stack
             raise ragged from None
+        if grid.ndim > 2:  # before .flat, which takes at most 32 axes
+            raise DimensionError(f"{label} has shape {grid.shape}, expected "
+                                 f"{shape or 'at most two axes'}")
         reals = [_real(entry) for entry in grid.flat]
         if None in reals:
             entry = grid.flat[reals.index(None)]

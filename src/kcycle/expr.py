@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -510,12 +511,12 @@ class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
     Immutable after construction; the symbolic Jacobian and the compiled
-    writers are memoized on first use. A writer takes a list of n floats
-    and the caller's row and assigns each value to its slot there. A
-    Jacobian entry whose tree contains no variable is evaluated once, by
-    the tree walk, and kept as a constant; an entry whose evaluation
-    raises stays in the per-call writer, so its error surfaces at every
-    evaluation, where it would without the split.
+    writers are cached properties, each built on first read. A writer
+    takes a list of n floats and the caller's row and assigns each value
+    to its slot there. A Jacobian entry whose tree contains no variable is
+    evaluated once, by the tree walk, and kept as a constant; an entry
+    whose evaluation raises stays in the per-call writer, so its error
+    surfaces at every evaluation, where it would without the split.
     """
 
     def __init__(self, dimension: int, components):
@@ -526,50 +527,43 @@ class VectorField:
                 f"expected {dimension} components, got {len(components)}")
         self.dimension = dimension
         self.components = components
-        self._jac_exprs = None
-        self._value_writer = None
-        self._jac_parts = None
 
+    @cached_property
     def jacobian_exprs(self):
-        """n x n grid of partial-derivative trees, built once."""
-        if self._jac_exprs is None:
-            self._jac_exprs = tuple(
-                tuple(diff_expr(c, l + 1) for l in range(self.dimension))
-                for c in self.components
-            )
-        return self._jac_exprs
+        """n x n grid of partial-derivative trees."""
+        return tuple(
+            tuple(diff_expr(c, l + 1) for l in range(self.dimension))
+            for c in self.components
+        )
 
+    @cached_property
     def value_writer(self):
         """write(x, out): the n component values of the list of floats x
-        into out[0..n-1], built once. Where a value leaves its domain it
-        raises the DomainError that names the component."""
-        if self._value_writer is None:
-            self._value_writer = _compile(
-                [((i, c),) for i, c in enumerate(self.components)])
-        return self._value_writer
+        into out[0..n-1]. Where a value leaves its domain it raises the
+        DomainError that names the component."""
+        return _compile([((i, c),) for i, c in enumerate(self.components)])
 
+    @cached_property
     def jacobian_parts(self):
-        """(constant, write), built once. constant is a read-only flat,
-        row-major n*n array that holds the Jacobian entries that do not
-        vary with x, and 0 in every other slot; write(x, out) writes those
-        other entries into their slots of such a row out and raises like
-        value_writer(). write is None when no entry is left to it."""
-        if self._jac_parts is None:
-            n = self.dimension
-            constant = np.zeros(n * n)
-            rows = []
-            for i, row in enumerate(self.jacobian_exprs()):
-                varying = []
-                for l, e in enumerate(row):
-                    value = _constant_value(e)
-                    if value is None:
-                        varying.append((i * n + l, e))
-                    else:
-                        constant[i * n + l] = value
-                rows.append(tuple(varying))
-            constant.flags.writeable = False
-            self._jac_parts = (constant, _compile(rows) if any(rows) else None)
-        return self._jac_parts
+        """(constant, write). constant is a read-only flat, row-major n*n
+        array that holds the Jacobian entries that do not vary with x, and
+        0 in every other slot; write(x, out) writes those other entries
+        into their slots of such a row out and raises like value_writer.
+        write is None when no entry is left to it."""
+        n = self.dimension
+        constant = np.zeros(n * n)
+        rows = []
+        for i, row in enumerate(self.jacobian_exprs):
+            varying = []
+            for l, e in enumerate(row):
+                value = _constant_value(e)
+                if value is None:
+                    varying.append((i * n + l, e))
+                else:
+                    constant[i * n + l] = value
+            rows.append(tuple(varying))
+        constant.flags.writeable = False
+        return constant, _compile(rows) if any(rows) else None
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"
@@ -594,7 +588,7 @@ def eval_field(field: VectorField, x) -> np.ndarray:
     out = np.empty(field.dimension)
     # plain Python floats: numpy scalars would turn div-by-zero and
     # sqrt(negative) into warnings instead of exceptions
-    field.value_writer()(point_array(x, out.shape, "x").tolist(), out)
+    field.value_writer(point_array(x, out.shape, "x").tolist(), out)
     return out
 
 
@@ -602,7 +596,7 @@ def jacobian_field(field: VectorField, x) -> np.ndarray:
     """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
     n = field.dimension
     x = point_array(x, (n,), "x")
-    constant, write = field.jacobian_parts()
+    constant, write = field.jacobian_parts
     out = constant.copy()
     if write is not None:
         write(x.tolist(), out)

@@ -337,34 +337,29 @@ def _rhs(field, sensitivity):
     augmented state y = (x, P) when `sensitivity`; the leg's time scale is
     applied to out afterwards, by the stepper.
 
-    bind makes the views of out once, and those of y once for a run of
-    binds of the same y (a workspace's six stage calls all read its stage
-    input); each call then runs the field's compiled writers on plain
-    floats, which write straight into the stage row and raise the
-    DomainError that names the component themselves. The Jacobian goes
-    to an (n, n) buffer allocated here, whose constant entries are
-    written once, here, so that a call writes only the entries that vary
-    with x (an entry whose evaluation raises is among them), and none on
-    an affine field; J P is multiplied straight into out.
+    bind makes the views of y and out once, when a workspace is built;
+    each call then runs the field's compiled writers on plain floats,
+    which write straight into the stage row and raise the DomainError
+    that names the component themselves. The Jacobian goes to an (n, n)
+    buffer allocated here, whose constant entries are written once, here,
+    so that a call writes only the entries that vary with x (an entry
+    whose evaluation raises is among them), and none on an affine field;
+    J P is multiplied straight into out.
     """
     n = field.dimension
-    values = field.value_writer()
+    values = field.value_writer
     if not sensitivity:
         def bind(y, out):
             def call():
                 values(y.tolist(), out)
             return call
         return bind
-    constant, entries = field.jacobian_parts()
+    constant, entries = field.jacobian_parts
     jac_flat = constant.copy()
     jac = jac_flat.reshape(n, n)
-    bound = (None,)  # (y, x, P): the last bound input and its views
 
     def bind(y, out):
-        nonlocal bound
-        if bound[0] is not y:
-            bound = (y, y[:n], y[n:].reshape(n, n))
-        _, x, p = bound
+        x, p = y[:n], y[n:].reshape(n, n)
         v, jp = out[:n], out[n:].reshape(n, n)
         # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
         if entries is None:

@@ -87,7 +87,7 @@ def read_json(path, error_cls, what: str):
             return json.load(fh)
     except OSError as exc:
         raise error_cls(f"cannot read {what} file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer
+    except (ValueError, RecursionError) as exc:  # also too deeply nested
         raise error_cls(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -80,9 +80,7 @@ def csv_lines(header, rows) -> str:
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, bool):
-                cells.append(str(cell).lower())
-            elif isinstance(cell, int):
+            if isinstance(cell, int):
                 cells.append(str(cell))
             elif isinstance(cell, float):
                 cells.append(csv_float(cell))

@@ -60,9 +60,6 @@ class Weights:
     def __getitem__(self, j):
         return self.values[j]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
 
 @dataclass(eq=False)
 class RegularityReport:
@@ -136,25 +133,18 @@ def find_stasis(fields, weights: Weights, x_guess, tol: float) -> StasisPoint:
 
 
 def residual_norm(r) -> float:
-    """The 2-norm of r; rescaled only where the plain norm overflows on a
-    finite vector, or falls below sqrt(tiny) on a nonzero one (there the
-    sum of squares left the normal range and underflowed in part or in
-    full), so every plain norm from a normal sum of squares is returned
-    as it is."""
-    with np.errstate(over="ignore"):
-        rn = float(np.linalg.norm(r))
-        if (rn == np.inf and np.isfinite(r).all()) or (
-                rn < _SQRT_TINY and np.any(r)):
-            big = np.max(np.abs(r))
-            rn = float(big * np.linalg.norm(r / big))
-    return rn
+    """The 2-norm of the vector r, as `row_norms` gives it."""
+    # as one row: row_norms assigns into its result, which a 0-d norm is not
+    return float(row_norms(np.asarray(r, dtype=float)[None])[0])
 
 
 def row_norms(r) -> np.ndarray:
-    """The 2-norms of r along its last axis, each rescaled where
-    `residual_norm` rescales, by one array call on the whole of r. The
-    row sums of squares may round differently from `residual_norm`'s
-    dot product, by a few units in the last place."""
+    """The 2-norms of r along its last axis, by one array call on the
+    whole of r; a row's norm is rescaled only where the plain norm
+    overflows on a finite row, or falls below sqrt(tiny) on a nonzero one
+    (there the sum of squares left the normal range and underflowed in
+    part or in full), so every plain norm from a normal sum of squares is
+    returned as it is."""
     with np.errstate(over="ignore"):
         rn = np.linalg.norm(r, axis=-1)
         redo = ((rn == np.inf) & np.isfinite(r).all(axis=-1)) | (

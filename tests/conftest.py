@@ -25,6 +25,15 @@ def scenario_path(name: str) -> pathlib.Path:
     return SCENARIO_DIR / f"{name}.json"
 
 
+def nested(value, levels: int):
+    """value wrapped in `levels` one-element lists; numpy iterates an
+    array of at most 32 axes, so a point nested past that tests the
+    point rule's own shape check."""
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_scenario(scenario_path(name)) for name in CORPUS_NAMES}

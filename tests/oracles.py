@@ -37,7 +37,7 @@ def tree_rhs(field, sensitivity):
     from its tree (the package's derivative trees) by eval_expr, which
     performs the float operations the compiled writers do."""
     n = field.dimension
-    jac = field.jacobian_exprs()
+    jac = field.jacobian_exprs
 
     def values(x):
         return np.array([eval_expr(c, x) for c in field.components])

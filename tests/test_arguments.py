@@ -30,7 +30,7 @@ from kcycle.cli import main
 from kcycle.errors import leg_times
 from kcycle.serialize import dumps
 
-from conftest import scenario_path
+from conftest import nested, scenario_path
 
 # README's pair: x0 = 0, regular, cycles for every delta > 0
 PAIR = [parse_field("1 - x1", 1), parse_field("-1 - x1", 1)]
@@ -142,6 +142,8 @@ FINITE_ENTRIES = {
                                                                    [v])),
     "check_regularity": ("x", lambda v: check_regularity(PAIR, HALF, [v])),
     "sweep_delta": ("x0", lambda v: sweep_delta(PAIR, HALF, [v], 0.8, 4)),
+    "solve_cycle": ("seed", lambda v: solve_cycle(
+        PAIR, HALF, CyclePoints([[v], [0.0]]), 0.2)),
 }
 
 
@@ -229,6 +231,10 @@ DEFECTS = {
     # the first point is ragged in itself, so every row of points is too
     "ragged-rows": ("point", (FIELDS, WEIGHTS,
                               [[0.0, [0.0]]] + POINTS[1:], TIMES)),
+    # the first point has 33 axes, past the 32 that numpy iterates
+    "point-of-33-axes": ("point", (FIELDS, WEIGHTS,
+                                   [nested([0.0, 0.0], 32)] + POINTS[1:],
+                                   TIMES)),
 }
 
 

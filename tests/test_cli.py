@@ -13,7 +13,7 @@ from kcycle import (InputError, KcycleError, SolverError, cli, errors,
 from kcycle.cli import _UsageError, main
 from kcycle.serialize import csv_lines, dumps
 
-from conftest import scenario_path
+from conftest import nested, scenario_path
 
 
 def run_cli(*argv):
@@ -368,6 +368,21 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_cycle_record_carries_the_tolerance_of_its_solve(tmp_path, capsys):
+    # verify budgets by the record's cycle_tol, so a record of a --tol
+    # solve must carry that tol, not the scenario's cycle_tol
+    code = run_cli("cycle", "--scenario", str(scenario_path("trig_3d")),
+                   "--delta", "0.2", "--tol", "1e-4", "--out", str(tmp_path))
+    assert code == 0
+    record = tmp_path / "trig-3d_cycle.json"
+    data = json.loads(record.read_text())
+    assert data["cycle_tol"] == 1e-4
+    assert data["scenario"]["tolerances"]["cycle_tol"] == 1e-10
+    capsys.readouterr()
+    assert run_cli("verify", str(record)) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_round_trip_all_regular(tmp_path, capsys, regular_corpus):
     for name in regular_corpus:
         code = run_cli("cycle", "--scenario", str(scenario_path(name)),
@@ -418,22 +433,42 @@ def test_verify_wrong_kind_exit64(tmp_path, capsys):
     assert run_cli("verify", str(p)) == 64
 
 
-@pytest.mark.parametrize("content, message", [
-    (None, "cannot read record file"),
+# (file content, the start of the error); None is a directory, and json
+# gives up on a document nested past the recursion limit
+UNREADABLE = pytest.mark.parametrize("content, message", [
+    (None, "cannot read {} file"),
     ("{not json", "invalid JSON in"),
     (b"\xff\xfe", "invalid JSON in"),
-], ids=["unreadable", "not-json", "not-utf8"])
-def test_unreadable_or_non_json_record_exit64(tmp_path, capsys, content,
-                                              message):
-    path = tmp_path / "record.json"
+    ("[" * 100000 + "]" * 100000, "invalid JSON in"),
+], ids=["unreadable", "not-json", "not-utf8", "nested-100000"])
+
+
+def _write_content(path, content):
     if content is None:
         path.mkdir()  # opening a directory is an OSError
     elif isinstance(content, bytes):
         path.write_bytes(content)
     else:
         path.write_text(content)
-    assert run_cli("verify", str(path)) == 64
-    assert capsys.readouterr().err.startswith(f"kcycle: error: {message}")
+    return str(path)
+
+
+@UNREADABLE
+def test_unreadable_or_non_json_record_exit64(tmp_path, capsys, content,
+                                              message):
+    path = _write_content(tmp_path / "record.json", content)
+    assert run_cli("verify", path) == 64
+    assert capsys.readouterr().err.startswith(
+        "kcycle: error: " + message.format("record"))
+
+
+@UNREADABLE
+def test_unreadable_or_non_json_scenario_exit64(tmp_path, capsys, content,
+                                                message):
+    path = _write_content(tmp_path / "scenario.json", content)
+    assert run_cli("stasis", "--scenario", path) == 64
+    assert capsys.readouterr().err.startswith(
+        "kcycle: error: " + message.format("scenario"))
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4_fixed"])
@@ -492,6 +527,10 @@ MALFORMED = [
                  id="closure_residual-list"),
     pytest.param("record", ("points",), [[0.1, 0.2], [0.3, 0.4]],
                  id="points-wrong-dimension"),
+    pytest.param("scenario", ("stasis_guess",), nested([0.7], 32),
+                 id="stasis_guess-33-axes"),
+    pytest.param("record", ("points",), nested([[0.1], [0.3]], 31),
+                 id="points-33-axes"),
 ]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from kcycle.cli import main
 
-from conftest import scenario_path
+from conftest import nested, scenario_path
 
 EXIT_CODES = {0, 1, 2, 64}
 
@@ -36,7 +36,7 @@ HUGE_EXPONENT = "x1^" + "9" * 5000 + " + 1 - x1"
 
 BAD_VALUES = [None, True, 0, -1, 1e300, math.nan, math.inf, -math.inf, "",
               "abc", [], {}, [[0.5]], [0.1, 0.2, 0.3],
-              {"x": 1}, HUGE_EXPONENT] + DEEP_FIELDS
+              {"x": 1}, HUGE_EXPONENT, nested([0.5], 32)] + DEEP_FIELDS
 
 SCENARIOS = ["pair_1d", "triad_2d", "linear_2d_a", "degenerate_vv"]
 RECORDS = ["pair_1d", "triad_2d"]

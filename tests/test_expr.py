@@ -97,7 +97,7 @@ def test_nesting_past_limit_is_dsl_error(kind, depth):
 def test_eval_division_by_zero_identifies_component():
     # the compiled writer raises the public function's DomainError
     f = parse_field("x1; 1/x1", 2)
-    write = f.value_writer()
+    write = f.value_writer
     for evaluate in (partial(eval_field, f),
                      lambda x: write(x, np.empty(2))):
         with pytest.raises(DomainError) as err:
@@ -108,7 +108,7 @@ def test_eval_division_by_zero_identifies_component():
 
 def test_jacobian_domain_error_identifies_component():
     f = parse_field("x2; sqrt(x1)", 2)
-    write = f.jacobian_parts()[1]
+    write = f.jacobian_parts[1]
     for evaluate in (partial(jacobian_field, f),
                      lambda x: write(x, np.empty(4))):
         with pytest.raises(DomainError) as err:
