@@ -9,8 +9,15 @@ families random_linear_scenario(default_rng(s), 6, 4) for s = 1, 2, over
 t = 0.3, -0.7 and 2.0: 75 one-leg calls. Families: integrate_flow and
 flow_endpoint on all the fields of each corpus scenario at once, every
 leg from the scenario's stasis point, over the leg times delta*m_j for
-delta = 0.2 and 2.0, as a cycle solve's first evaluation makes them:
-14 family calls. One line per scenario gives a sha256 over the
+delta = 0.2 and 2.0, as a cycle solve's first evaluation makes them,
+and the same on two nonlinear families: 18 family calls. A nonlinear
+family (n = 3, k = 3 and n = 6, k = 4) is random_linear_scenario at a
+fixed seed with a product term and a sin(u) - u term added to each
+component, both centred on the affine family's stasis point x0, where
+they vanish to second order; so x0, the weights and the weighted
+Jacobian stay the affine family's, and the family's stage calls
+evaluate Jacobian entries that vary with x, which the affine families'
+do not. One line per scenario gives a sha256 over the
 endpoints, sensitivities and step counts (or the error a call raised)
 and its step count; the last line of each kind covers every call of
 that kind. The legs and families then run again on the same fields in
@@ -18,8 +25,9 @@ reverse order, and every call whose bytes differ from the first run's
 is printed: a call's result must not depend on the calls run before it.
 
 Sweeps: find_stasis and sweep_delta, as `kcycle sweep` runs them, on the
-five regular corpus scenarios and on the benchmark's seed-1 wide-sweep
-families (both drawn from default_rng(1)). Each scenario prints its
+five regular corpus scenarios, on the benchmark's seed-1 wide-sweep
+families (both drawn from default_rng(1)) and on the two nonlinear
+families. Each scenario prints its
 Newton iterations, the worst verify mismatch over every record as a
 multiple of 10 * cycle_tol and the log-log slope; each sweep, their
 totals.
@@ -70,6 +78,8 @@ CORPUS = ("pair_1d", "triad_2d", "linear_2d_a", "linear_3d_b", "trig_3d")
 NON_REGULAR = ("degenerate_vv", "degenerate_const")
 TIMES = (0.3, -0.7, 2.0)
 FAMILY_DELTAS = (0.2, 2.0)
+# (n, k, seed) of each nonlinear family
+NONLINEAR = ((3, 3, 100), (6, 4, 101))
 VERIFY_FACTOR = 10.0
 
 
@@ -89,6 +99,30 @@ def wide_scenarios():
     return [scenario_from_dict(random_linear_scenario(rng, 6, 4,
                                                       f"wide-{i + 1}"))
             for i in range(2)]
+
+
+def nonlinear_scenarios():
+    """The nonlinear families: each component i of field j gains
+    0.5*(x_a - x0_a)*(x_b - x0_b) + (sin(x_b - x0_b) - (x_b - x0_b)), with
+    a = (i + j) mod n and b = (i + j + 1) mod n, x0 the stasis point of
+    the affine family random_linear_scenario(default_rng(seed), n, k)."""
+    scenarios = []
+    for n, k, seed in NONLINEAR:
+        data = random_linear_scenario(np.random.default_rng(seed), n, k,
+                                      f"nonlinear-{n}x{k}")
+        affine = scenario_from_dict(data)
+        x0 = find_stasis(affine.fields, affine.weights, affine.guess_point(),
+                         affine.stasis_tol).x0
+        u = [f"(x{l + 1} - ({float(c)!r}))" for l, c in enumerate(x0)]
+        fields = []
+        for j, source in enumerate(data["fields"]):
+            comps = source.split("; ")
+            for i in range(n):
+                a, b = u[(i + j) % n], u[(i + j + 1) % n]
+                comps[i] += f" + 0.5*{a}*{b} + (sin({b}) - {b})"
+            fields.append("; ".join(comps))
+        scenarios.append(scenario_from_dict({**data, "fields": fields}))
+    return scenarios
 
 
 def legs(scn):
@@ -274,12 +308,14 @@ def main():
     saved = {}
     ran, moved = digest_legs("legs", legs, leg_scenarios(), saved, against)
     family_ran, family_moved = digest_legs(
-        "families", families, corpus(CORPUS + NON_REGULAR), saved, against)
+        "families", families,
+        corpus(CORPUS + NON_REGULAR) + nonlinear_scenarios(), saved, against)
     ran.update(family_ran)
     moved += family_moved
     differ = reversed_legs(ran)
     moved += sweeps("corpus", corpus(CORPUS), saved, against)
     moved += sweeps("wide", wide_scenarios(), saved, against)
+    moved += sweeps("nonlinear", nonlinear_scenarios(), saved, against)
     if args.save:
         np.savez(args.save, **saved)
     if against is not None:

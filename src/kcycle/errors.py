@@ -53,11 +53,14 @@ class DslError(InputError):
 
 class DomainError(SolverError):
     """Expression evaluation left its domain (division by zero, sqrt of a
-    negative, overflow). `component` and `subexpression` identify where."""
+    negative, overflow). `component` and `subexpression` identify where,
+    and `leg` the index of the leg, in the family of legs a compiled
+    writer evaluates (a field's own writers are its family of one)."""
 
     def __init__(self, message, subexpression=None, component=None):
         self.subexpression = subexpression
         self.component = component
+        self.leg = None
         super().__init__(message)
 
     def __str__(self):

@@ -7,14 +7,20 @@ integer literal exponent, and the functions sin, cos, exp, tanh, sqrt
 derivatives are built symbolically with constant folding and cached per
 field, so Jacobians are exact up to floating-point rounding.
 
-Evaluation runs compiled writers: generated functions write(x, out) that
-assign each value straight into its slot of the caller's row, with the
-float operations of the tree walk `eval_expr`, which they fall back to
-for the DomainError when those operations raise. A Jacobian entry whose
-tree holds no variable is evaluated once, by the walk, and kept as a
-constant for the caller to write once per buffer (`flow` writes it once
-per workspace); an entry whose evaluation raises stays in the per-call
-writer, so its error surfaces at every evaluation.
+Evaluation runs compiled writers, all made by one code generator,
+`_compile`, for a family of legs: k fields of one dimension, each leg
+with its own point. A writer write(x, out, jac) unpacks every leg's
+coordinates into local names, then assigns each value straight into its
+slot of the caller's buffers, with the float operations of the tree walk
+`eval_expr`, which it falls back to for the DomainError when those
+operations raise; the error then names the component and the leg. A
+field's own writers (`value_writer`, `jacobian_parts`) are its family of
+one; `family_writer` makes the family's, which `flow` calls once per
+stage for all k legs. A Jacobian entry whose tree holds no variable is
+evaluated once, by the walk, and kept as a constant for the caller to
+write once per buffer (`flow` writes it once per workspace); an entry
+whose evaluation raises stays in the per-call writer, so its error
+surfaces at every evaluation.
 """
 
 from __future__ import annotations
@@ -352,44 +358,63 @@ def _constant_value(e):
         return None
 
 
-def _compile(rows):
-    """Compile expression rows to one function write(x, out) of a list x
-    of n floats: row i holds component i's (slot, expression) pairs, and
-    write assigns each expression's value to out[slot], in row-major
-    order. The code mirrors the tree structure exactly (fully
-    parenthesized), so it performs the same float operations in the same
-    order as eval_expr; where those raise, the tree walk raises the
-    DomainError. The `try` sits inside the generated function so that an
-    evaluation stays one call. A folded constant may be inf or nan."""
-    body = "".join(f"        out[{slot}] = {_py_src(e)}\n"
-                   for row in rows for slot, e in row)
+def _compile(legs, n, nested):
+    """Compile a family's expression rows to one function
+    write(x, out, jac=None). legs[j] holds leg j's (component, buffer,
+    slot, expression) entries, and write assigns each expression's value
+    at leg j's point to out[slot] (buffer 0) or jac[slot] (buffer 1), in
+    that order. x is the list of the k legs' lists of n floats when
+    `nested`, else the one leg's list of n floats. write first unpacks
+    each leg's coordinates into local names, which the expressions read.
+    The code mirrors the tree structure exactly (fully parenthesized), so
+    it performs the same float operations in the same order as eval_expr;
+    where those raise, the tree walk raises the DomainError of the first
+    entry, in write's order, that leaves its domain, tagged with its
+    component and leg. The `try` sits inside the generated function so
+    that an evaluation stays one call. A folded constant may be inf or
+    nan."""
+    names = [[f"x{j}_{l}" for l in range(n)] for j in range(len(legs))]
+    points = [f"[{', '.join(leg)}]" for leg in names]
+    target = f"[{', '.join(points)}]" if nested else points[0]
+    buffers = ("out", "jac")
+    body = "".join(f"        {buffers[b]}[{slot}] = {_py_src(e, names[j])}\n"
+                   for j, leg in enumerate(legs) for _, b, slot, e in leg)
     scope = {"math": math, "inf": math.inf, "nan": math.nan,
-             "walk": _walk_rows, "rows": rows}
-    exec("def write(x, out):\n"
+             "walk": _walk_legs, "legs": legs}
+    exec("def write(x, out, jac=None):\n"
+         f"    {target} = x\n"
          "    try:\n"
          f"{body}"
          "        return\n"
          "    except (ZeroDivisionError, ValueError, OverflowError):\n"
          "        pass\n"
-         "    walk(rows, x, out)\n", scope)
+         f"    walk(legs, {'x' if nested else '(x,)'}, (out, jac))\n", scope)
     return scope["write"]
 
 
-def _py_src(e):
+def _py_src(e, names):
+    """Python source of the tree e, variable x<l> read as names[l - 1]. A
+    constant with its sign bit set is parenthesized, since ** binds
+    tighter than the sign ((-2.0) ** 2 is 4.0, -2.0 ** 2 is -4.0), and
+    keeps that sign where repr drops it (a NaN's)."""
     if isinstance(e, Const):
-        return repr(e.value)
+        text = repr(e.value)
+        if math.copysign(1.0, e.value) < 0.0:
+            return f"(-{text.lstrip('-')})"
+        return text
     if isinstance(e, Var):
-        return f"x[{e.index - 1}]"
+        return names[e.index - 1]
     if isinstance(e, Unary):
-        inner = _py_src(e.arg)
+        inner = _py_src(e.arg, names)
         if e.op == "neg":
             return f"(-{inner})"
         return f"math.{e.op}({inner})"
     if isinstance(e, Binary):
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-        return f"({_py_src(e.left)} {sym} {_py_src(e.right)})"
+        return (f"({_py_src(e.left, names)} {sym} "
+                f"{_py_src(e.right, names)})")
     if isinstance(e, Power):
-        return f"({_py_src(e.base)} ** {e.exponent})"
+        return f"({_py_src(e.base, names)} ** {e.exponent})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -511,12 +536,13 @@ class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
     Immutable after construction; the symbolic Jacobian and the compiled
-    writers are cached properties, each built on first read. A writer
-    takes a list of n floats and the caller's row and assigns each value
-    to its slot there. A Jacobian entry whose tree contains no variable is
-    evaluated once, by the tree walk, and kept as a constant; an entry
-    whose evaluation raises stays in the per-call writer, so its error
-    surfaces at every evaluation, where it would without the split.
+    writers are cached properties, each built on first read. A field's
+    writers are its family of one: they take a list of n floats and the
+    caller's row and assign each value to its slot there. A Jacobian entry
+    whose tree contains no variable is evaluated once, by the tree walk,
+    and kept as a constant; an entry whose evaluation raises stays in the
+    per-call writer, so its error surfaces at every evaluation, where it
+    would without the split.
     """
 
     def __init__(self, dimension: int, components):
@@ -537,33 +563,42 @@ class VectorField:
         )
 
     @cached_property
+    def jacobian_split(self):
+        """(constant, varying). constant is a read-only flat, row-major
+        n*n array that holds the Jacobian entries that do not vary with x,
+        and 0 in every other slot; varying holds the (component, slot,
+        expression) of each of those other entries, in row-major order."""
+        n = self.dimension
+        constant = np.zeros(n * n)
+        varying = []
+        for i, row in enumerate(self.jacobian_exprs):
+            for l, e in enumerate(row):
+                value = _constant_value(e)
+                if value is None:
+                    varying.append((i, i * n + l, e))
+                else:
+                    constant[i * n + l] = value
+        constant.flags.writeable = False
+        return constant, tuple(varying)
+
+    @cached_property
     def value_writer(self):
         """write(x, out): the n component values of the list of floats x
         into out[0..n-1]. Where a value leaves its domain it raises the
         DomainError that names the component."""
-        return _compile([((i, c),) for i, c in enumerate(self.components)])
+        leg = tuple((i, 0, i, c) for i, c in enumerate(self.components))
+        return _compile((leg,), self.dimension, False)
 
     @cached_property
     def jacobian_parts(self):
-        """(constant, write). constant is a read-only flat, row-major n*n
-        array that holds the Jacobian entries that do not vary with x, and
-        0 in every other slot; write(x, out) writes those other entries
-        into their slots of such a row out and raises like value_writer.
-        write is None when no entry is left to it."""
-        n = self.dimension
-        constant = np.zeros(n * n)
-        rows = []
-        for i, row in enumerate(self.jacobian_exprs):
-            varying = []
-            for l, e in enumerate(row):
-                value = _constant_value(e)
-                if value is None:
-                    varying.append((i * n + l, e))
-                else:
-                    constant[i * n + l] = value
-            rows.append(tuple(varying))
-        constant.flags.writeable = False
-        return constant, _compile(rows) if any(rows) else None
+        """(constant, write): `jacobian_split`'s constant, and write(x, out)
+        that writes the other entries into their slots of such a row out
+        and raises like value_writer. write is None when no entry is left
+        to it."""
+        constant, varying = self.jacobian_split
+        leg = tuple((i, 0, slot, e) for i, slot, e in varying)
+        return constant, (_compile((leg,), self.dimension, False)
+                          if leg else None)
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"
@@ -603,15 +638,37 @@ def jacobian_field(field: VectorField, x) -> np.ndarray:
     return out.reshape(n, n)
 
 
-def _walk_rows(rows, x, out):
+def family_writer(fields, stride, jacobian):
+    """write(x, out, jac) of the family of legs of `fields` (k fields of
+    one dimension n), for x the list of the k legs' lists of n floats:
+    leg j's component i into out[j * stride + i] and, when `jacobian`,
+    each entry (i, l) of its Jacobian that varies with x into
+    jac[(j * n + i) * n + l]; the constant entries are the fields'
+    `jacobian_split`'s, for the caller to write once. A leg's values come
+    before its Jacobian entries, and leg j's before leg j + 1's: a
+    DomainError names the first entry in that order that leaves its
+    domain, with its component and its leg j."""
+    n = fields[0].dimension
+    legs = []
+    for j, field in enumerate(fields):
+        leg = [(i, 0, j * stride + i, c)
+               for i, c in enumerate(field.components)]
+        if jacobian:
+            leg += [(i, 1, j * n * n + slot, e)
+                    for i, slot, e in field.jacobian_split[1]]
+        legs.append(tuple(leg))
+    return _compile(tuple(legs), n, True)
+
+
+def _walk_legs(legs, points, outs):
     """Re-walk the trees after compiled code raised: write the values of
-    `rows` (row i holds component i's (slot, expression) pairs) into out,
-    or raise the DomainError of the offending expression tagged with its
-    component."""
-    for i, row in enumerate(rows):
-        for slot, e in row:
+    `legs` (see `_compile`) at leg j's point points[j] into their slots of
+    `outs`, or raise the DomainError of the offending expression tagged
+    with its component and leg."""
+    for j, (leg, x) in enumerate(zip(legs, points)):
+        for i, b, slot, e in leg:
             try:
-                out[slot] = eval_expr(e, x)
+                outs[b][slot] = eval_expr(e, x)
             except DomainError as err:
-                err.component = i + 1
+                err.component, err.leg = i + 1, j
                 raise

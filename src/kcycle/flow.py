@@ -37,15 +37,17 @@ instead of seven. It keeps the state in row 0 and the seven stages in
 rows 1-7 of one work array, and scales the tableau by the step once per
 attempt, so that each stage input y + sum_j (h a_ij) k_j is one matrix
 product over rows 0..i for the whole family and the error estimate
-sum_j (h e_j) k_j is one more. These products, and a sensitivity stage's
-J P, go through np.dot rather than `@` or np.matmul: a generalized
-ufunc's out= dispatch costs about 1 us more per call at these sizes, and
-a step makes seven such products, plus one J P per leg and stage with
-sensitivities. h multiplies each tableau weight rather than the weighted
-sum, and y joins the sum, so the results differ from the textbook's
-y + h (sum_j a_ij k_j) only in rounding. After its stage calls, a stage
-row is multiplied entry by entry by the legs' time scales, unless every
-tau is 1. Since IEEE negation is exact, a leg with tau = -1 (a one-leg
+sum_j (h e_j) k_j is one more. These products go through np.dot rather
+than `@` or np.matmul: a generalized ufunc's out= dispatch costs about
+1 us more per call at these sizes, and a step makes seven of them. A
+sensitivity stage's k products J_j P_j are one np.matmul over the
+(k, n, n) stacks instead, which costs less than k np.dot calls and
+writes the same bits (np.multiply for n = 1, where np.dot keeps a zero
+product's sign and np.matmul does not). h multiplies each tableau weight
+rather than the weighted sum, and y joins the sum, so the results differ
+from the textbook's y + h (sum_j a_ij k_j) only in rounding. After its
+stage call, a stage row is multiplied entry by entry by the legs' time
+scales, unless every tau is 1. Since IEEE negation is exact, a leg with tau = -1 (a one-leg
 family backward in time) is bitwise the negated field's flow over |t|;
 errors report the failing leg's own time. A stage that leaves a field's
 domain is a trial, not a point of the trajectory, so Dormand-Prince
@@ -55,21 +57,23 @@ integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_legs`, and differ only in the right-hand side and the
 initial state. They take one leg (a field, a point and a time) or a
 family (k fields, a (k, n) array of points and k times). The
-right-hand side runs on each field's compiled writers and is built as a
-binder: binding a leg's stage input and stage row makes their views
-once, and the bound call then hands plain floats to the writers, which
-write the values straight into the stage row and, with sensitivities,
-the Jacobian entries into an (n, n) buffer, from which the J·P matrix
-product goes into the row. The Jacobian's constant entries (those whose
-tree holds no variable, all of them on an affine field) are written into
-that buffer once, when the right-hand side is built, so a stage writes
-only the entries that vary with x; an entry whose evaluation raises is
-among those, so its error surfaces at every stage. Dormand-Prince binds
-its stage calls once per family of fields and kind of leg in a workspace
-(`_Workspace`) that also holds every buffer it writes; a call checks the
-workspace out and puts it back when it ends, so calls reuse it one at a
-time and a call's results do not depend on the calls before it. The
-writers raise the DomainError that names the component themselves.
+right-hand side of the whole family runs on one compiled writer
+(`expr.family_writer`) and is built as a binder: binding the stage
+input and the stage row makes their views once, and the bound call,
+one per stage, hands one list of the k legs' points to the writer,
+which writes every leg's values straight into the stage row and, with
+sensitivities, the Jacobian entries into a (k, n, n) buffer, from which
+one stacked matrix product writes every J_j P_j into the row. The
+Jacobians' constant entries (those whose tree holds no variable, all of
+them on an affine field) are written into that buffer once, when the
+right-hand side is built, so a stage writes only the entries that vary
+with x; an entry whose evaluation raises is among those, so its error
+surfaces at every stage. Dormand-Prince binds its stage calls once per
+family of fields and kind of leg in a workspace (`_Workspace`) that also
+holds every buffer it writes; a call checks the workspace out and puts
+it back when it ends, so calls reuse it one at a time and a call's
+results do not depend on the calls before it. The writer raises the
+DomainError that names the component and the leg itself.
 Overflow and NaN surface as non-finite steps, which the stepper rejects,
 so numpy's floating-point warnings are silenced for the whole
 integration.
@@ -86,7 +90,7 @@ import numpy as np
 from .errors import (DomainError, FlowDomainError, StepLimitError, family,
                      point_array, positive_number, whole_number)
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
-from .expr import VectorField, eval_field, jacobian_field
+from .expr import VectorField, eval_field, family_writer, jacobian_field
 
 
 @dataclass
@@ -162,22 +166,23 @@ def _domain_failure(exc, t):
 
 
 class _Workspace:
-    """The buffers and bound stage calls of `_dopri` on one family of
-    right-hand sides: binders[j](y, out) returns a call that writes leg
-    j's rhs(y) into out, for leg states of m entries whose first n are the
-    point's. Leg j holds entries j*m..(j+1)*m - 1 of every row.
+    """The buffers and bound stage calls of `_dopri` on one family of k
+    legs: bind(y, out) returns a call that writes the family's right-hand
+    side at the stage input y into the stage row out, for leg states of m
+    entries whose first n are the point's; leg j holds entries
+    j*m..(j+1)*m - 1 of every row.
 
     The state is row 0 and stage k_j row j + 1 of one (8, k*m) work
     array; `plan` holds, for stage i = 1..6, its coefficient row, the
-    work rows 0..i that row weighs, its k leg calls bound to the stage
-    input y_new, each with its leg's index, and the stage row, and
-    `start` is stage 0's calls bound to row 0, with row 1. tail is the
-    (k, m - n) view of each leg's sensitivity entries that each attempt's
-    error control reads, and `legs` the state as a (k, m) array.
+    work rows 0..i that row weighs, its call bound to the stage input
+    y_new and to its stage row, and that row; `start` is stage 0's call
+    bound to row 0, with row 1. tail is the (k, m - n) view of each leg's
+    sensitivity entries that each attempt's error control reads, and
+    `legs` the state as a (k, m) array.
     `time_scale` sets the legs' time scales for the next integration:
     tau_j in `taus`, and in `tau` repeated over leg j's entries; `scaled`
-    is False when every tau is 1 and the stage rows are left as the calls
-    wrote them.
+    is False when every tau is 1 and the stage rows are left as the
+    calls wrote them.
     """
 
     __slots__ = ("state", "legs", "first", "stages", "scale_coef",
@@ -185,8 +190,7 @@ class _Workspace:
                  "scale", "tail", "plan", "start", "tau",
                  "taus", "lead", "scaled")
 
-    def __init__(self, binders, m, n):
-        k = len(binders)
+    def __init__(self, bind, k, m, n):
         size = k * m
         work = np.empty((8, size))
         coef, self.scale_coef = _coefficients()
@@ -199,15 +203,10 @@ class _Workspace:
             np.empty(size) for _ in range(5))
         self.tail = self.scale.reshape(k, m)[:, n:]
         self.tau = np.ones((k, m))
-
-        def calls(y, row):
-            ys, rows = y.reshape(k, m), row.reshape(k, m)
-            return tuple((j, bind(ys[j], rows[j]))
-                         for j, bind in enumerate(binders))
         self.plan = [(coef[i - 1, :i + 1], work[:i + 1],
-                      calls(self.y_new, work[i + 1]), work[i + 1])
+                      bind(self.y_new, work[i + 1]), work[i + 1])
                      for i in range(1, 7)]
-        self.start = calls(self.state, self.first), self.first
+        self.start = bind(self.state, self.first), self.first
         self.time_scale([1.0] * k)
 
     def time_scale(self, taus):
@@ -238,15 +237,16 @@ def _dopri(ws, span, cfg):
     trajectory. Stage 0 is rhs(y0), evaluated once before the first step,
     so a DomainError there raises FlowDomainError at once, at time 0; when
     domain rejections shrink the step below its floor, FlowDomainError
-    names the last one at its leg's time tau_j s, s the last accepted
-    time. The stepper's own StepLimitErrors name the longest leg's time. An
-    accepted step hands over its last stage and |y_new| to the next, a
-    rejected one keeps them, so every attempt costs six evaluations of
-    each leg's rhs.
+    names the last one at the time tau_j s of the leg j it names
+    (`DomainError.leg`), s the last accepted time. The stepper's own
+    StepLimitErrors name the longest leg's time. An accepted step hands
+    over its last stage and |y_new| to the next, a rejected one keeps
+    them, so every attempt costs six calls of the family's rhs, one per
+    stage.
 
     Each attempt scales the tableau by the step once (`_coefficients`);
     stage i's input is then the product of coefficient row i - 1 with
-    work rows 0..i, written into y_new, which the stage calls read; each
+    work rows 0..i, written into y_new, which the stage's call reads; each
     stage row, stage 0's included, is then multiplied by the time scales
     unless every tau is 1. After stage 6 y_new holds the new state, which
     an accepted step copies into row 0. The call writes every buffer
@@ -269,11 +269,10 @@ def _dopri(ws, span, cfg):
     err_prev = 1e-4
     h_min = _H_MIN_FACTOR * span
     np.abs(state, out=abs_y)
-    outside = None  # (DomainError, leg) of the last domain rejection
-    calls, row = ws.start
+    outside = None  # the DomainError of the last domain rejection
+    call, row = ws.start
     try:
-        for leg, call in calls:
-            call()
+        call()
     except DomainError as exc:
         raise _domain_failure(exc, 0.0) from exc
     if scaled:
@@ -285,22 +284,21 @@ def _dopri(ws, span, cfg):
                 raise StepLimitError(
                     f"integration exceeded {max_steps} steps at t={now:.6g}")
             if outside is not None:
-                exc, leg = outside
-                raise _domain_failure(exc, taus[leg] * t) from exc
+                raise _domain_failure(outside, taus[outside.leg] * t) \
+                    from outside
             raise StepLimitError(f"step size collapsed at t={now:.6g}")
         h = min(h, span - t)
         steps += 1
         scale_coef(h)
         try:
-            for weights, rows, calls, row in plan:
+            for weights, rows, call, row in plan:
                 # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
                 np.dot(weights, rows, y_new)
-                for leg, call in calls:
-                    call()
+                call()
                 if scaled:
                     np.multiply(row, tau, row)
         except DomainError as exc:
-            outside = exc, leg
+            outside = exc
             h *= 0.2
             continue
         np.abs(y_new, out=abs_new)
@@ -331,47 +329,55 @@ def _dopri(ws, span, cfg):
     return state.copy(), steps
 
 
-def _rhs(field, sensitivity):
-    """The right-hand side of one leg of `field` as a binder: bind(y, out)
-    returns a call that writes V(y) into out, or (V(x), J(x) P) for the
-    augmented state y = (x, P) when `sensitivity`; the leg's time scale is
+def _stacked_product(n):
+    """The ufunc that writes each J_j P_j of (k, n, n) stacks as np.dot
+    writes one: np.matmul, but np.multiply for n = 1, since np.dot of
+    1 x 1 matrices is their product, which keeps the sign of a zero, and
+    np.matmul's 0 + J P does not."""
+    return np.multiply if n == 1 else np.matmul
+
+
+def _rhs(fields, sensitivity):
+    """The right-hand side of the family of legs of `fields` as a binder:
+    bind(y, out) returns a call that writes every leg's V_j(y_j) into the
+    stage row out, or (V_j(x_j), J_j(x_j) P_j) for the augmented states
+    y_j = (x_j, P_j) when `sensitivity`; the legs' time scales are
     applied to out afterwards, by the stepper.
 
     bind makes the views of y and out once, when a workspace is built;
-    each call then runs the field's compiled writers on plain floats,
-    which write straight into the stage row and raise the DomainError
-    that names the component themselves. The Jacobian goes to an (n, n)
-    buffer allocated here, whose constant entries are written once, here,
-    so that a call writes only the entries that vary with x (an entry
-    whose evaluation raises is among them), and none on an affine field;
-    J P is multiplied straight into out.
+    each call then takes one list of the legs' points and runs the
+    family's compiled writer (`expr.family_writer`) on it, which writes
+    straight into the stage row and raises the DomainError that names
+    the component and the leg itself. The Jacobians go to a (k, n, n)
+    buffer allocated here, whose constant entries are written once,
+    here, so that a call writes only the entries that vary with x (an
+    entry whose evaluation raises is among them), and none on an affine
+    family; one stacked product (`_stacked_product`) then writes every
+    J_j P_j into the stage row.
     """
-    n = field.dimension
-    values = field.value_writer
+    k, n = len(fields), fields[0].dimension
+    m = n + n * n if sensitivity else n
+    write = family_writer(fields, m, sensitivity)
     if not sensitivity:
         def bind(y, out):
+            points = y.reshape(k, n)
+
             def call():
-                values(y.tolist(), out)
+                write(points.tolist(), out)
             return call
         return bind
-    constant, entries = field.jacobian_parts
-    jac_flat = constant.copy()
-    jac = jac_flat.reshape(n, n)
+    jac = np.concatenate([f.jacobian_split[0] for f in fields])
+    stack = jac.reshape(k, n, n)
+    product = _stacked_product(n)
 
     def bind(y, out):
-        x, p = y[:n], y[n:].reshape(n, n)
-        v, jp = out[:n], out[n:].reshape(n, n)
-        # np.dot, not matmul's gufunc out= dispatch (~1 us a call)
-        if entries is None:
-            def call():
-                values(x.tolist(), v)
-                np.dot(jac, p, jp)
-        else:
-            def call():
-                xs = x.tolist()
-                values(xs, v)
-                entries(xs, jac_flat)
-                np.dot(jac, p, jp)
+        y = y.reshape(k, m)
+        points, p = y[:, :n], y[:, n:].reshape(k, n, n)
+        jp = out.reshape(k, m)[:, n:].reshape(k, n, n)
+
+        def call():
+            write(points.tolist(), out, jac)
+            product(stack, p, jp)
         return call
     return bind
 
@@ -430,7 +436,7 @@ def _legs(fields, points, times, cfg, sensitivity):
         pool = _WORKSPACES.setdefault(fields[0], {})
         ws = pool.pop(key, None)
         if ws is None:
-            ws = _Workspace([_rhs(f, sensitivity) for f in fields], m, n)
+            ws = _Workspace(_rhs(fields, sensitivity), len(fields), m, n)
         try:
             _initial_state(ws.legs, points, n)
             ws.time_scale([t / span for t in times])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from kcycle import (DimensionError, DomainError, DslError, StepLimitError,
                     eval_field, integrate_flow, jacobian_field, parse_field,
                     unparse_field)
+from kcycle import expr
 from kcycle.expr import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
-                         diff_expr, eval_expr, unparse_expr)
+                         VectorField, diff_expr, eval_expr, unparse_expr)
 
 from oracles import central_fd_jacobian
 
@@ -231,6 +232,125 @@ def test_product_rule_node_by_node(u, v, index):
     rhs = (eval_expr(diff_expr(u, index), x) * eval_expr(v, x)
            + eval_expr(u, x) * eval_expr(diff_expr(v, index), x))
     assert lhs == pytest.approx(rhs, abs=1e-6, rel=1e-6)
+
+
+# every node kind, with the constants folding makes too: negative values,
+# signed zeros, values at the ends of the float range, inf and NaNs of
+# both signs
+_WRITER_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e300, -1e-300, 1e-200,
+                     math.inf, math.nan, -math.nan]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+
+
+def _writer_trees(dimension):
+    leaves = st.one_of(
+        st.integers(min_value=1, max_value=dimension).map(Var),
+        _WRITER_CONSTANTS.map(Const))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["neg", "sin", "cos", "exp", "tanh",
+                                       "sqrt"]),
+                      children).map(lambda t: Unary(*t)),
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]),
+                      children, children).map(lambda t: Binary(*t)),
+            st.tuples(children,
+                      st.integers(min_value=0, max_value=9)).map(
+                          lambda t: Power(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+_WRITER_TREES = {n: _writer_trees(n) for n in (1, 2, 3)}
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(min_value=-50.0, max_value=50.0))
+
+
+@st.composite
+def _families(draw):
+    """(fields, points): k <= 4 fields of one dimension n <= 3 with
+    random trees, and a point per leg."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=3))
+    fields = [VectorField(n, [draw(_WRITER_TREES[n]) for _ in range(n)])
+              for _ in range(k)]
+    points = [[draw(_COORDINATES) for _ in range(n)] for _ in range(k)]
+    return fields, points
+
+
+def _walked(field, x):
+    """(values, Jacobian entries, error): the tree walk of the field's
+    components, then of its Jacobian in row-major order, at x; error is
+    the (text, component) of the first entry that raises, tagged with its
+    component, or None, and the lists stop there."""
+    values, entries = [], []
+    trees = [(values, i, e) for i, e in enumerate(field.components)]
+    trees += [(entries, i, e) for i, row in enumerate(field.jacobian_exprs)
+              for e in row]
+    for out, i, e in trees:
+        try:
+            out.append(eval_expr(e, x))
+        except DomainError as err:
+            err.component = i + 1
+            return values, entries, (str(err), i + 1)
+    return values, entries, None
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _raised(write, *args):
+    """(text, component, leg) of the DomainError write(*args) raises, or
+    None."""
+    try:
+        write(*args)
+    except DomainError as err:
+        return str(err), err.component, err.leg
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_families())
+def test_compiled_writers_are_the_tree_walk_bit_for_bit(family):
+    # a field's own writers (its family of one) and the family writers of
+    # both kinds write the walk's values, signed zeros and all; where the
+    # walk raises they raise its DomainError, with its component and leg
+    fields, points = family
+    k, n = len(fields), fields[0].dimension
+    walks = [_walked(f, x) for f, x in zip(fields, points)]
+    for field, x, (values, entries, error) in zip(fields, points, walks):
+        out = np.empty(n)
+        got = _raised(field.value_writer, x, out)
+        value_error = error if len(values) < n else None
+        assert got == (value_error and (*value_error, 0))
+        if got is None:
+            assert _bits(out) == _bits(values)
+            constant, write = field.jacobian_parts
+            jac = constant.copy()
+            got = write and _raised(write, x, jac)
+            assert got == (error and (*error, 0))
+            if got is None:
+                assert _bits(jac) == _bits(entries)
+    first = next(((*error, j) for j, (_, _, error) in enumerate(walks)
+                  if error), None)
+    for jacobian in (False, True):
+        m = n + n * n if jacobian else n
+        write = expr.family_writer(fields, m, jacobian)
+        out = np.full(k * m, np.pi)
+        jac = np.concatenate([f.jacobian_split[0] for f in fields])
+        got = _raised(write, points, out, jac)
+        values_only = next(((*error, j) for j, (values, _, error)
+                            in enumerate(walks) if len(values) < n), None)
+        assert got == (first if jacobian else values_only)
+        if got is None:
+            rows = out.reshape(k, m)
+            assert _bits(rows[:, :n]) == _bits([w[0] for w in walks])
+            assert rows[:, n:].tobytes() == np.full((k, m - n),
+                                                    np.pi).tobytes()
+            if jacobian:
+                assert _bits(jac) == _bits([w[1] for w in walks])
 
 
 def test_diff_known_forms():

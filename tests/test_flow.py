@@ -34,8 +34,9 @@ EXIT_ALLOWANCE = 2.0 * math.sqrt(flow.DEFAULT_CONFIG.abs_tol
 
 
 def _into(rhs):
-    """An rhs(y) that returns its value, as the stepper's binder: bind(y,
-    out) returns a call that writes rhs(y) into out."""
+    """An rhs(y) that returns its value, as the stepper's family binder
+    for one leg: bind(y, out) returns a call that writes rhs(y) into
+    out."""
     def bind(y, out):
         def write():
             out[:] = rhs(y)
@@ -212,9 +213,9 @@ def test_subnormal_time_advances():
 
 
 def _dopri(bind, y0, span, cfg, n):
-    """flow._dopri over a fresh one-leg workspace of the binder `bind`
-    whose state row holds y0: (y, steps)."""
-    ws = flow._Workspace([bind], y0.size, n)
+    """flow._dopri over a fresh workspace of the family binder `bind` for
+    one leg, whose state row holds y0: (y, steps)."""
+    ws = flow._Workspace(bind, 1, y0.size, n)
     ws.state[:] = y0
     return flow._dopri(ws, span, cfg)
 
@@ -444,8 +445,8 @@ def test_affine_sensitivity_stage_evaluates_no_jacobian_entry(monkeypatch):
     called = []
     compile_rows = expr._compile
 
-    def logging_compile(rows):
-        write, trees = compile_rows(rows), _trees(rows)
+    def logging_compile(legs, n, nested):
+        write, trees = compile_rows(legs, n, nested), _trees(legs)
 
         def logged(*args):
             called.append(trees)
@@ -903,6 +904,58 @@ def test_family_domain_error_names_the_failing_legs_own_time(run):
     with pytest.raises(FlowDomainError) as err:
         run(fields, [[1.0, 0.0], [0.0, -1.0]], [2.0, -1.0])
     assert err.value.time == 0.0 and "at t=0:" in str(err.value)
+
+
+@pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
+@pytest.mark.parametrize("leg", [0, 1, 2])
+def test_domain_error_of_one_leg_of_three_names_its_own_time(run, leg):
+    # one writer evaluates all three legs at each stage; the leg that
+    # leaves sqrt's domain, backward over 1 (at its own t = -0.4), is
+    # each of the three in turn, and the other two, of times 2.0 and
+    # -1.5, run on other time scales: the error names its component and
+    # its time tau_leg * s, with s = 0.8 the family's time when it stops
+    fields = [parse_field("x2; -x1", 2), parse_field("x2; -x1", 2)]
+    x = [[1.0, 0.0], [0.0, 1.0]]
+    t = [2.0, -1.5]
+    fields.insert(leg, _sqrt_field())
+    x.insert(leg, [0.0, 0.04])
+    t.insert(leg, -1.0)
+    with pytest.raises(FlowDomainError) as err:
+        run(fields, x, t)
+    assert abs(err.value.time + 0.4) <= EXIT_ALLOWANCE
+    assert str(err.value).startswith("field evaluation failed at t=-0.4: ")
+    cause = err.value.__cause__
+    assert isinstance(cause, DomainError)
+    assert cause.component == 2 and cause.leg == leg
+    assert str(cause).startswith("component 2: sqrt of negative value ")
+    assert str(cause).endswith(" in 'sqrt(x2)'")
+
+
+def test_stacked_product_is_per_slice_dot_bit_for_bit():
+    # a sensitivity stage writes every J_j P_j with one stacked product
+    # (np.matmul; np.multiply for n = 1) from a strided (k, n, n) view of
+    # the stage input into one of the stage row, where each leg's product
+    # was one np.dot; the stage rows are bit for bit only while the two
+    # agree on this numpy and BLAS, signed zeros included
+    rng = np.random.default_rng(11)
+    scales = [0.0, -0.0, 1.0, -1.0, 1e-5, 1e8]
+    for k, n in itertools.product(range(1, 5), range(1, 7)):
+        m = n + n * n
+        product = flow._stacked_product(n)
+        for _ in range(40):
+            y = rng.standard_normal((k, m)) * rng.choice(scales, (k, m))
+            jac = rng.standard_normal((k, n, n)) * rng.choice(scales,
+                                                              (k, n, n))
+            row = np.full((k, m), np.nan)
+            p = y[:, n:].reshape(k, n, n)
+            jp = row[:, n:].reshape(k, n, n)
+            product(jac, p, jp)
+            assert np.shares_memory(jp, row) and np.shares_memory(p, y)
+            for j in range(k):
+                want = np.empty((n, n))
+                np.dot(jac[j], p[j], want)
+                assert row[j, n:].tobytes() == want.tobytes(), (k, n, j)
+            assert np.isnan(row[:, :n]).all()
 
 
 @pytest.mark.parametrize("run", [integrate_flow, flow_endpoint])
