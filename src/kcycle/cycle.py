@@ -172,11 +172,10 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     terms = np.zeros((k + 1, n))
     if delta == 0.0:
         ends, sens = pts, np.broadcast_to(eye, (k, n, n))
-        terms[1:] = [m * eval_field(f, x)
-                     for f, x, m in zip(fields, pts, weights)]
+        terms[1:] = [m * v for m, v in zip(weights, eval_field(fields, pts))]
         if jacobian:
-            top = np.array([m * jacobian_field(f, x)
-                            for f, x, m in zip(fields, pts, weights)])
+            top = np.array([m * jac for m, jac in
+                            zip(weights, jacobian_field(fields, pts))])
     else:
         times = leg_times(delta, weights)
         if jacobian:
@@ -320,8 +319,7 @@ def _newton_terms(fields, weights, jac, ends, res, delta):
     rhs = np.empty((k * n, 2))
     rhs[:, 0] = -res.reshape(-1)
     try:
-        slopes = [m * eval_field(f, e)
-                  for f, m, e in zip(fields, weights, ends)]
+        slopes = [m * v for m, v in zip(weights, eval_field(fields, ends))]
     except DomainError:
         has_tangent = False
     else:
@@ -426,11 +424,10 @@ def _tangent(fields, weights, start, cfg):
     reports the failure.
     """
     k, n = start.shape
-    x0 = start[0]
-    vel = [m * eval_field(f, x0) for f, m in zip(fields, weights)]
+    vel = [m * v for m, v in zip(weights, eval_field(fields, start))]
     top = np.zeros(n)
-    for f, m, v in zip(fields, weights, vel):  # fixed summation order
-        top += 0.5 * m * (jacobian_field(f, x0) @ v)
+    for m, jac, v in zip(weights, jacobian_field(fields, start), vel):
+        top += 0.5 * m * (jac @ v)  # fixed summation order
     h_delta = np.vstack([top] + vel[:-1])
     jac = _cycle_system(fields, weights, start, 0.0, cfg, jacobian=True)[2]
     try:

@@ -183,13 +183,16 @@ def whole_number(value, label: str, minimum: int) -> int:
     return int(value)
 
 
+_FLOAT = np.dtype(float)  # a dtype compares with a dtype faster than float
+
+
 def point_array(value, shape, label: str, finite=False) -> np.ndarray:
     """value, a point (n,) or the rows of points (k, n), as a float array
     of `shape` (None: any). DimensionError when value is ragged, has more
     than two axes or is of another shape, ArgumentError naming `label`
     when an entry is not a real number by finite_number's rule, or not
     finite when `finite`. A float64 ndarray is returned as it is."""
-    if type(value) is not np.ndarray or value.dtype != float:
+    if type(value) is not np.ndarray or value.dtype != _FLOAT:
         ragged = DimensionError(f"{label} has ragged rows")
         try:
             grid = np.array(value, dtype=object)

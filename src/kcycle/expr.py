@@ -13,19 +13,21 @@ with its own point. A writer write(x, out, jac) unpacks every leg's
 coordinates into local names, then assigns each value straight into its
 slot of the caller's buffers, with the float operations of the tree walk
 `eval_expr`, which it falls back to for the DomainError when those
-operations raise; the error then names the component and the leg. A
-field's own writers (`value_writer`, `jacobian_parts`) are its family of
-one; `family_writer` makes the family's, which `flow` calls once per
-stage for all k legs. A Jacobian entry whose tree holds no variable is
-evaluated once, by the walk, and kept as a constant for the caller to
-write once per buffer (`flow` writes it once per workspace); an entry
-whose evaluation raises stays in the per-call writer, so its error
-surfaces at every evaluation.
+operations raise; the error then names the component and the leg.
+`family_writer` keeps one writer per family and kind (values, Jacobian
+entries, or both for flow's sensitivity stages) with the family's first
+field; `eval_field`, `jacobian_field` and `flow` all call it, and a leg
+is the family of one. A Jacobian entry whose tree holds no variable is
+evaluated once, by the walk, and returned with the writer as a constant
+for the caller to write once per buffer (`flow` writes it once per
+workspace); an entry whose evaluation raises stays in the per-call
+writer, so its error surfaces at every evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +35,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, DslError, point_array,
-                     whole_number)
+from .errors import (DimensionError, DomainError, DslError, family,
+                     point_array, whole_number)
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")
 
@@ -261,6 +263,33 @@ def _height(e):
     return height
 
 
+def _check_tree(e, component, n):
+    """DimensionError naming the component unless every node of the tree e
+    is an expression node and every variable index a whole number in
+    1..n (the parser checks both as it reads the source); walked without
+    recursion, as `_height` walks."""
+    pending = [e]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Binary):
+            pending += (node.left, node.right)
+        elif isinstance(node, Unary):
+            pending.append(node.arg)
+        elif isinstance(node, Power):
+            pending.append(node.base)
+        elif isinstance(node, Var):
+            index = node.index
+            whole = type(index) is int or (isinstance(index, numbers.Integral)
+                                           and not isinstance(index, bool))
+            if not (whole and 1 <= index <= n):
+                raise DimensionError(
+                    f"component {component}: variable index {index!r} is "
+                    f"not a whole number in 1..{n}")
+        elif not isinstance(node, Const):
+            raise DimensionError(
+                f"component {component}: {node!r} is not an expression node")
+
+
 # ---------------------------------------------------------------------------
 # unparsing
 
@@ -358,37 +387,35 @@ def _constant_value(e):
         return None
 
 
-def _compile(legs, n, nested):
+def _compile(legs, n):
     """Compile a family's expression rows to one function
-    write(x, out, jac=None). legs[j] holds leg j's (component, buffer,
-    slot, expression) entries, and write assigns each expression's value
-    at leg j's point to out[slot] (buffer 0) or jac[slot] (buffer 1), in
-    that order. x is the list of the k legs' lists of n floats when
-    `nested`, else the one leg's list of n floats. write first unpacks
-    each leg's coordinates into local names, which the expressions read.
-    The code mirrors the tree structure exactly (fully parenthesized), so
-    it performs the same float operations in the same order as eval_expr;
-    where those raise, the tree walk raises the DomainError of the first
-    entry, in write's order, that leaves its domain, tagged with its
-    component and leg. The `try` sits inside the generated function so
-    that an evaluation stays one call. A folded constant may be inf or
-    nan."""
+    write(x, out, jac=None), for x the list of the k legs' lists of n
+    floats. legs[j] holds leg j's (component, buffer, slot, expression)
+    entries, and write assigns each expression's value at leg j's point
+    to out[slot] (buffer 0) or jac[slot] (buffer 1), in that order. write
+    first unpacks each leg's coordinates into local names, which the
+    expressions read. The code mirrors the tree structure exactly (fully
+    parenthesized), so it performs the same float operations in the same
+    order as eval_expr; where those raise, the tree walk raises the
+    DomainError of the first entry, in write's order, that leaves its
+    domain, tagged with its component and leg. The `try` sits inside the
+    generated function so that an evaluation stays one call. A folded
+    constant may be inf or nan."""
     names = [[f"x{j}_{l}" for l in range(n)] for j in range(len(legs))]
-    points = [f"[{', '.join(leg)}]" for leg in names]
-    target = f"[{', '.join(points)}]" if nested else points[0]
+    target = ", ".join(f"[{', '.join(leg)}]" for leg in names)
     buffers = ("out", "jac")
     body = "".join(f"        {buffers[b]}[{slot}] = {_py_src(e, names[j])}\n"
                    for j, leg in enumerate(legs) for _, b, slot, e in leg)
     scope = {"math": math, "inf": math.inf, "nan": math.nan,
              "walk": _walk_legs, "legs": legs}
     exec("def write(x, out, jac=None):\n"
-         f"    {target} = x\n"
+         f"    [{target}] = x\n"
          "    try:\n"
          f"{body}"
          "        return\n"
          "    except (ZeroDivisionError, ValueError, OverflowError):\n"
          "        pass\n"
-         f"    walk(legs, {'x' if nested else '(x,)'}, (out, jac))\n", scope)
+         "    walk(legs, x, (out, jac))\n", scope)
     return scope["write"]
 
 
@@ -535,14 +562,10 @@ def diff_expr(e: Expr, index: int) -> Expr:
 class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
-    Immutable after construction; the symbolic Jacobian and the compiled
-    writers are cached properties, each built on first read. A field's
-    writers are its family of one: they take a list of n floats and the
-    caller's row and assign each value to its slot there. A Jacobian entry
-    whose tree contains no variable is evaluated once, by the tree walk,
-    and kept as a constant; an entry whose evaluation raises stays in the
-    per-call writer, so its error surfaces at every evaluation, where it
-    would without the split.
+    Immutable after construction; the symbolic Jacobian is a cached
+    property, built on first read, and the compiled writers of the
+    families it leads are kept with it (`family_writer`). DimensionError
+    names a component whose tree `_check_tree` refuses.
     """
 
     def __init__(self, dimension: int, components):
@@ -551,8 +574,12 @@ class VectorField:
         if len(components) != dimension:
             raise DimensionError(
                 f"expected {dimension} components, got {len(components)}")
+        for i, c in enumerate(components):
+            _check_tree(c, i + 1, dimension)
         self.dimension = dimension
         self.components = components
+        # kind, or (kind, *the other fields of a family) -> (constant, write)
+        self._writers = {}
 
     @cached_property
     def jacobian_exprs(self):
@@ -561,44 +588,6 @@ class VectorField:
             tuple(diff_expr(c, l + 1) for l in range(self.dimension))
             for c in self.components
         )
-
-    @cached_property
-    def jacobian_split(self):
-        """(constant, varying). constant is a read-only flat, row-major
-        n*n array that holds the Jacobian entries that do not vary with x,
-        and 0 in every other slot; varying holds the (component, slot,
-        expression) of each of those other entries, in row-major order."""
-        n = self.dimension
-        constant = np.zeros(n * n)
-        varying = []
-        for i, row in enumerate(self.jacobian_exprs):
-            for l, e in enumerate(row):
-                value = _constant_value(e)
-                if value is None:
-                    varying.append((i, i * n + l, e))
-                else:
-                    constant[i * n + l] = value
-        constant.flags.writeable = False
-        return constant, tuple(varying)
-
-    @cached_property
-    def value_writer(self):
-        """write(x, out): the n component values of the list of floats x
-        into out[0..n-1]. Where a value leaves its domain it raises the
-        DomainError that names the component."""
-        leg = tuple((i, 0, i, c) for i, c in enumerate(self.components))
-        return _compile((leg,), self.dimension, False)
-
-    @cached_property
-    def jacobian_parts(self):
-        """(constant, write): `jacobian_split`'s constant, and write(x, out)
-        that writes the other entries into their slots of such a row out
-        and raises like value_writer. write is None when no entry is left
-        to it."""
-        constant, varying = self.jacobian_split
-        leg = tuple((i, 0, slot, e) for i, slot, e in varying)
-        return constant, (_compile((leg,), self.dimension, False)
-                          if leg else None)
 
     def __repr__(self):
         return f"VectorField({self.dimension}, '{unparse_field(self)}')"
@@ -618,46 +607,84 @@ def unparse_field(field: VectorField) -> str:
     return "; ".join(unparse_expr(c) for c in field.components)
 
 
-def eval_field(field: VectorField, x) -> np.ndarray:
-    """Evaluate all components at x, returning a length-n vector."""
-    out = np.empty(field.dimension)
+def as_family(field, x, t=None):
+    """(fields, points, times) of a call on one leg (a field, a point of
+    shape (n,) and a time) or a family of legs (k fields of one dimension
+    n, a (k, n) array of points and k times), checked by `errors.family`:
+    fields is a tuple, and one leg the family of one, its point (1, n)."""
+    if isinstance(field, VectorField):
+        x = point_array(x, (field.dimension,), "x")[None]
+        if t is None:
+            return (field,), x, None
+        field, t = (field,), [t]
+    return tuple(field), *family(field, points=x, times=t)[1:]
+
+
+def eval_field(field, x) -> np.ndarray:
+    """The values of one leg, shape (n,), or of a family of legs, (k, n)
+    with row j field j at point j, taken as `as_family` takes them; a
+    DomainError names the component and the leg j (0 for one leg)."""
+    fields, x, _ = as_family(field, x)
+    out = np.empty(x.size)
     # plain Python floats: numpy scalars would turn div-by-zero and
     # sqrt(negative) into warnings instead of exceptions
-    field.value_writer(point_array(x, out.shape, "x").tolist(), out)
-    return out
+    family_writer(fields, "values")[1](x.tolist(), out)
+    return out if isinstance(field, VectorField) else out.reshape(x.shape)
 
 
-def jacobian_field(field: VectorField, x) -> np.ndarray:
-    """Exact Jacobian matrix at x; entry (i, l) is dV_i/dx_l."""
-    n = field.dimension
-    x = point_array(x, (n,), "x")
-    constant, write = field.jacobian_parts
+def jacobian_field(field, x) -> np.ndarray:
+    """The exact Jacobian, entry (i, l) dV_i/dx_l, of one leg, (n, n), or
+    of each leg of a family, (k, n, n), taken as `eval_field` takes them."""
+    fields, x, _ = as_family(field, x)
+    n = fields[0].dimension
+    constant, write = family_writer(fields, "jacobian")
     out = constant.copy()
     if write is not None:
-        write(x.tolist(), out)
-    return out.reshape(n, n)
+        write(x.tolist(), None, out)
+    return out.reshape(n, n) if isinstance(field, VectorField) else \
+        out.reshape(-1, n, n)
 
 
-def family_writer(fields, stride, jacobian):
-    """write(x, out, jac) of the family of legs of `fields` (k fields of
-    one dimension n), for x the list of the k legs' lists of n floats:
-    leg j's component i into out[j * stride + i] and, when `jacobian`,
-    each entry (i, l) of its Jacobian that varies with x into
-    jac[(j * n + i) * n + l]; the constant entries are the fields'
-    `jacobian_split`'s, for the caller to write once. A leg's values come
-    before its Jacobian entries, and leg j's before leg j + 1's: a
-    DomainError names the first entry in that order that leaves its
-    domain, with its component and its leg j."""
+def family_writer(fields, kind):
+    """(constant, write) of the family of legs of the tuple `fields` (k
+    fields of one dimension n) and `kind`, compiled on first use and kept
+    with fields[0]. For x the list of the k legs' lists of n floats,
+    write(x, out, jac) writes leg j's component i into out[j * n + i]
+    ("values"; out[j * (n + n * n) + i], flow's augmented state, for
+    "sensitivity") and each entry (i, l) of its Jacobian that varies with
+    x into jac[(j * n + i) * n + l] ("jacobian", "sensitivity"). constant
+    (None for "values") is the read-only flat k*n*n array of the other
+    entries, 0 in these slots, for the caller to write once; write is None
+    when no entry is left to it. A leg's values come before its Jacobian
+    entries, and leg j's before leg j + 1's: a DomainError names the
+    first entry in that order that leaves its domain, with its component
+    and its leg j."""
+    key = kind if len(fields) == 1 else (kind, *fields[1:])
+    try:
+        return fields[0]._writers[key]
+    except KeyError:
+        pass
     n = fields[0].dimension
+    stride = n + n * n if kind == "sensitivity" else n
+    constant = None if kind == "values" else np.zeros(len(fields) * n * n)
     legs = []
     for j, field in enumerate(fields):
-        leg = [(i, 0, j * stride + i, c)
-               for i, c in enumerate(field.components)]
-        if jacobian:
-            leg += [(i, 1, j * n * n + slot, e)
-                    for i, slot, e in field.jacobian_split[1]]
+        leg = [] if kind == "jacobian" else [
+            (i, 0, j * stride + i, c) for i, c in enumerate(field.components)]
+        if constant is not None:
+            for i, row in enumerate(field.jacobian_exprs):
+                for l, e in enumerate(row):
+                    slot, value = (j * n + i) * n + l, _constant_value(e)
+                    if value is None:
+                        leg.append((i, 1, slot, e))
+                    else:
+                        constant[slot] = value
         legs.append(tuple(leg))
-    return _compile(tuple(legs), n, True)
+    if constant is not None:
+        constant.flags.writeable = False
+    write = _compile(tuple(legs), n) if any(legs) else None
+    fields[0]._writers[key] = constant, write
+    return constant, write
 
 
 def _walk_legs(legs, points, outs):

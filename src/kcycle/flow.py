@@ -55,25 +55,26 @@ rejects that step; only a step size that collapses there ends the
 family.
 integrate_flow (state and sensitivity) and flow_endpoint (state only)
 share one body, `_legs`, and differ only in the right-hand side and the
-initial state. They take one leg (a field, a point and a time) or a
-family (k fields, a (k, n) array of points and k times). The
-right-hand side of the whole family runs on one compiled writer
-(`expr.family_writer`) and is built as a binder: binding the stage
-input and the stage row makes their views once, and the bound call,
-one per stage, hands one list of the k legs' points to the writer,
-which writes every leg's values straight into the stage row and, with
-sensitivities, the Jacobian entries into a (k, n, n) buffer, from which
-one stacked matrix product writes every J_j P_j into the row. The
-Jacobians' constant entries (those whose tree holds no variable, all of
-them on an affine field) are written into that buffer once, when the
-right-hand side is built, so a stage writes only the entries that vary
-with x; an entry whose evaluation raises is among those, so its error
-surfaces at every stage. Dormand-Prince binds its stage calls once per
-family of fields and kind of leg in a workspace (`_Workspace`) that also
-holds every buffer it writes; a call checks the workspace out and puts
-it back when it ends, so calls reuse it one at a time and a call's
-results do not depend on the calls before it. The writer raises the
-DomainError that names the component and the leg itself.
+initial state. They take one leg or a family of legs by the rule of
+`expr.as_family`, as the evaluators do. The right-hand side of the
+whole family runs on the family's compiled writer of its kind
+(`expr.family_writer`), which the evaluators share, and is built as a
+binder: binding the stage input and the stage row makes their views
+once, and the bound call, one per stage, hands one list of the k legs'
+points to the writer, which writes every leg's values straight into the
+stage row and, with sensitivities, the Jacobian entries into a
+(k, n, n) buffer, from which one stacked matrix product writes every
+J_j P_j into the row. The Jacobians' constant entries (all of them on an
+affine field), which the writer returns, are written into that buffer
+once, when the right-hand side is built, so a stage writes only the
+entries that vary with x; an entry whose evaluation raises is among
+those, so its error surfaces at every stage. Dormand-Prince binds its
+stage calls once per family of fields and kind of leg in a workspace
+(`_Workspace`) that also holds every buffer it writes; a call checks the
+workspace out and puts it back when it ends, so calls reuse it one at a
+time and a call's results do not depend on the calls before it. The
+writer raises the DomainError that names the component and the leg
+itself.
 Overflow and NaN surface as non-finite steps, which the stepper rejects,
 so numpy's floating-point warnings are silenced for the whole
 integration.
@@ -87,10 +88,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (DomainError, FlowDomainError, StepLimitError, family,
-                     point_array, positive_number, whole_number)
+from .errors import (DomainError, FlowDomainError, StepLimitError,
+                     positive_number, whole_number)
 # eval_field and jacobian_field are bound only for bench/tracing.py's hooks
-from .expr import VectorField, eval_field, family_writer, jacobian_field
+from .expr import (VectorField, as_family, eval_field, family_writer,
+                   jacobian_field)
 
 
 @dataclass
@@ -349,15 +351,15 @@ def _rhs(fields, sensitivity):
     family's compiled writer (`expr.family_writer`) on it, which writes
     straight into the stage row and raises the DomainError that names
     the component and the leg itself. The Jacobians go to a (k, n, n)
-    buffer allocated here, whose constant entries are written once,
-    here, so that a call writes only the entries that vary with x (an
-    entry whose evaluation raises is among them), and none on an affine
-    family; one stacked product (`_stacked_product`) then writes every
-    J_j P_j into the stage row.
+    buffer allocated here, a copy of the writer's constant entries, so
+    that a call writes only the entries that vary with x (an entry whose
+    evaluation raises is among them), and none on an affine family; one
+    stacked product (`_stacked_product`) then writes every J_j P_j into
+    the stage row.
     """
     k, n = len(fields), fields[0].dimension
-    m = n + n * n if sensitivity else n
-    write = family_writer(fields, m, sensitivity)
+    constant, write = family_writer(
+        fields, "sensitivity" if sensitivity else "values")
     if not sensitivity:
         def bind(y, out):
             points = y.reshape(k, n)
@@ -366,7 +368,8 @@ def _rhs(fields, sensitivity):
                 write(points.tolist(), out)
             return call
         return bind
-    jac = np.concatenate([f.jacobian_split[0] for f in fields])
+    m = n + n * n
+    jac = constant.copy()
     stack = jac.reshape(k, n, n)
     product = _stacked_product(n)
 
@@ -396,14 +399,6 @@ def _initial_state(y, x, n):
 _WORKSPACES = weakref.WeakKeyDictionary()
 
 
-def _as_family(field, x, t):
-    """(fields, points, times) of a call, checked by `errors.family`: one
-    leg (a field, a point and a time) is the family of one."""
-    if isinstance(field, VectorField):
-        field, x, t = (field,), point_array(x, None, "x")[None], [t]
-    return field, *family(field, points=x, times=t)[1:]
-
-
 def _legs(fields, points, times, cfg, sensitivity):
     """Integrate the family of legs of `fields` from the (k, n) `points`
     over `times`; (y, steps) with y[j] = x_j(t_j), or (x_j(t_j),
@@ -428,7 +423,7 @@ def _legs(fields, points, times, cfg, sensitivity):
         still = _initial_state(np.empty((k, m)), points, n)
         if not moving:
             return still, 0
-        fields = [fields[j] for j in moving]
+        fields = tuple(fields[j] for j in moving)
         points, times = points[moving], [times[j] for j in moving]
     span = max(abs(t) for t in times)
     key = (sensitivity, *fields[1:])
@@ -465,7 +460,7 @@ def integrate_flow(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
     Negative times integrate backward. The endpoint and the sensitivity
     are disjoint views of one new array.
     """
-    fields, x, t = _as_family(field, x, t)
+    fields, x, t = as_family(field, x, t)
     k, n = x.shape
     y, steps = _legs(fields, x, t, cfg, True)
     if isinstance(field, VectorField):
@@ -478,5 +473,5 @@ def flow_endpoint(field, x, t, cfg: IntegratorConfig = DEFAULT_CONFIG
     """State-only fast path: just F(x, t), no sensitivity co-integration,
     for one leg, shape (n,), or a family of legs, shape (k, n), taken as
     `integrate_flow` takes them."""
-    y = _legs(*_as_family(field, x, t), cfg, False)[0]
+    y = _legs(*as_family(field, x, t), cfg, False)[0]
     return y[0] if isinstance(field, VectorField) else y

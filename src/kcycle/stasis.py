@@ -4,7 +4,9 @@ A point x0 is a stasis point for fields V_1..V_k when some probability
 weighting m (each m_j > 0, sum 1) gives sum_j m_j V_j(x0) = 0; it is
 regular when the same weighting of the Jacobians, sum_j m_j dV_j/dx(x0),
 is non-singular. Two entry modes: weights pinned -> damped Newton for x0;
-point pinned -> simplex-constrained least squares for the weights.
+point pinned -> simplex-constrained least squares for the weights. The k
+fields' values or Jacobians at a point are one family call of
+`eval_field` or `jacobian_field`, every leg at that point.
 """
 
 from __future__ import annotations
@@ -78,20 +80,26 @@ class StasisPoint:
     regularity: RegularityReport
 
 
+def _legs_at(fields, x):
+    """The (k, n) points of the legs of `fields`, each the point x."""
+    return np.broadcast_to(point_array(x, (fields[0].dimension,), "x"),
+                           (len(fields), fields[0].dimension))
+
+
 def stasis_residual(fields, weights: Weights, x) -> np.ndarray:
-    """sum_j m_j V_j(x)."""
+    """sum_j m_j V_j(x), from one family evaluation of the k fields."""
     out = np.zeros(family(fields, weights)[0])
-    for m, f in zip(weights, fields):
-        out += m * eval_field(f, x)
+    for m, v in zip(weights, eval_field(fields, _legs_at(fields, x))):
+        out += m * v
     return out
 
 
 def weighted_jacobian(fields, weights: Weights, x) -> np.ndarray:
-    """sum_j m_j dV_j/dx(x), from the symbolic per-field Jacobians."""
+    """sum_j m_j dV_j/dx(x), from one family evaluation of the k fields."""
     n = family(fields, weights)[0]
     out = np.zeros((n, n))
-    for m, f in zip(weights, fields):
-        out += m * jacobian_field(f, x)
+    for m, jac in zip(weights, jacobian_field(fields, _legs_at(fields, x))):
+        out += m * jac
     return out
 
 
@@ -172,11 +180,7 @@ def find_weights(fields, x, tol: float) -> Weights:
     x = point_array(x, (family(fields)[0],), "x", finite=True)
     if len(fields) < 2:
         raise DimensionError("weight solving needs at least two fields")
-    cols = np.column_stack([eval_field(f, x) for f in fields])
-    if not np.isfinite(cols).all():
-        raise InfeasibleWeightsError(
-            "a field value at the point is not finite; not a stasis point",
-            residual=np.inf)
+    cols = _columns(fields, x)
     big = float(np.max(np.abs(cols)))
     shift = math.frexp(big)[1] if big > 2.0 ** 500 else 0
     cols = np.ldexp(cols, -shift)  # exact: a power of two
@@ -193,6 +197,18 @@ def find_weights(fields, x, tol: float) -> Weights:
             f"floor {WEIGHT_FLOOR}; strictly positive weights required",
             pinned=labels)
     return Weights(tuple(m))
+
+
+def _columns(fields, x):
+    """The k field values at the point x as the columns of an (n, k)
+    array, one family evaluation; InfeasibleWeightsError when one is not
+    finite."""
+    cols = eval_field(fields, _legs_at(fields, x)).T.copy()
+    if not np.isfinite(cols).all():
+        raise InfeasibleWeightsError(
+            "a field value at the point is not finite; not a stasis point",
+            residual=np.inf)
+    return cols
 
 
 def _simplex_least_squares(cols: np.ndarray):
@@ -247,12 +263,13 @@ def _simplex_least_squares(cols: np.ndarray):
 def weight_hull_dimension(fields, x) -> int:
     """Dimension of the affine hull of the optimal weightings at finite x.
 
-    Nullity of the field values stacked with the sum-to-one row; 0 means
-    the weighting is unique.
+    Nullity of the field values stacked with the sum-to-one row, at most
+    k - 1; 0 means the weighting is unique. Raises InfeasibleWeightsError
+    when a field value at x is not finite, as find_weights does.
     """
     x = point_array(x, (family(fields)[0],), "x", finite=True)
     k = len(fields)
-    cols = np.column_stack([eval_field(f, x) for f in fields])
+    cols = _columns(fields, x)
     stacked = np.vstack([cols, np.ones((1, k))])
     sv = linalg.singular_values(stacked)
     cutoff = max(stacked.shape) * np.finfo(float).eps * (sv[0] if sv[0] > 0

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcycle import (DimensionError, DomainError, DslError, StepLimitError,
-                    eval_field, integrate_flow, jacobian_field, parse_field,
-                    unparse_field)
+                    check_regularity, eval_field, find_stasis,
+                    integrate_flow, jacobian_field, load_scenario,
+                    parse_field, sweep_delta, unparse_field)
 from kcycle import expr
 from kcycle.expr import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
                          VectorField, diff_expr, eval_expr, unparse_expr)
 
+from conftest import scenario_path
 from oracles import central_fd_jacobian
 
 
@@ -98,9 +100,9 @@ def test_nesting_past_limit_is_dsl_error(kind, depth):
 def test_eval_division_by_zero_identifies_component():
     # the compiled writer raises the public function's DomainError
     f = parse_field("x1; 1/x1", 2)
-    write = f.value_writer
+    write = expr.family_writer((f,), "values")[1]
     for evaluate in (partial(eval_field, f),
-                     lambda x: write(x, np.empty(2))):
+                     lambda x: write([x], np.empty(2))):
         with pytest.raises(DomainError) as err:
             evaluate([0.0, 1.0])
         assert err.value.component == 2
@@ -109,9 +111,9 @@ def test_eval_division_by_zero_identifies_component():
 
 def test_jacobian_domain_error_identifies_component():
     f = parse_field("x2; sqrt(x1)", 2)
-    write = f.jacobian_parts[1]
+    write = expr.family_writer((f,), "jacobian")[1]
     for evaluate in (partial(jacobian_field, f),
-                     lambda x: write(x, np.empty(4))):
+                     lambda x: write([x], None, np.empty(4))):
         with pytest.raises(DomainError) as err:
             evaluate([0.0, 1.0])
         assert err.value.component == 2
@@ -279,78 +281,144 @@ def _families(draw):
     return fields, points
 
 
-def _walked(field, x):
-    """(values, Jacobian entries, error): the tree walk of the field's
-    components, then of its Jacobian in row-major order, at x; error is
-    the (text, component) of the first entry that raises, tagged with its
-    component, or None, and the lists stop there."""
-    values, entries = [], []
-    trees = [(values, i, e) for i, e in enumerate(field.components)]
-    trees += [(entries, i, e) for i, row in enumerate(field.jacobian_exprs)
-              for e in row]
-    for out, i, e in trees:
+def _walk(rows, x):
+    """The bytes of the tree walk of the (component index, tree) rows at
+    x, or the (text, component) of the DomainError of the first row that
+    raises, tagged with its component."""
+    values = []
+    for i, e in rows:
         try:
-            out.append(eval_expr(e, x))
+            values.append(eval_expr(e, x))
         except DomainError as err:
             err.component = i + 1
-            return values, entries, (str(err), i + 1)
-    return values, entries, None
+            return str(err), i + 1
+    return _bits(values)
 
 
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _raised(write, *args):
-    """(text, component, leg) of the DomainError write(*args) raises, or
-    None."""
+def _outcome(call, *args):
+    """The bytes of call(*args), or the (text, component, leg) of the
+    DomainError it raises."""
     try:
-        write(*args)
+        return call(*args).tobytes()
     except DomainError as err:
         return str(err), err.component, err.leg
-    return None
+
+
+def _first_raise(walks):
+    """The (text, component, leg j) of the first of the walks (walk, leg
+    j) that raised, or None."""
+    return next(((*w, j) for w, j in walks if not isinstance(w, bytes)),
+                None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_families())
 def test_compiled_writers_are_the_tree_walk_bit_for_bit(family):
-    # a field's own writers (its family of one) and the family writers of
-    # both kinds write the walk's values, signed zeros and all; where the
-    # walk raises they raise its DomainError, with its component and leg
+    # one-leg and family calls of eval_field and jacobian_field, and the
+    # family writer of flow's sensitivity stages, write the walk's values,
+    # signed zeros and NaNs included, and a family call is its k one-leg
+    # calls; where the walk raises they raise its DomainError, with its
+    # component and its leg (0 for one leg, j for leg j of a family)
     fields, points = family
     k, n = len(fields), fields[0].dimension
-    walks = [_walked(f, x) for f, x in zip(fields, points)]
-    for field, x, (values, entries, error) in zip(fields, points, walks):
-        out = np.empty(n)
-        got = _raised(field.value_writer, x, out)
-        value_error = error if len(values) < n else None
-        assert got == (value_error and (*value_error, 0))
-        if got is None:
-            assert _bits(out) == _bits(values)
-            constant, write = field.jacobian_parts
-            jac = constant.copy()
-            got = write and _raised(write, x, jac)
-            assert got == (error and (*error, 0))
-            if got is None:
-                assert _bits(jac) == _bits(entries)
-    first = next(((*error, j) for j, (_, _, error) in enumerate(walks)
-                  if error), None)
-    for jacobian in (False, True):
-        m = n + n * n if jacobian else n
-        write = expr.family_writer(fields, m, jacobian)
-        out = np.full(k * m, np.pi)
-        jac = np.concatenate([f.jacobian_split[0] for f in fields])
-        got = _raised(write, points, out, jac)
-        values_only = next(((*error, j) for j, (values, _, error)
-                            in enumerate(walks) if len(values) < n), None)
-        assert got == (first if jacobian else values_only)
-        if got is None:
-            rows = out.reshape(k, m)
-            assert _bits(rows[:, :n]) == _bits([w[0] for w in walks])
-            assert rows[:, n:].tobytes() == np.full((k, m - n),
-                                                    np.pi).tobytes()
-            if jacobian:
-                assert _bits(jac) == _bits([w[1] for w in walks])
+    values = [_walk(enumerate(f.components), x)
+              for f, x in zip(fields, points)]
+    jacobians = [_walk([(i, e) for i, row in enumerate(f.jacobian_exprs)
+                        for e in row], x) for f, x in zip(fields, points)]
+    for call, walks in ((eval_field, values), (jacobian_field, jacobians)):
+        legs = [_outcome(call, f, x) for f, x in zip(fields, points)]
+        assert legs == [w if isinstance(w, bytes) else (*w, 0)
+                        for w in walks]
+        assert _outcome(call, fields, points) == (
+            _first_raise(zip(walks, range(k))) or b"".join(legs))
+    constant, write = expr.family_writer(tuple(fields), "sensitivity")
+    m = n + n * n
+    out, jac = np.full(k * m, np.pi), constant.copy()
+    try:
+        write(points, out, jac)
+        got = None
+    except DomainError as err:
+        got = str(err), err.component, err.leg
+    # a leg's values come before its Jacobian entries
+    assert got == _first_raise((w, j) for j, pair in
+                               enumerate(zip(values, jacobians))
+                               for w in pair)
+    if got is None:
+        rows = out.reshape(k, m)
+        assert rows[:, :n].tobytes() == b"".join(values)
+        assert rows[:, n:].tobytes() == np.full((k, m - n),
+                                                np.pi).tobytes()
+        assert jac.tobytes() == b"".join(jacobians)
+
+
+def _chain(depth, leaf):
+    for _ in range(depth):
+        leaf = Unary("neg", leaf)
+    return leaf
+
+
+@pytest.mark.parametrize("dimension, components, text", [
+    # x0 was evaluated as x2 (the last coordinate), while its Jacobian
+    # read 0, and x2 of a 1-D field ended in an IndexError
+    (2, [Var(0), Const(1.0)], "component 1: variable index 0 is not a "
+                              "whole number in 1..2"),
+    (1, [Var(2)], "component 1: variable index 2 is not a whole number in "
+                  "1..1"),
+    (2, [Var(1), Binary("mul", Var(2), Unary("sin", Var(3)))],
+     "component 2: variable index 3 is not a whole number in 1..2"),
+    (1, [Var(1.0)], "component 1: variable index 1.0 is not a whole number "
+                    "in 1..1"),
+    (1, [Var(True)], "component 1: variable index True is not a whole "
+                     "number in 1..1"),
+    (1, [Binary("add", Var(1), 2.0)], "component 1: 2.0 is not an "
+                                      "expression node"),
+    (2, [Var(1), "x1"], "component 2: 'x1' is not an expression node"),
+    # checked without recursion, however deep the tree
+    (1, [_chain(5000, Var(2))], "component 1: variable index 2 is not a "
+                                "whole number in 1..1"),
+], ids=["x0", "x2-of-1", "deep-x3", "float-index", "bool-index",
+        "float-child", "string-component", "chain-5000"])
+def test_a_field_refuses_a_tree_it_cannot_evaluate(dimension, components,
+                                                   text):
+    with pytest.raises(DimensionError) as err:
+        VectorField(dimension, components)
+    assert str(err.value) == text
+
+
+def test_a_numpy_integer_is_a_variable_index():
+    f = VectorField(2, [Var(np.int64(2)), Const(1.0)])
+    assert eval_field(f, [3.0, 7.0]).tolist() == [7.0, 1.0]
+    assert jacobian_field(f, [3.0, 7.0]).tolist() == [[0.0, 1.0],
+                                                      [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("name, writers", [
+    ("pair_1d", 2), ("triad_2d", 2), ("linear_2d_a", 2), ("linear_3d_b", 2),
+    ("trig_3d", 3)])
+def test_a_stasis_and_sweep_run_compiles_one_writer_per_kind(
+        name, writers, monkeypatch):
+    # the family's writers of values (stasis residuals and endpoint
+    # stages), Jacobian entries (none vary on an affine family) and both
+    # (sensitivity stages), each compiled once for the whole run
+    compiled = []
+    compile_rows = expr._compile
+
+    def counting_compile(legs, n):
+        compiled.append(len(legs))
+        return compile_rows(legs, n)
+
+    monkeypatch.setattr(expr, "_compile", counting_compile)
+    scn = load_scenario(scenario_path(name))
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    check_regularity(scn.fields, sp.weights, sp.x0)
+    sweep_delta(scn.fields, sp.weights, sp.x0, scn.sweep.delta_max,
+                scn.sweep.steps, scn.cycle_tol, scn.integrator)
+    assert compiled == [scn.k] * writers
 
 
 def test_diff_known_forms():

@@ -445,8 +445,8 @@ def test_affine_sensitivity_stage_evaluates_no_jacobian_entry(monkeypatch):
     called = []
     compile_rows = expr._compile
 
-    def logging_compile(legs, n, nested):
-        write, trees = compile_rows(legs, n, nested), _trees(legs)
+    def logging_compile(legs, n):
+        write, trees = compile_rows(legs, n), _trees(legs)
 
         def logged(*args):
             called.append(trees)
@@ -770,6 +770,13 @@ def test_a_dropped_field_frees_its_workspaces():
     integrate_flow(f, [0.1, -0.2, 0.3], 0.3)
     flow_endpoint(f, [0.1, -0.2, 0.3], -0.3)
     assert set(flow._WORKSPACES[f]) == {(True,), (False,)}
+    # the evaluators' writers, of the leg and of a family it leads, are
+    # kept with the field as well
+    for evaluate in (eval_field, jacobian_field):
+        evaluate(f, [0.1, -0.2, 0.3])
+        evaluate([f, f], [[0.1, -0.2, 0.3]] * 2)
+    assert set(f._writers) == {"values", "jacobian", "sensitivity",
+                               ("values", f), ("jacobian", f)}
     ref = weakref.ref(f)
     del f
     gc.collect()

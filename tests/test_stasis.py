@@ -158,8 +158,9 @@ def test_find_stasis_evaluates_the_jacobian_only_when_asked(name, corpus,
                                                            monkeypatch):
     # line-search trials evaluate the fields alone; the weighted Jacobian
     # is evaluated only where the driver asks for it, and once more by the
-    # regularity check at x0; the iterates are those of a driver that
-    # evaluates every point itself
+    # regularity check at x0, each evaluation one family call on the k
+    # fields; the iterates are those of a driver that evaluates every
+    # point itself
     if name == "flat_tail":
         fields = [parse_field("tanh(x1 - 1)", 1)] * 2
         weights, guess, tol = Weights((0.5, 0.5)), [3.0], 1e-12
@@ -189,8 +190,10 @@ def test_find_stasis_evaluates_the_jacobian_only_when_asked(name, corpus,
                         counting_newton)
     sp = find_stasis(fields, weights, guess, tol)
     assert asked.count(False) >= 2
-    assert len(evals) == len(fields) * len(asked)
-    assert len(jacs) == len(fields) * (asked.count(True) + 1)
+    assert len(evals) == len(asked)
+    assert len(jacs) == asked.count(True) + 1
+    assert {np.shape(x) for x in evals + jacs} == {
+        (len(fields), fields[0].dimension)}
 
     def fresh(x, jacobian):
         r = stasis_residual(fields, weights, x)
@@ -537,6 +540,18 @@ def test_regularity_weight_continuity(regular_corpus):
         rep = check_regularity(scn.fields, Weights(tuple(bumped)), x)
         assert abs(rep.smallest_singular_value
                    - base.smallest_singular_value) <= 1e-8
+
+
+@pytest.mark.parametrize("extra", [[], ["x1 - 2"]], ids=["k2", "k3"])
+def test_a_non_finite_field_value_has_no_weight_hull(extra):
+    # the hull has dimension at most k - 1; an overflowing value read as
+    # rank 0 gave k, where find_weights refuses the point
+    fields = [parse_field(src, 1) for src in ["x1*1e308*10", "-1"] + extra]
+    for call in (lambda: weight_hull_dimension(fields, [1.0]),
+                 lambda: find_weights(fields, [1.0], 1e-8)):
+        with pytest.raises(InfeasibleWeightsError,
+                           match="a field value at the point is not finite"):
+            call()
 
 
 def test_weight_hull_dimension_redundant_family():
