@@ -11,13 +11,14 @@ flow_endpoint on all the fields of each corpus scenario at once, every
 leg from the scenario's stasis point, over the leg times delta*m_j for
 delta = 0.2 and 2.0, as a cycle solve's first evaluation makes them,
 and the same on two nonlinear families: 18 family calls. A nonlinear
-family (n = 3, k = 3 and n = 6, k = 4) is random_linear_scenario at a
-fixed seed with a product term and a sin(u) - u term added to each
-component, both centred on the affine family's stasis point x0, where
-they vanish to second order; so x0, the weights and the weighted
-Jacobian stay the affine family's, and the family's stage calls
-evaluate Jacobian entries that vary with x, which the affine families'
-do not. One line per scenario gives a sha256 over the
+family (n = 3, k = 3 and n = 6, k = 4) is random_nonlinear_scenario at
+a fixed seed: the affine family random_linear_scenario draws, with a
+product term and a sin(u) - u term added to each component, both
+centred on the affine family's stasis point x0, where they vanish to
+second order; so x0, the weights and the weighted Jacobian stay the
+affine family's, and the family's stage calls evaluate Jacobian entries
+that vary with x, which the affine families' do not. One line per
+scenario gives a sha256 over the
 endpoints, sensitivities and step counts (or the error a call raised)
 and its step count; the last line of each kind covers every call of
 that kind. The legs and families then run again on the same fields in
@@ -69,8 +70,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kcycle import (KcycleError, find_stasis, flow_endpoint,  # noqa: E402
                     integrate_flow, load_scenario, loglog_slope,
-                    random_linear_scenario, scenario_from_dict, sweep_delta,
-                    verify_cycle)
+                    random_linear_scenario, random_nonlinear_scenario,
+                    scenario_from_dict, sweep_delta, verify_cycle)
 from kcycle.scenario import METHOD  # noqa: E402
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -102,27 +103,9 @@ def wide_scenarios():
 
 
 def nonlinear_scenarios():
-    """The nonlinear families: each component i of field j gains
-    0.5*(x_a - x0_a)*(x_b - x0_b) + (sin(x_b - x0_b) - (x_b - x0_b)), with
-    a = (i + j) mod n and b = (i + j + 1) mod n, x0 the stasis point of
-    the affine family random_linear_scenario(default_rng(seed), n, k)."""
-    scenarios = []
-    for n, k, seed in NONLINEAR:
-        data = random_linear_scenario(np.random.default_rng(seed), n, k,
-                                      f"nonlinear-{n}x{k}")
-        affine = scenario_from_dict(data)
-        x0 = find_stasis(affine.fields, affine.weights, affine.guess_point(),
-                         affine.stasis_tol).x0
-        u = [f"(x{l + 1} - ({float(c)!r}))" for l, c in enumerate(x0)]
-        fields = []
-        for j, source in enumerate(data["fields"]):
-            comps = source.split("; ")
-            for i in range(n):
-                a, b = u[(i + j) % n], u[(i + j + 1) % n]
-                comps[i] += f" + 0.5*{a}*{b} + (sin({b}) - {b})"
-            fields.append("; ".join(comps))
-        scenarios.append(scenario_from_dict({**data, "fields": fields}))
-    return scenarios
+    return [scenario_from_dict(random_nonlinear_scenario(
+        np.random.default_rng(seed), n, k, f"nonlinear-{n}x{k}"))
+        for n, k, seed in NONLINEAR]
 
 
 def legs(scn):

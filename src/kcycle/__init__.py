@@ -26,8 +26,8 @@ from .cycle import (CycleCheck, CyclePoints, KCycle, SweepRecord,
                     cycle_residual, loglog_slope, solve_cycle, sweep_delta,
                     verify_cycle)
 from .scenario import (Scenario, SweepSpec, load_scenario,
-                       random_linear_scenario, scenario_from_dict,
-                       scenario_to_dict)
+                       random_linear_scenario, random_nonlinear_scenario,
+                       scenario_from_dict, scenario_to_dict)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,8 @@ __all__ = [
     "average_velocity", "check_regularity", "cycle_jacobian", "cycle_residual",
     "eval_field", "find_stasis", "find_weights", "flow_endpoint",
     "integrate_flow", "jacobian_field", "load_scenario", "loglog_slope",
-    "parse_field", "random_linear_scenario", "scenario_from_dict",
-    "scenario_to_dict", "solve_cycle", "stasis_residual", "sweep_delta",
-    "unparse_field", "verify_cycle", "weight_hull_dimension",
-    "weighted_jacobian",
+    "parse_field", "random_linear_scenario", "random_nonlinear_scenario",
+    "scenario_from_dict", "scenario_to_dict", "solve_cycle",
+    "stasis_residual", "sweep_delta", "unparse_field", "verify_cycle",
+    "weight_hull_dimension", "weighted_jacobian",
 ]

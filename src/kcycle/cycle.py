@@ -13,9 +13,19 @@ velocity around the loop, with limit sum_j m_j V_j(x_j) at delta = 0.
 integrates the k legs as one family, one call of `integrate_flow` or
 `flow_endpoint` on all the fields at once (multiple shooting on one step
 sequence, see `flow`), and fills the residual and the Jacobian's blocks
-from the family's (k, n) endpoints and (k, n, n) sensitivities with array
-operations. At delta = 0 the sensitivities are I and the top blocks
-m_j dV_j/dx(x_j), so |det| is |det(sum_j m_j dV_j/dx)|.
+from the family's (k, n) endpoints and (k, n, n) sensitivities with
+whole-array operations: the Jacobian is a copy of a template holding its
+-I blocks, into which the top and chain blocks are written through two
+index sets, both made once per (k, n) (`_layout`). At delta = 0 the
+sensitivities are I and the top blocks m_j dV_j/dx(x_j), so |det| is
+|det(sum_j m_j dV_j/dx)|.
+The sums over the legs, the residual's first row and the top row of the
+Newton terms' H_delta, start from 0 and add the legs in order, whatever
+k and n: `np.add.accumulate` over a stack led by a zero row, and
+Python's `sum` over the rows. A reduction along the leg axis
+(`np.add.reduce`, `.sum(axis=0)`) would not do: numpy adds pairwise
+once a reduction is long enough, and then rounds differently, as it
+does for n = 1 and k >= 8.
 The final leg's closure is implied by G (the displacements telescope) but
 is re-verified before a cycle is accepted, because floating point breaks
 exact telescoping.
@@ -45,6 +55,7 @@ The distances of the records to x0 are one array norm over the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -163,41 +174,72 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     average velocity and row j the mismatch F_j(x_j, delta*m_j) - x_{j+1};
     and the (nk, nk) Jacobian of `cycle_jacobian`, None unless asked for.
     For delta > 0 the k legs are one family call of `integrate_flow` or
-    `flow_endpoint`, and every block is filled from its (k, n) and
-    (k, n, n) arrays at once.
+    `flow_endpoint`; at delta = 0 one call of `eval_field` and, for the
+    Jacobian, one of `jacobian_field`.
+
+    Every row and block is written from those calls' (k, n) and (k, n, n)
+    arrays at once. Row 0 is 0 + sum_j (F_j - x_j) in leg order, the last
+    row of `np.add.accumulate` over the stack of 0 and the k terms, which
+    is sequential whatever the shape; never a reduction, which may sum
+    pairwise (see the module docstring). The Jacobian is a copy of the
+    template of `_layout`, which holds its -I blocks, with the top blocks
+    and the chain blocks written through its two index sets.
     """
     k, n = pts.shape
-    eye = np.eye(n)
+    template, eye, top_slots, chain_slots = _layout(k, n)
     # 0, then the velocity terms: accumulated in this fixed order
     terms = np.zeros((k + 1, n))
     if delta == 0.0:
-        ends, sens = pts, np.broadcast_to(eye, (k, n, n))
-        terms[1:] = [m * v for m, v in zip(weights, eval_field(fields, pts))]
+        ends, below = pts, eye  # the chain blocks P_j = I
+        m = np.array(tuple(weights), dtype=float)[:, None]
+        np.multiply(m, eval_field(fields, pts), out=terms[1:])
         if jacobian:
-            top = np.array([m * jac for m, jac in
-                            zip(weights, jacobian_field(fields, pts))])
+            top = m[:, :, None] * jacobian_field(fields, pts)
     else:
         times = leg_times(delta, weights)
         if jacobian:
             legs = integrate_flow(fields, pts, times, cfg)
-            ends, sens = legs.endpoint, legs.sensitivity
-            top = (sens - eye) / delta
+            ends, below = legs.endpoint, legs.sensitivity
+            top = below - eye
+            top /= delta
+            below = below[:-1]  # the chain blocks P_1..P_{k-1}
         else:
             ends = flow_endpoint(fields, pts, times, cfg)
         np.subtract(ends, pts, out=terms[1:])
     res = np.empty((k, n))
     res[0] = np.add.accumulate(terms)[-1]
     res[0] /= delta or 1.0  # the delta = 0 limit is already a velocity
-    res[1:] = ends[:-1] - pts[1:]
+    np.subtract(ends[:-1], pts[1:], out=res[1:])
     if not jacobian:
         return ends, res, None
-    jac = np.zeros((k * n, k * n))
-    jac.flat[n * (k * n + 1)::k * n + 1] = -1.0
-    blocks = jac.reshape(k, n, k, n)
-    blocks[0] = top.transpose(1, 0, 2)
-    chain = np.arange(k - 1)
-    blocks[chain + 1, :, chain] = sens[:-1]
+    jac = template.copy()
+    flat = jac.reshape(-1)
+    flat[top_slots] = top
+    flat[chain_slots] = below
     return ends, res, jac
+
+
+@lru_cache(maxsize=16)
+def _layout(k, n):
+    """(template, eye, top, chain) of the (nk, nk) cycle Jacobian of k legs
+    in n dimensions, all read-only. The template holds the -I blocks on
+    the diagonal below the top block row and 0 elsewhere; eye is the
+    n x n identity. top and chain hold the flat positions of the top
+    blocks, top[j, i, l] that of entry (i, j*n + l), and of the chain
+    blocks, chain[j, i, l] that of entry ((j + 1)*n + i, j*n + l) for
+    j < k - 1, shaped (k, n, n) and (k - 1, n, n) as the blocks written
+    through them are.
+    """
+    size = k * n
+    template = np.zeros((size, size))
+    template.flat[n * (size + 1)::size + 1] = -1.0
+    j, i, l = np.indices((k, n, n))
+    top = i * size + j * n + l
+    chain = (top + (j + 1) * n * size)[:-1]
+    layout = template, np.eye(n), top, chain
+    for a in layout:  # shared by every caller
+        a.flags.writeable = False
+    return layout
 
 
 def _leg_mismatches(ends, res, pts) -> tuple:
@@ -307,33 +349,40 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
 def _newton_terms(fields, weights, jac, ends, res, delta):
     """(correction, tangent) at a point whose cycle system evaluated to the
     leg endpoints `ends` and residual `res`: one LU solve with the
-    Jacobian `jac` on the (nk, 2) buffer [-r, -H_delta], no integration.
+    Jacobian `jac` on [-r, -H_delta], no integration.
 
     H_delta = dR/ddelta has m_j V_j(F_j) as chain row j (the leg ends move
     with their times) and (sum_j m_j V_j(F_j) - r_0)/delta as its top row.
+    The two right-hand sides are the rows of one (2, nk) array, solved as
+    its transpose: the slopes m_j V_j(F_j) are one broadcast product on
+    one `eval_field` call at the k endpoints, and the top row's sum is
+    `sum(slopes)`, 0 + the slopes in leg order, never a reduction that
+    may sum pairwise (see `_cycle_system`).
     Each term is None where it comes out non-finite; the tangent also where a
     field raises DomainError at an endpoint or H_delta overflows, and both
     where jac is singular.
     """
     k, n = ends.shape
-    rhs = np.empty((k * n, 2))
-    rhs[:, 0] = -res.reshape(-1)
+    rhs = np.empty((2, k * n))
+    np.negative(res.reshape(-1), out=rhs[0])
     try:
-        slopes = [m * v for m, v in zip(weights, eval_field(fields, ends))]
+        slopes = eval_field(fields, ends)
     except DomainError:
         has_tangent = False
     else:
+        slopes *= np.array(tuple(weights), dtype=float)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs[:n, 1] = -((sum(slopes) - res[0]) / delta)
-        rhs[n:, 1] = -np.concatenate(slopes[:-1])
-        has_tangent = np.isfinite(rhs[:, 1]).all()
+            rhs[1, :n] = -((sum(slopes) - res[0]) / delta)
+        np.negative(slopes[:-1].reshape(-1), out=rhs[1, n:])
+        has_tangent = np.isfinite(rhs[1]).all()
     try:
-        sol = np.linalg.solve(jac, rhs if has_tangent else rhs[:, :1])
+        sol = np.linalg.solve(jac, (rhs if has_tangent else rhs[:1]).T)
     except np.linalg.LinAlgError:
         return None, None
-    terms = [col.reshape(k, n) if finite else None
-             for col, finite in zip(sol.T, np.isfinite(sol).all(axis=0))]
-    return terms[0], terms[1] if has_tangent else None
+    finite = np.isfinite(sol).all(axis=0)
+    correction = sol[:, 0].reshape(k, n) if finite[0] else None
+    tangent = sol[:, 1].reshape(k, n) if has_tangent and finite[1] else None
+    return correction, tangent
 
 
 @dataclass(eq=False, slots=True)

@@ -563,8 +563,9 @@ class VectorField:
     """An R^n -> R^n map given by n expression trees.
 
     Immutable after construction; the symbolic Jacobian is a cached
-    property, built on first read, and the compiled writers of the
-    families it leads are kept with it (`family_writer`). DimensionError
+    property, built on first read, and the compiled writers and flow
+    workspaces of the families it leads are kept with it (`family_writer`,
+    `flow._legs`). DimensionError
     names a component whose tree `_check_tree` refuses.
     """
 
@@ -580,6 +581,9 @@ class VectorField:
         self.components = components
         # kind, or (kind, *the other fields of a family) -> (constant, write)
         self._writers = {}
+        # (sensitivity, *the other fields of a family) -> the idle
+        # `flow._Workspace` of its legs
+        self._workspaces = {}
 
     @cached_property
     def jacobian_exprs(self):

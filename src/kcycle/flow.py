@@ -73,6 +73,10 @@ stage calls once per family of fields and kind of leg in a workspace
 (`_Workspace`) that also holds every buffer it writes; a call checks the
 workspace out and puts it back when it ends, so calls reuse it one at a
 time and a call's results do not depend on the calls before it. The
+workspaces are kept with the family's first field, as its writers are,
+so they live as long as that field does. A workspace keeps the time
+scales of its last call and sets them again only when a call's differ:
+every ladder point of a sweep has tau_j = m_j / max m. The
 writer raises the DomainError that names the component and the leg
 itself.
 Overflow and NaN surface as non-finite steps, which the stepper rejects,
@@ -82,7 +86,6 @@ integration.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -184,7 +187,8 @@ class _Workspace:
     `time_scale` sets the legs' time scales for the next integration:
     tau_j in `taus`, and in `tau` repeated over leg j's entries; `scaled`
     is False when every tau is 1 and the stage rows are left as the
-    calls wrote them.
+    calls wrote them. Time scales equal to the last call's are kept as
+    they are.
     """
 
     __slots__ = ("state", "legs", "first", "stages", "scale_coef",
@@ -209,9 +213,12 @@ class _Workspace:
                       bind(self.y_new, work[i + 1]), work[i + 1])
                      for i in range(1, 7)]
         self.start = bind(self.state, self.first), self.first
+        self.taus = None
         self.time_scale([1.0] * k)
 
     def time_scale(self, taus):
+        if taus == self.taus:
+            return
         self.taus = taus
         # the longest leg's, whose time the stepper's own errors report
         self.lead = next(tau for tau in taus if abs(tau) == 1.0)
@@ -395,10 +402,6 @@ def _initial_state(y, x, n):
     return y
 
 
-# first field -> {(sensitivity, other fields): the idle _Workspace}
-_WORKSPACES = weakref.WeakKeyDictionary()
-
-
 def _legs(fields, points, times, cfg, sensitivity):
     """Integrate the family of legs of `fields` from the (k, n) `points`
     over `times`; (y, steps) with y[j] = x_j(t_j), or (x_j(t_j),
@@ -413,8 +416,11 @@ def _legs(fields, points, times, cfg, sensitivity):
     kind of leg, whatever the times, building it on first use, and puts it
     back when it ends, however it ends. A call that finds none checked in,
     because another thread or an enclosing call holds it, builds its own,
-    so no two calls ever share buffers. The workspaces live as long as the
-    family's first field does.
+    so no two calls ever share buffers. The workspaces are kept in the
+    family's first field's `_workspaces`, under (sensitivity, *the other
+    fields), so they live as long as that field does; a family that holds
+    its first field again refers to it from its own key, a cycle that the
+    garbage collector frees.
     """
     k, n = points.shape
     m = n + n * n if sensitivity else n
@@ -428,7 +434,7 @@ def _legs(fields, points, times, cfg, sensitivity):
     span = max(abs(t) for t in times)
     key = (sensitivity, *fields[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        pool = _WORKSPACES.setdefault(fields[0], {})
+        pool = fields[0]._workspaces
         ws = pool.pop(key, None)
         if ws is None:
             ws = _Workspace(_rhs(fields, sensitivity), len(fields), m, n)

@@ -30,7 +30,7 @@ from .errors import (DimensionError, DslError, ScenarioError, normal_number,
                      point_array, positive_number, whole_number)
 from .expr import parse_field
 from .flow import DEFAULT_CONFIG, IntegratorConfig
-from .stasis import Weights
+from .stasis import Weights, find_stasis
 
 SCHEMA_VERSION = 1
 METHOD = "dopri_adaptive"
@@ -263,3 +263,32 @@ def random_linear_scenario(rng: np.random.Generator, n: int, k: int,
                        "cycle_tol": DEFAULT_CYCLE_TOL},
         "sweep": {"delta_max": 0.5, "steps": DEFAULT_SWEEP_STEPS},
     }
+
+
+def random_nonlinear_scenario(rng: np.random.Generator, n: int, k: int,
+                              name: str) -> dict:
+    """random_linear_scenario(rng, n, k, name) made nonlinear at its
+    stasis point x0: component i of field j gains
+
+        0.5*(x_a - x0_a)*(x_b - x0_b) + (sin(x_b - x0_b) - (x_b - x0_b))
+
+    with a = (i + j) mod n and b = (i + j + 1) mod n. Both terms vanish at
+    x0 with their first derivatives, so x0, the weights and the weighted
+    Jacobian stay the affine family's and its regularity still holds,
+    while the fields' Jacobians vary with x. x0 is the affine family's
+    `find_stasis` point from its guess, each entry written as the repr of
+    a Python float.
+    """
+    data = random_linear_scenario(rng, n, k, name)
+    affine = scenario_from_dict(data)
+    x0 = find_stasis(affine.fields, affine.weights, affine.guess_point(),
+                     affine.stasis_tol).x0
+    u = [f"(x{l + 1} - ({float(c)!r}))" for l, c in enumerate(x0)]
+    fields = []
+    for j, source in enumerate(data["fields"]):
+        comps = source.split("; ")
+        for i in range(n):
+            a, b = u[(i + j) % n], u[(i + j + 1) % n]
+            comps[i] += f" + 0.5*{a}*{b} + (sin({b}) - {b})"
+        fields.append("; ".join(comps))
+    return {**data, "fields": fields}

@@ -8,8 +8,11 @@ a scipy shooting solver, the field -V built from V's expression trees
 (for backward flows), a leg's right-hand side that walks the field's
 trees, its derivative trees included, with `expr.eval_expr`, and a
 Dormand-Prince 5(4) loop that allocates every stage, to check the
-package's in-place stepper bit for bit. Tests compare the implementation
-against these, never the other way around.
+package's in-place stepper bit for bit, and the cycle system and its
+Newton terms assembled block by block and leg by leg from the results
+of the package's flows and evaluators, to check its whole-array
+assembly bit for bit. Tests compare the implementation against these,
+never the other way around.
 """
 
 from __future__ import annotations
@@ -271,3 +274,78 @@ def scipy_cycle_points(rhs_list, weights, x0, delta, rtol=1e-12, atol=1e-14):
         raise RuntimeError(
             f"oracle shooting failed: {sol.message} (residual {reached:.3e})")
     return sol.x.reshape(k, n)
+
+
+def block_cycle_system(pts, weights, delta, legs, derivatives=None):
+    """(residual, Jacobian) of the stacked cycle system at the (k, n)
+    points `pts`, assembled leg by leg: the residual flattened to (k*n,),
+    the Jacobian (k*n, k*n) by np.block, None without `derivatives`.
+
+    At delta > 0, `legs` holds the leg endpoints F_j and `derivatives`
+    the sensitivities P_j of one family call; at delta = 0, the field
+    values V_j(x_j) and Jacobians J_j(x_j). The residual's first block is
+    0 + the velocity terms (F_j - x_j, or m_j V_j) added in leg order,
+    divided by delta unless it is 0; block j the gap F_{j-1} - x_j
+    (x_{j-1} - x_j at delta = 0). The Jacobian's top blocks are
+    (P_j - I)/delta, or m_j J_j at delta = 0; block row j holds P_{j-1}
+    (I at delta = 0) left of its diagonal block -I, and zeros elsewhere.
+    """
+    k, n = pts.shape
+    eye = np.eye(n)
+    if delta == 0.0:
+        ends = pts
+        terms = [m * v for m, v in zip(weights, legs)]
+    else:
+        ends = legs
+        terms = [e - x for e, x in zip(ends, pts)]
+    res = np.zeros((k, n))
+    for term in terms:
+        res[0] += term
+    res[0] /= delta or 1.0
+    for j in range(1, k):
+        res[j] = ends[j - 1] - pts[j]
+    if derivatives is None:
+        return res.reshape(-1), None
+    if delta == 0.0:
+        top = [m * jac for m, jac in zip(weights, derivatives)]
+        chain = [eye] * k
+    else:
+        top = [(p - eye) / delta for p in derivatives]
+        chain = list(derivatives)
+    minus_eye = np.diag(np.full(n, -1.0))  # -eye would hold -0.0
+    rows = [top]
+    for j in range(1, k):
+        rows.append([chain[c] if c == j - 1 else minus_eye if c == j
+                     else np.zeros((n, n)) for c in range(k)])
+    return res.reshape(-1), np.block(rows)
+
+
+def reference_newton_terms(values, weights, jac, res, delta):
+    """(correction, tangent) of a cycle point, from the field values
+    V_j(F_j) at its leg endpoints (None where a field raised there), its
+    residual `res` (k, n) and its cycle Jacobian `jac`, by the leg-by-leg
+    arithmetic that `cycle._newton_terms` must reproduce bit for bit: the
+    slopes m_j V_j(F_j) as a list, the top row of H_delta from
+    -(sum(slopes) - r_0)/delta, the chain rows from their concatenation,
+    and one np.linalg.solve on the (k*n, 2) right-hand side [-r, -H_delta]
+    (one column when H_delta is not finite). A term is None where it is
+    not finite, the tangent also without values, both where jac is
+    singular.
+    """
+    k, n = res.shape
+    rhs = np.empty((k * n, 2))
+    rhs[:, 0] = -res.reshape(-1)
+    has_tangent = values is not None
+    if has_tangent:
+        slopes = [m * v for m, v in zip(weights, values)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs[:n, 1] = -((sum(slopes) - res[0]) / delta)
+        rhs[n:, 1] = -np.concatenate(slopes[:-1])
+        has_tangent = bool(np.isfinite(rhs[:, 1]).all())
+    try:
+        sol = np.linalg.solve(jac, rhs if has_tangent else rhs[:, :1])
+    except np.linalg.LinAlgError:
+        return None, None
+    terms = [col.reshape(k, n) if np.isfinite(col).all() else None
+             for col in sol.T]
+    return terms[0], terms[1] if has_tangent else None

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -15,13 +16,16 @@ from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     average_velocity, cycle_jacobian, cycle_residual,
                     eval_field, find_stasis, flow_endpoint, integrate_flow,
                     jacobian_field, loglog_slope, parse_field,
-                    random_linear_scenario, scenario_from_dict, solve_cycle,
-                    stasis_residual, sweep_delta, verify_cycle)
+                    random_linear_scenario, random_nonlinear_scenario,
+                    scenario_from_dict, solve_cycle, stasis_residual,
+                    sweep_delta, verify_cycle)
 from kcycle.stasis import residual_norm
 from scipy.interpolate import KroghInterpolator
 
-from oracles import (central_fd_jacobian, cofactor_det, first_order_tangent,
-                     linear_cycle_points, pair_cycle_x1, scipy_cycle_points)
+from oracles import (block_cycle_system, central_fd_jacobian, cofactor_det,
+                     first_order_tangent, linear_cycle_points,
+                     pair_cycle_x1, reference_newton_terms,
+                     scipy_cycle_points)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 EPS = np.finfo(float).eps
@@ -258,49 +262,21 @@ def test_jacobian_matches_fd_of_residual(corpus):
         assert np.max(np.abs(jac - fd)) <= 1e-5, name
 
 
-def _block_jacobian(fields, w, pts, delta, cfg):
-    """The cycle Jacobian assembled block by block by plain slicing: top
-    blocks m_j dV_j/dx(x_j) at delta = 0, else (P_j - I)/delta from the
-    leg sensitivities P_j of one family call; chain blocks P_j (I at
-    delta = 0) and -I."""
-    k, n = pts.shape
-    eye = np.eye(n)
-    jac = np.zeros((k * n, k * n))
-    if delta != 0.0:
-        family = integrate_flow(fields, pts, [delta * m for m in w], cfg)
-    for j, (f, x, m) in enumerate(zip(fields, pts, w)):
-        cols = slice(j * n, (j + 1) * n)
-        if delta == 0.0:
-            sens = eye
-            jac[:n, cols] = m * jacobian_field(f, x)
-        else:
-            sens = family.sensitivity[j]
-            jac[:n, cols] = (sens - eye) / delta
-        if j > 0:
-            jac[cols, cols] = -eye
-        if j + 1 < k:
-            jac[(j + 1) * n:(j + 2) * n, cols] = sens
-    return jac
-
-
-def _loop_residual(fields, w, pts, delta, cfg):
-    """The cycle residual summed leg by leg: row 0 is 0 + the velocity
-    terms in leg order, divided by delta, from the endpoints of one
-    family call; rows 1..k-1 the chain gaps."""
-    k, n = pts.shape
+def _oracle_system(fields, w, pts, delta, cfg, jacobian):
+    """`block_cycle_system` on the results of one family call: eval_field
+    and jacobian_field at delta = 0, else integrate_flow when the
+    Jacobian is asked for and flow_endpoint when it is not, as
+    `_cycle_system` makes them."""
     if delta == 0.0:
-        ends = pts
-        terms = [m * eval_field(f, x) for f, x, m in zip(fields, pts, w)]
+        legs = eval_field(fields, pts),
+        if jacobian:
+            legs += jacobian_field(fields, pts),
+    elif jacobian:
+        family = integrate_flow(fields, pts, [delta * m for m in w], cfg)
+        legs = family.endpoint, family.sensitivity
     else:
-        ends = flow_endpoint(fields, pts, [delta * m for m in w], cfg)
-        terms = [e - x for e, x in zip(ends, pts)]
-    res = np.zeros((k, n))
-    for term in terms:
-        res[0] += term
-    res[0] /= delta or 1.0
-    for j in range(1, k):
-        res[j] = ends[j - 1] - pts[j]
-    return res.reshape(-1)
+        legs = flow_endpoint(fields, pts, [delta * m for m in w], cfg),
+    return block_cycle_system(pts, w, delta, *legs)
 
 
 def test_jacobian_equals_the_block_assembly_bit_for_bit(corpus):
@@ -316,15 +292,106 @@ def test_jacobian_equals_the_block_assembly_bit_for_bit(corpus):
         for delta in (0.0, 0.05, 0.4):
             got = cycle_jacobian(scn.fields, scn.weights, CyclePoints(pts),
                                  delta, scn.integrator)
-            want = _block_jacobian(scn.fields, scn.weights, pts, delta,
-                                   scn.integrator)
+            want = _oracle_system(scn.fields, scn.weights, pts, delta,
+                                  scn.integrator, True)[1]
             assert got.shape == (k * n, k * n)
             assert np.array_equal(got, want), (scn.name, delta)
             res = cycle_residual(scn.fields, scn.weights, CyclePoints(pts),
                                  delta, scn.integrator)
-            assert res.tobytes() == _loop_residual(
-                scn.fields, scn.weights, pts, delta,
-                scn.integrator).tobytes(), (scn.name, delta)
+            assert res.tobytes() == _oracle_system(
+                scn.fields, scn.weights, pts, delta, scn.integrator,
+                False)[0].tobytes(), (scn.name, delta)
+
+
+def _drawn_family(draw, n, k):
+    """(scenario, points) of an affine or nonlinear random family, drawn
+    until its weights are unequal, and k points spread around its guess."""
+    rng = np.random.default_rng(1000 * k + n)
+    while True:
+        scn = scenario_from_dict(draw(rng, n, k, f"random-{n}x{k}"))
+        if len(set(scn.weights)) > 1:
+            break
+    return scn, scn.guess_point() + rng.uniform(-0.2, 0.2, (k, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 9])
+def test_cycle_system_equals_the_block_oracle_bit_for_bit(k, n):
+    # every residual row and Jacobian block of the whole-array assembly,
+    # byte for byte against the leg-by-leg one; n = 1 with k >= 8 is where
+    # a pairwise sum of the velocity terms would round differently
+    for draw in (random_linear_scenario, random_nonlinear_scenario):
+        scn, pts = _drawn_family(draw, n, k)
+        w, cfg = scn.weights, scn.integrator
+        for delta in (0.0, 0.05, 0.4):
+            res, jac = _oracle_system(scn.fields, w, pts, delta, cfg, True)
+            ends, got_res, got_jac = kcycle.cycle._cycle_system(
+                scn.fields, w, pts, delta, cfg, jacobian=True)
+            assert got_res.reshape(-1).tobytes() == res.tobytes()
+            assert got_jac.tobytes() == jac.tobytes(), (draw, delta)
+            assert cycle_jacobian(scn.fields, w, CyclePoints(pts), delta,
+                                  cfg).tobytes() == jac.tobytes()
+            res = _oracle_system(scn.fields, w, pts, delta, cfg, False)[0]
+            assert cycle_residual(scn.fields, w, CyclePoints(pts), delta,
+                                  cfg).tobytes() == res.tobytes()
+
+
+def _same_term(got, want):
+    """Both None, or arrays of one shape and the same bytes."""
+    return got is None and want is None or (
+        got is not None and want is not None
+        and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+def _assert_terms_are_the_reference(fields, w, pts, delta, cfg,
+                                    values=True):
+    """`_newton_terms` at the points against `reference_newton_terms` on
+    the same system, byte for byte; values=False compares them where
+    every field raises DomainError at the endpoints."""
+    ends, res, jac = kcycle.cycle._cycle_system(fields, w, pts, delta, cfg,
+                                                jacobian=True)
+    want = reference_newton_terms(eval_field(fields, ends) if values
+                                  else None, w, jac, res, delta)
+    got = kcycle.cycle._newton_terms(fields, w, jac, ends, res, delta)
+    assert all(_same_term(g, r) for g, r in zip(got, want)), (got, want)
+    return got
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (3, 2), (4, 6), (8, 1), (9, 1),
+                                  (9, 2)])
+def test_newton_terms_equal_the_reference_arithmetic_bit_for_bit(k, n):
+    # the correction and the tangent, byte for byte, on affine and
+    # nonlinear families; n = 1 with k >= 8 is where a pairwise sum of the
+    # slopes would round differently
+    for draw in (random_linear_scenario, random_nonlinear_scenario):
+        scn, pts = _drawn_family(draw, n, k)
+        for delta in (0.05, 0.4):
+            got = _assert_terms_are_the_reference(
+                scn.fields, scn.weights, pts, delta, scn.integrator)
+            assert got[0] is not None and got[1] is not None
+
+
+def test_newton_terms_equal_the_reference_where_they_are_none(pair,
+                                                              monkeypatch):
+    # the cases of test_terms_are_none_where_they_cannot_be_formed: a
+    # subnormal delta, constant fields on their cycle (a singular J) and a
+    # DomainError at an endpoint, which leaves the correction
+    fields, w = pair
+    cfg = IntegratorConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _assert_terms_are_the_reference(fields, w, np.zeros((2, 1)),
+                                              1e-310, cfg)
+        assert got == (None, None)
+        const = [parse_field("1", 1), parse_field("-1", 1)]
+        got = _assert_terms_are_the_reference(const, w, np.array([[0.0],
+                                                                  [0.1]]),
+                                              0.2, cfg)
+        assert got == (None, None)
+        _endpoint_domain_error(monkeypatch, 0)
+        got = _assert_terms_are_the_reference(fields, w, np.zeros((2, 1)),
+                                              0.2, cfg, values=False)
+        assert got[0] is not None and got[1] is None
 
 
 # --- solve_cycle -----------------------------------------------------------
@@ -449,6 +516,39 @@ def test_converged_point_is_not_integrated_again(corpus, monkeypatch):
                       scn.cycle_tol, scn.integrator)
     assert cyc.newton_iters == 1
     assert calls == {"sens": scn.k, "end": scn.k}
+
+
+def test_a_converged_ladder_point_makes_one_family_call(regular_corpus,
+                                                       monkeypatch):
+    # a ladder point that its prediction already puts within tol, with a
+    # Newton correction within tol, costs one sensitivity family call, at
+    # which the Newton iteration finds it converged, and one evaluation of
+    # the fields at its leg endpoints for its correction and tangent
+    calls = collections.Counter()
+    for name in ("integrate_flow", "flow_endpoint", "eval_field",
+                 "jacobian_field"):
+        def counted(*args, _name=name, _fn=getattr(kcycle.cycle, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kcycle.cycle, name, counted)
+    solve, used = kcycle.cycle.solve_cycle, []
+
+    def solve_counted(*args):
+        before = calls.copy()
+        cyc = solve(*args)
+        used.append((cyc.newton_iters, dict(calls - before)))
+        return cyc
+
+    monkeypatch.setattr(kcycle.cycle, "solve_cycle", solve_counted)
+    for scn in regular_corpus.values():
+        sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                         scn.stasis_tol)
+        sweep_delta(scn.fields, sp.weights, sp.x0, scn.sweep.delta_max,
+                    scn.sweep.steps, scn.cycle_tol, scn.integrator)
+    converged = [made for iters, made in used if iters == 0]
+    assert len(used) == 160 and len(converged) == 141
+    assert all(made == {"integrate_flow": 1, "eval_field": 1}
+               for made in converged)
 
 
 def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):

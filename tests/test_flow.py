@@ -679,7 +679,7 @@ def test_workspace_reuse_is_invisible():
 
 def _workspace_arrays(field):
     """Every buffer of the field's idle Dormand-Prince workspaces."""
-    return [a for ws in flow._WORKSPACES[field].values()
+    return [a for ws in field._workspaces.values()
             for a in (ws.state, ws.stages, ws.y_new, ws.abs_y, ws.abs_new,
                       ws.abs_e, ws.scale)]
 
@@ -762,14 +762,14 @@ def test_both_directions_check_out_one_workspace(run, monkeypatch):
         run(f, [0.1, -0.2, 0.3], t)
     assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
     sensitivity = run is integrate_flow
-    assert list(flow._WORKSPACES[f].items()) == [((sensitivity,), seen[0])]
+    assert list(f._workspaces.items()) == [((sensitivity,), seen[0])]
 
 
 def test_a_dropped_field_frees_its_workspaces():
     f = _trig_field()
     integrate_flow(f, [0.1, -0.2, 0.3], 0.3)
     flow_endpoint(f, [0.1, -0.2, 0.3], -0.3)
-    assert set(flow._WORKSPACES[f]) == {(True,), (False,)}
+    assert set(f._workspaces) == {(True,), (False,)}
     # the evaluators' writers, of the leg and of a family it leads, are
     # kept with the field as well
     for evaluate in (eval_field, jacobian_field):
@@ -777,6 +777,11 @@ def test_a_dropped_field_frees_its_workspaces():
         evaluate([f, f], [[0.1, -0.2, 0.3]] * 2)
     assert set(f._writers) == {"values", "jacobian", "sensitivity",
                                ("values", f), ("jacobian", f)}
+    # so are the workspaces of a family that holds the field again, which
+    # refers to it from its own key
+    integrate_flow([f, f], [[0.1, -0.2, 0.3]] * 2, [0.3, -0.1])
+    flow_endpoint([f, f], [[0.1, -0.2, 0.3]] * 2, [0.1, 0.1])
+    assert set(f._workspaces) == {(True,), (False,), (True, f), (False, f)}
     ref = weakref.ref(f)
     del f
     gc.collect()
@@ -1004,5 +1009,5 @@ def test_family_workspace_reuse_is_invisible():
             assert got.steps_taken == want.steps_taken
         else:
             assert got.tobytes() == want.tobytes()
-    assert set(flow._WORKSPACES[kept[0]]) == {(True, *kept[1:]),
+    assert set(kept[0]._workspaces) == {(True, *kept[1:]),
                                               (False, *kept[1:])}

@@ -9,7 +9,9 @@ the original expression trees, not through the package, and which
 measures the same spread over many more families.
 
 The corpus scenarios are swept at their own tolerances, and their
-differences are bounded by cycle_tol. Random families are swept twice:
+differences are bounded by cycle_tol. Random families, affine
+(`random_linear_scenario`) and nonlinear (`random_nonlinear_scenario`,
+whose Jacobians vary with x), are swept twice:
 at their own tolerances, bounded by 2*cycle_tol, and with the solver
 tightened tenfold (Newton and integrator tolerances, as verify tightens
 its re-integration), bounded by cycle_tol. A solve accepts a point only
@@ -25,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcycle import random_linear_scenario, scenario_from_dict
+from kcycle import (random_linear_scenario, random_nonlinear_scenario,
+                    scenario_from_dict)
 
 from conftest import REGULAR_NAMES
 
@@ -56,5 +59,25 @@ def test_random_linear_cycles_obey_rotation_reversal_and_rescaling(seed, n,
        k=st.integers(2, 4))
 def test_random_linear_cycles_obey_symmetries_at_own_tolerances(seed, n, k):
     scn = scenario_from_dict(random_linear_scenario(
+        np.random.default_rng(seed), n, k, "random"))
+    assert disagreement(scn) <= 2.0
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       k=st.integers(2, 4))
+def test_random_nonlinear_cycles_obey_rotation_reversal_and_rescaling(
+        seed, n, k):
+    scn = scenario_from_dict(random_nonlinear_scenario(
+        np.random.default_rng(seed), n, k, "random"))
+    assert disagreement(scn, TIGHTEN) <= 1.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       k=st.integers(2, 4))
+def test_random_nonlinear_cycles_obey_symmetries_at_own_tolerances(seed, n,
+                                                                   k):
+    scn = scenario_from_dict(random_nonlinear_scenario(
         np.random.default_rng(seed), n, k, "random"))
     assert disagreement(scn) <= 2.0

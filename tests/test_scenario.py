@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from kcycle import (ScenarioError, Weights, load_scenario,
-                    random_linear_scenario, scenario_from_dict,
+from kcycle import (ScenarioError, Weights, eval_field, find_stasis,
+                    jacobian_field, load_scenario, random_linear_scenario,
+                    random_nonlinear_scenario, scenario_from_dict,
                     scenario_to_dict)
 
 from conftest import CORPUS_NAMES
@@ -166,6 +167,31 @@ def test_random_linear_scenario_is_deterministic_and_regular():
     # weights are dyadic: the file round-trips exactly through JSON text
     again = json.loads(json.dumps(a))
     assert scenario_from_dict(again).weights.values == scn.weights.values
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (3, 3), (6, 4)])
+def test_random_nonlinear_scenario_keeps_the_affine_stasis_point(n, k):
+    # the added terms vanish at x0 with their first derivatives: the
+    # values and Jacobians there are the affine family's, bit for bit,
+    # and the Jacobians differ away from it
+    data = random_nonlinear_scenario(np.random.default_rng(5), n, k, "nl")
+    assert data == random_nonlinear_scenario(np.random.default_rng(5), n, k,
+                                             "nl")
+    linear = random_linear_scenario(np.random.default_rng(5), n, k, "nl")
+    assert {**data, "fields": None} == {**linear, "fields": None}
+    affine, scn = scenario_from_dict(linear), scenario_from_dict(data)
+    x0 = find_stasis(affine.fields, affine.weights, affine.guess_point(),
+                     affine.stasis_tol).x0
+    at_x0 = np.array([x0] * k)
+    for evaluate in (eval_field, jacobian_field):
+        assert evaluate(scn.fields, at_x0).tobytes() == \
+            evaluate(affine.fields, at_x0).tobytes()
+    away = at_x0 + 0.25
+    assert not np.array_equal(jacobian_field(scn.fields, away),
+                              jacobian_field(affine.fields, away))
+    sp = find_stasis(scn.fields, scn.weights, scn.guess_point(),
+                     scn.stasis_tol)
+    assert np.max(np.abs(sp.x0 - x0)) <= 1e-12
 
 
 def _generate(tmp_path, seed):
