@@ -14,9 +14,9 @@ integrates the k legs as one family, one call of `integrate_flow` or
 `flow_endpoint` on all the fields at once (multiple shooting on one step
 sequence, see `flow`), and fills the residual and the Jacobian's blocks
 from the family's (k, n) endpoints and (k, n, n) sensitivities with
-whole-array operations: the Jacobian is a copy of a template holding its
--I blocks, into which the top and chain blocks are written through two
-index sets, both made once per (k, n) (`_layout`). At delta = 0 the
+whole-array operations: the top blocks through a view of the Jacobian's
+first block row, and the chain blocks, which no view reaches, through an
+index set made once per (k, n) (`_layout`). At delta = 0 the
 sensitivities are I and the top blocks m_j dV_j/dx(x_j), so |det| is
 |det(sum_j m_j dV_j/dx)|.
 The sums over the legs, the residual's first row and the top row of the
@@ -181,12 +181,12 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     arrays at once. Row 0 is 0 + sum_j (F_j - x_j) in leg order, the last
     row of `np.add.accumulate` over the stack of 0 and the k terms, which
     is sequential whatever the shape; never a reduction, which may sum
-    pairwise (see the module docstring). The Jacobian is a copy of the
-    template of `_layout`, which holds its -I blocks, with the top blocks
-    and the chain blocks written through its two index sets.
+    pairwise (see the module docstring). The Jacobian's -I blocks are one
+    strided write, its top blocks one write through a view and its chain
+    blocks one through the index set of `_layout`.
     """
     k, n = pts.shape
-    template, eye, top_slots, chain_slots = _layout(k, n)
+    eye, chain_slots = _layout(k, n)
     # 0, then the velocity terms: accumulated in this fixed order
     terms = np.zeros((k + 1, n))
     if delta == 0.0:
@@ -212,31 +212,26 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
     np.subtract(ends[:-1], pts[1:], out=res[1:])
     if not jacobian:
         return ends, res, None
-    jac = template.copy()
+    size = k * n
+    jac = np.zeros((size, size))
     flat = jac.reshape(-1)
-    flat[top_slots] = top
+    flat[n * (size + 1)::size + 1] = -1.0
+    jac.reshape(k, n, k, n)[0] = top.transpose(1, 0, 2)
     flat[chain_slots] = below
     return ends, res, jac
 
 
 @lru_cache(maxsize=16)
 def _layout(k, n):
-    """(template, eye, top, chain) of the (nk, nk) cycle Jacobian of k legs
-    in n dimensions, all read-only. The template holds the -I blocks on
-    the diagonal below the top block row and 0 elsewhere; eye is the
-    n x n identity. top and chain hold the flat positions of the top
-    blocks, top[j, i, l] that of entry (i, j*n + l), and of the chain
-    blocks, chain[j, i, l] that of entry ((j + 1)*n + i, j*n + l) for
-    j < k - 1, shaped (k, n, n) and (k - 1, n, n) as the blocks written
-    through them are.
+    """(eye, chain) for the (nk, nk) cycle Jacobian of k legs in n
+    dimensions, both read-only and of k*n*n entries at most: eye is the
+    n x n identity, and chain[j, i, l] the flat position of entry
+    ((j + 1)*n + i, j*n + l), shaped (k - 1, n, n) as the chain blocks
+    P_1..P_{k-1} written through it are.
     """
     size = k * n
-    template = np.zeros((size, size))
-    template.flat[n * (size + 1)::size + 1] = -1.0
-    j, i, l = np.indices((k, n, n))
-    top = i * size + j * n + l
-    chain = (top + (j + 1) * n * size)[:-1]
-    layout = template, np.eye(n), top, chain
+    j, i, l = np.indices((k - 1, n, n))
+    layout = np.eye(n), ((j + 1) * n + i) * size + j * n + l
     for a in layout:  # shared by every caller
         a.flags.writeable = False
     return layout

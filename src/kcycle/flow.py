@@ -74,11 +74,12 @@ stage calls once per family of fields and kind of leg in a workspace
 workspace out and puts it back when it ends, so calls reuse it one at a
 time and a call's results do not depend on the calls before it. The
 workspaces are kept with the family's first field, as its writers are,
-so they live as long as that field does. A workspace keeps the time
-scales of its last call and sets them again only when a call's differ:
-every ladder point of a sweep has tau_j = m_j / max m. The
-writer raises the DomainError that names the component and the leg
-itself.
+so they live as long as that field does. A workspace keeps its last
+call's time scales and sets them again only when a call's differ: a
+repeat Newton iteration's never do, and the next ladder point's often
+do not, though fl(delta*m_j)/fl(delta*max m) may round differently from
+one delta to the next. The writer raises the DomainError that names the
+component and the leg itself.
 Overflow and NaN surface as non-finite steps, which the stepper rejects,
 so numpy's floating-point warnings are silenced for the whole
 integration.
@@ -187,8 +188,7 @@ class _Workspace:
     `time_scale` sets the legs' time scales for the next integration:
     tau_j in `taus`, and in `tau` repeated over leg j's entries; `scaled`
     is False when every tau is 1 and the stage rows are left as the
-    calls wrote them. Time scales equal to the last call's are kept as
-    they are.
+    calls wrote them. A list equal to the last call's is kept as it is.
     """
 
     __slots__ = ("state", "legs", "first", "stages", "scale_coef",
