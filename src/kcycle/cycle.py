@@ -21,8 +21,8 @@ sensitivities are I and the top blocks m_j dV_j/dx(x_j), so |det| is
 |det(sum_j m_j dV_j/dx)|.
 The sums over the legs, the residual's first row and the top row of the
 Newton terms' H_delta, start from 0 and add the legs in order, whatever
-k and n: `np.add.accumulate` over a stack led by a zero row, and
-Python's `sum` over the rows. A reduction along the leg axis
+k and n: both are the last row of `np.add.accumulate` over a stack led
+by a zero row. A reduction along the leg axis
 (`np.add.reduce`, `.sum(axis=0)`) would not do: numpy adds pairwise
 once a reduction is long enough, and then rounds differently, as it
 does for n = 1 and k >= 8.
@@ -36,11 +36,14 @@ endpoint only, and the iteration that finds a point converged integrates
 nothing.
 A residual within tol does not end the solve, as a point is only
 accurate to about tol times the Jacobian's condition: one more LU solve
-with the last Jacobian gives the simplified Newton correction and the
-branch tangent dx/ddelta, and a point whose correction exceeds tol is
-moved by it when the moved point's residual is within tol as well
-(error-oriented termination; Deuflhard, Newton Methods for Nonlinear
-Problems, ch. 2).
+with the last Jacobian (`linalg.lu_solve`, one call on both right-hand
+sides) gives the simplified Newton correction and the branch tangent
+dx/ddelta, and a point whose correction exceeds tol is moved by it when
+the moved point's residual is within tol as well (error-oriented
+termination; Deuflhard, Newton Methods for Nonlinear Problems, ch. 2).
+Where H_delta is not finite the correction is solved for alone, a
+one-column solve, so that it is the same bits as where there is no
+tangent to solve for.
 
 A sweep seeds each solve from the branch's own expansion (Euler-Newton
 continuation). The first ladder point is seeded at x0 + delta*c, where
@@ -54,6 +57,7 @@ The distances of the records to x0 are one array norm over the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -166,8 +170,10 @@ class SweepResult:
                 self.closures.tolist(), self.newton_iters.tolist()))
 
 
-def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
-    """The stacked cycle system at the (k, n) points `pts`.
+def _cycle_system(fields, weights, pts, delta, times, cfg, jacobian=False):
+    """The stacked cycle system at the (k, n) points `pts`, for the leg
+    times `times`, delta*m_j as `errors.leg_times` forms them (unused at
+    delta = 0).
 
     Returns (ends, res, jac): the leg endpoints F_j(x_j, delta*m_j) as a
     (k, n) array; the residual as a (k, n) array whose row 0 is the
@@ -196,7 +202,6 @@ def _cycle_system(fields, weights, pts, delta, cfg, jacobian=False):
         if jacobian:
             top = m[:, :, None] * jacobian_field(fields, pts)
     else:
-        times = leg_times(delta, weights)
         if jacobian:
             legs = integrate_flow(fields, pts, times, cfg)
             ends, below = legs.endpoint, legs.sensitivity
@@ -256,7 +261,8 @@ def average_velocity(fields, weights: Weights, pts: CyclePoints,
     """
     x = family(fields, weights, pts.points)[1]
     delta = finite_number(delta, "delta", 0.0)
-    return _cycle_system(fields, weights, x, delta, cfg)[1][0]
+    return _cycle_system(fields, weights, x, delta,
+                         leg_times(delta, weights), cfg)[1][0]
 
 
 def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
@@ -270,7 +276,8 @@ def cycle_residual(fields, weights: Weights, pts: CyclePoints, delta: float,
     """
     x = family(fields, weights, pts.points)[1]
     delta = finite_number(delta, "delta", 0.0)
-    return _cycle_system(fields, weights, x, delta, cfg)[1].reshape(-1)
+    return _cycle_system(fields, weights, x, delta,
+                         leg_times(delta, weights), cfg)[1].reshape(-1)
 
 
 def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
@@ -283,7 +290,8 @@ def cycle_jacobian(fields, weights: Weights, pts: CyclePoints, delta: float,
     """
     x = family(fields, weights, pts.points)[1]
     delta = finite_number(delta, "delta", 0.0)
-    return _cycle_system(fields, weights, x, delta, cfg, jacobian=True)[2]
+    return _cycle_system(fields, weights, x, delta,
+                         leg_times(delta, weights), cfg, jacobian=True)[2]
 
 
 def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
@@ -300,35 +308,44 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
     one more Newton iteration when its residual is within tol, and x is
     kept without a correction otherwise. The final leg's closure
     F_k(x_k, delta*m_k) = x_1 is then re-verified (10*tol budget).
+
+    The leg times and the weights' column are formed once per solve, for
+    every evaluation and both terms. A point that converges at its seed
+    costs one sensitivity family call, one `eval_field` call and one LU
+    solve. Its fields and points are checked here and again by
+    `expr.as_family` in `integrate_flow` and `eval_field`, which are
+    called by their public names here so that callers may wrap them.
     """
     delta = positive_number(delta, "delta")
     tol = positive_number(tol, "tol")
+    n = family(fields, weights)[0]
+    x = point_array(seed.points, (len(fields), n), "seed", finite=True)
+    times = leg_times(delta, weights)
+    m = np.array(tuple(weights), dtype=float)[:, None]
     held = [None]  # the last Jacobian evaluated
 
     def evaluate(x, jacobian):
-        ends, res, jac = _cycle_system(fields, weights, x, delta, cfg,
-                                       jacobian=jacobian)
+        ends, res, jac = _cycle_system(fields, weights, x, delta, times, cfg,
+                                       jacobian)
         if jacobian:
             held[0] = jac
         rn = float(np.maximum.reduce(np.abs(res), axis=None))
         return rn, res, jac, (ends, res)
 
-    n = family(fields, weights)[0]
-    x = point_array(seed.points, (len(fields), n), "seed", finite=True)
     x, _, (ends, res), iters = linalg.damped_newton(
         evaluate, x, tol, MAX_CYCLE_ITERS, f"cycle at delta={delta:.6g}")
-    correction, tangent = _newton_terms(fields, weights, held[0], ends, res,
-                                        delta)
-    if correction is not None and \
-            np.maximum.reduce(np.abs(correction), axis=None) > tol:
+    correction, tangent, size = _newton_terms(fields, m, held[0], ends, res,
+                                              delta)
+    if correction is not None and size > tol:
+        moved = x + correction
         try:
-            rn, _, _, (ends_c, res_c) = evaluate(x + correction, False)
+            rn, _, _, (ends_c, res_c) = evaluate(moved, False)
         except SolverError:
             rn = np.inf
         if rn <= tol:
-            x, ends, res, iters = x + correction, ends_c, res_c, iters + 1
-            correction, tangent = _newton_terms(fields, weights, held[0],
-                                                ends, res_c, delta)
+            x, ends, res, iters = moved, ends_c, res_c, iters + 1
+            correction, tangent, _ = _newton_terms(fields, m, held[0], ends,
+                                                   res, delta)
         else:
             correction = None
     mismatches = _leg_mismatches(ends, res, x)
@@ -337,47 +354,62 @@ def solve_cycle(fields, weights: Weights, seed: CyclePoints, delta: float,
             f"final-leg closure {mismatches[-1]:.3e} exceeds "
             f"{10.0 * tol:.3e}; integration tolerance is too loose "
             "relative to the Newton tolerance")
-    return KCycle(CyclePoints(x), delta, leg_times(delta, weights),
-                  max(mismatches), iters, tangent, correction)
+    return KCycle(CyclePoints(x), delta, times, max(mismatches), iters,
+                  tangent, correction)
 
 
-def _newton_terms(fields, weights, jac, ends, res, delta):
-    """(correction, tangent) at a point whose cycle system evaluated to the
-    leg endpoints `ends` and residual `res`: one LU solve with the
-    Jacobian `jac` on [-r, -H_delta], no integration.
+def _newton_terms(fields, m, jac, ends, res, delta):
+    """(correction, tangent, size) at a point whose cycle system evaluated
+    to the leg endpoints `ends` and residual `res`, size being
+    max|correction|: one LU solve (`linalg.lu_solve`) with the Jacobian
+    `jac` on [-r, -H_delta], no integration; `m` is the (k, 1) column of
+    the weights.
 
     H_delta = dR/ddelta has m_j V_j(F_j) as chain row j (the leg ends move
     with their times) and (sum_j m_j V_j(F_j) - r_0)/delta as its top row.
     The two right-hand sides are the rows of one (2, nk) array, solved as
     its transpose: the slopes m_j V_j(F_j) are one broadcast product on
-    one `eval_field` call at the k endpoints, and the top row's sum is
-    `sum(slopes)`, 0 + the slopes in leg order, never a reduction that
-    may sum pairwise (see `_cycle_system`).
-    Each term is None where it comes out non-finite; the tangent also where a
-    field raises DomainError at an endpoint or H_delta overflows, and both
-    where jac is singular.
+    one `eval_field` call at the k endpoints, written below a zero row,
+    and the top row's sum is the last row of `np.add.accumulate` over
+    that stack, 0 + the slopes in leg order, never a reduction that may
+    sum pairwise (see `_cycle_system`).
+    The solution's finiteness and the correction's size are read from
+    one reduction, each column's max|entry|, which is NaN or inf exactly
+    where the column is not finite. Each term is None where it comes out
+    non-finite, and both where jac is singular. Only a tangent that is
+    not finite has H_delta tested: where H_delta is not finite (it
+    overflows), the correction is solved for again, alone, by the
+    one-column solve made where a field raises DomainError at an
+    endpoint, and the tangent is None.
     """
     k, n = ends.shape
     rhs = np.empty((2, k * n))
     np.negative(res.reshape(-1), out=rhs[0])
     try:
-        slopes = eval_field(fields, ends)
+        values = eval_field(fields, ends)
     except DomainError:
-        has_tangent = False
+        columns = 1
     else:
-        slopes *= np.array(tuple(weights), dtype=float)[:, None]
+        terms = np.zeros((k + 1, n))  # 0, then the slopes
+        np.multiply(m, values, out=terms[1:])
+        top = rhs[1, :n]  # -(sum - r_0)/delta, as (sum - r_0)/-delta
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs[1, :n] = -((sum(slopes) - res[0]) / delta)
-        np.negative(slopes[:-1].reshape(-1), out=rhs[1, n:])
-        has_tangent = np.isfinite(rhs[1]).all()
-    try:
-        sol = np.linalg.solve(jac, (rhs if has_tangent else rhs[:1]).T)
-    except np.linalg.LinAlgError:
-        return None, None
-    finite = np.isfinite(sol).all(axis=0)
-    correction = sol[:, 0].reshape(k, n) if finite[0] else None
-    tangent = sol[:, 1].reshape(k, n) if has_tangent and finite[1] else None
-    return correction, tangent
+            np.subtract(np.add.accumulate(terms)[-1], res[0], out=top)
+            np.divide(top, -delta, out=top)
+        np.negative(terms[1:-1].reshape(-1), out=rhs[1, n:])
+        columns = 2
+    sol = linalg.lu_solve(jac, rhs[:columns].T)
+    peaks = np.maximum.reduce(np.abs(sol), axis=0).tolist()
+    if columns == 2 and not math.isfinite(peaks[1]) and \
+            not np.isfinite(rhs[1]).all():
+        columns = 1
+        sol = linalg.lu_solve(jac, rhs[:1].T)
+        peaks = np.maximum.reduce(np.abs(sol), axis=0).tolist()
+    size = peaks[0]
+    correction = sol[:, 0].reshape(k, n) if math.isfinite(size) else None
+    tangent = sol[:, 1].reshape(k, n) if columns == 2 and \
+        math.isfinite(peaks[1]) else None
+    return correction, tangent, size
 
 
 @dataclass(eq=False, slots=True)
@@ -396,10 +428,11 @@ def verify_cycle(fields, weights: Weights, cycle: KCycle,
     report their mismatches; delta > 0 and leg_times delta*m_j required."""
     x = family(fields, weights, cycle.points.points)[1]
     delta = positive_number(cycle.delta, "delta")
-    if tuple(cycle.leg_times) != leg_times(delta, weights):
+    times = leg_times(delta, weights)
+    if tuple(cycle.leg_times) != times:
         raise ArgumentError(f"leg_times {list(cycle.leg_times)!r} != delta*m_j"
-                            f" = {list(leg_times(delta, weights))!r}")
-    ends, res, _ = _cycle_system(fields, weights, x, delta,
+                            f" = {list(times)!r}")
+    ends, res, _ = _cycle_system(fields, weights, x, delta, times,
                                  cfg.tightened(tighten))
     mismatches = _leg_mismatches(ends, res, x)
     return CycleCheck(mismatches, mismatches[-1], max(mismatches))
@@ -473,7 +506,8 @@ def _tangent(fields, weights, start, cfg):
     for m, jac, v in zip(weights, jacobian_field(fields, start), vel):
         top += 0.5 * m * (jac @ v)  # fixed summation order
     h_delta = np.vstack([top] + vel[:-1])
-    jac = _cycle_system(fields, weights, start, 0.0, cfg, jacobian=True)[2]
+    jac = _cycle_system(fields, weights, start, 0.0, None, cfg,
+                        jacobian=True)[2]
     try:
         step = linalg.newton_step(jac, h_delta.reshape(-1),
                                   "cycle Jacobian numerically singular at "
@@ -558,9 +592,11 @@ def loglog_slope(result: SweepResult, points: int = 8) -> Optional[float]:
     """Least-squares slope of log(max distance) vs log(delta).
 
     Fitted over the `points` smallest recorded deltas, the tail where the
-    cycles shrink into the stasis point. None when fewer than two usable
-    records exist or a distance is non-positive.
+    cycles shrink into the stasis point; `points` is an integer >= 2
+    (`errors.whole_number`). None when fewer than two usable records exist
+    or a distance is non-positive.
     """
+    points = whole_number(points, "points", 2)
     deltas, distances = result.deltas[:points], result.distances[:points]
     if deltas.size < 2 or (distances <= 0.0).any():
         return None

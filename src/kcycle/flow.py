@@ -424,14 +424,15 @@ def _legs(fields, points, times, cfg, sensitivity):
     """
     k, n = points.shape
     m = n + n * n if sensitivity else n
-    moving = [j for j, t in enumerate(times) if t != 0.0]
-    if len(moving) < k:
+    still = None
+    if 0.0 in times:
+        moving = [j for j, t in enumerate(times) if t != 0.0]
         still = _initial_state(np.empty((k, m)), points, n)
         if not moving:
             return still, 0
         fields = tuple(fields[j] for j in moving)
         points, times = points[moving], [times[j] for j in moving]
-    span = max(abs(t) for t in times)
+    span = max(map(abs, times))
     key = (sensitivity, *fields[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         pool = fields[0]._workspaces
@@ -445,7 +446,7 @@ def _legs(fields, points, times, cfg, sensitivity):
         finally:
             pool[key] = ws
     y = y.reshape(-1, m)
-    if len(moving) < k:
+    if still is not None:
         still[moving] = y
         y = still
     return y, steps

@@ -1,12 +1,18 @@
-"""Small dense helpers: singular values, the guarded Newton step and the
-damped-Newton driver of the stasis and cycle solves.
+"""Small dense helpers: singular values, the LU solve, the guarded Newton
+step and the damped-Newton driver of the stasis and cycle solves.
 
-Singular values come from LAPACK through numpy (``np.linalg.svd``).
+Singular values come from LAPACK through numpy (``np.linalg.svd``). Linear
+systems are solved by `lu_solve`, LAPACK's dgesv (LU with partial
+pivoting; Anderson et al., LAPACK Users' Guide) through the generalized
+ufunc that ``np.linalg.solve`` calls, without that function's wrapper.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NewtonDivergenceError, SingularJacobianError, SolverError
 
@@ -27,18 +33,41 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def lu_solve(a, b) -> np.ndarray:
+    """a^-1 b for a square float64 matrix a and a float64 vector (n,) or
+    matrix (n, r) b, by LU with partial pivoting: bit for bit what
+    ``np.linalg.solve(a, b)`` returns, from the same LAPACK gufunc
+    (``solve1`` for a vector, ``solve`` for a matrix), but without its
+    wrapper's conversions and checks, which cost about 3 us a call, more
+    than the solve itself up to about 9 x 9.
+
+    Where ``np.linalg.solve`` raises LinAlgError (a zero pivot, or an
+    invalid operation on the way), the result is all NaN instead, with no
+    warning; a NaN matrix gives NaN as well.
+    """
+    solve = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return solve(a, b)
+    except FloatingPointError:
+        return np.full(b.shape, np.nan)
+
+
 def newton_step(jac, res, message: str) -> np.ndarray:
-    """The Newton step -jac^-1 res, by LU with partial pivoting.
+    """The Newton step -jac^-1 res, by `lu_solve`.
 
     A Jacobian with sigma_min < SINGULAR_RTOL*sigma_max (the zero matrix
     included) raises SingularJacobianError carrying sigma_min, with
-    `message` and sigma_min as its text.
+    `message` and sigma_min as its text. A Jacobian with a non-finite
+    entry passes it, its singular values being NaN, and its step is NaN
+    where LU meets an invalid operation; `damped_newton`'s line search
+    rejects such a step.
     """
     sv = singular_values(jac)
     if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
         raise SingularJacobianError(f"{message} (sigma_min {sv[-1]:.3e})",
                                     sigma_min=float(sv[-1]))
-    return np.linalg.solve(jac, -res)
+    return lu_solve(jac, -res)
 
 
 def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
@@ -61,7 +90,7 @@ def damped_newton(evaluate, x, tol: float, max_iters: int, label: str):
     for iteration in range(max_iters + 1):
         if rn > tol and jac is None:
             rn, res, jac, data = evaluate(x, True)
-            if not np.isfinite(rn):
+            if not math.isfinite(rn):
                 raise NewtonDivergenceError(
                     f"{label}: residual became non-finite", residual_norm=rn,
                     iterations=iteration)

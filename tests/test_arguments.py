@@ -24,8 +24,9 @@ from kcycle import (ArgumentError, CyclePoints, DimensionError,
                     average_velocity, check_regularity, cycle_jacobian,
                     cycle_residual, eval_field, find_stasis, find_weights,
                     flow_endpoint, integrate_flow, jacobian_field,
-                    parse_field, solve_cycle, stasis_residual, sweep_delta,
-                    verify_cycle, weight_hull_dimension, weighted_jacobian)
+                    loglog_slope, parse_field, solve_cycle, stasis_residual,
+                    sweep_delta, verify_cycle, weight_hull_dimension,
+                    weighted_jacobian)
 from kcycle.cli import main
 from kcycle.errors import leg_times
 from kcycle.serialize import dumps
@@ -77,6 +78,22 @@ def test_sweep_checks_delta_max_before_any_work(monkeypatch):
 def test_sweep_steps_must_be_a_whole_number(steps):
     with pytest.raises(ValueError, match="steps"):
         sweep_delta(PAIR, HALF, [0.0], 0.8, steps)
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1, 2.5, True, "3", None])
+def test_loglog_slope_points_must_be_a_whole_number_of_two_or_more(points):
+    # -1 fitted every record but the last, 2.5 failed in slicing with a
+    # TypeError, True fitted one record and returned None
+    result = sweep_delta(PAIR, HALF, [0.0], 0.8, 8)
+    with pytest.raises(ArgumentError, match="^points must be an integer"):
+        loglog_slope(result, points)
+
+
+def test_loglog_slope_takes_an_integer_number_of_points():
+    result = sweep_delta(PAIR, HALF, [0.0], 0.8, 8)
+    assert loglog_slope(result, np.int64(3)) == loglog_slope(result, 3)
+    assert loglog_slope(result, 2) is not None
+    assert loglog_slope(result) == loglog_slope(result, 8)
 
 
 def test_numpy_scalars_are_numbers():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kcycle.cycle
+import kcycle.linalg
 from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     DimensionError, DomainError, FlowDomainError,
                     IntegratorConfig, NewtonDivergenceError,
@@ -19,6 +20,7 @@ from kcycle import (BranchLostError, ClosureError, CyclePoints,
                     random_linear_scenario, random_nonlinear_scenario,
                     scenario_from_dict, solve_cycle, stasis_residual,
                     sweep_delta, verify_cycle)
+from kcycle.errors import leg_times
 from kcycle.stasis import residual_norm
 from scipy.interpolate import KroghInterpolator
 
@@ -326,7 +328,8 @@ def test_cycle_system_equals_the_block_oracle_bit_for_bit(k, n):
         for delta in (0.0, 0.05, 0.4):
             res, jac = _oracle_system(scn.fields, w, pts, delta, cfg, True)
             ends, got_res, got_jac = kcycle.cycle._cycle_system(
-                scn.fields, w, pts, delta, cfg, jacobian=True)
+                scn.fields, w, pts, delta, leg_times(delta, w), cfg,
+                jacobian=True)
             assert got_res.reshape(-1).tobytes() == res.tobytes()
             assert got_jac.tobytes() == jac.tobytes(), (draw, delta)
             assert cycle_jacobian(scn.fields, w, CyclePoints(pts), delta,
@@ -344,17 +347,26 @@ def _same_term(got, want):
 
 
 def _assert_terms_are_the_reference(fields, w, pts, delta, cfg,
-                                    values=True):
+                                    values=True, slope_fields=None):
     """`_newton_terms` at the points against `reference_newton_terms` on
-    the same system, byte for byte; values=False compares them where
-    every field raises DomainError at the endpoints."""
-    ends, res, jac = kcycle.cycle._cycle_system(fields, w, pts, delta, cfg,
-                                                jacobian=True)
-    want = reference_newton_terms(eval_field(fields, ends) if values
+    the same system, byte for byte, and the size it reports against
+    max|correction|; values=False compares them where every field raises
+    DomainError at the endpoints, and `slope_fields`, when given, stand in
+    for the fields in H_delta's slopes."""
+    ends, res, jac = kcycle.cycle._cycle_system(
+        fields, w, pts, delta, leg_times(delta, w), cfg, jacobian=True)
+    slope_fields = slope_fields or fields
+    want = reference_newton_terms(eval_field(slope_fields, ends) if values
                                   else None, w, jac, res, delta)
-    got = kcycle.cycle._newton_terms(fields, w, jac, ends, res, delta)
+    *got, size = kcycle.cycle._newton_terms(
+        slope_fields, np.array(tuple(w), dtype=float)[:, None], jac, ends,
+        res, delta)
     assert all(_same_term(g, r) for g, r in zip(got, want)), (got, want)
-    return got
+    if got[0] is None:
+        assert not np.isfinite(size)
+    else:
+        assert size == np.abs(got[0]).max()
+    return tuple(got)
 
 
 @pytest.mark.parametrize("k, n", [(2, 1), (3, 2), (4, 6), (8, 1), (9, 1),
@@ -375,7 +387,9 @@ def test_newton_terms_equal_the_reference_where_they_are_none(pair,
                                                               monkeypatch):
     # the cases of test_terms_are_none_where_they_cannot_be_formed: a
     # subnormal delta, constant fields on their cycle (a singular J) and a
-    # DomainError at an endpoint, which leaves the correction
+    # DomainError at an endpoint, which leaves the correction; and an
+    # H_delta that overflows while J is regular, which leaves it too, as
+    # the one-column solve gives it
     fields, w = pair
     cfg = IntegratorConfig()
     with warnings.catch_warnings():
@@ -388,6 +402,12 @@ def test_newton_terms_equal_the_reference_where_they_are_none(pair,
                                                                   [0.1]]),
                                               0.2, cfg)
         assert got == (None, None)
+        # slopes of 0.75e308 each: H_delta's top row, (1.5e308 - r_0)/0.2,
+        # overflows, its chain row does not, and J is the pair's
+        huge = [parse_field("1.5e308", 1)] * 2
+        got = _assert_terms_are_the_reference(fields, w, np.zeros((2, 1)),
+                                              0.2, cfg, slope_fields=huge)
+        assert got[0] is not None and got[1] is None
         _endpoint_domain_error(monkeypatch, 0)
         got = _assert_terms_are_the_reference(fields, w, np.zeros((2, 1)),
                                               0.2, cfg, values=False)
@@ -522,15 +542,20 @@ def test_a_converged_ladder_point_makes_one_family_call(regular_corpus,
                                                        monkeypatch):
     # a ladder point that its prediction already puts within tol, with a
     # Newton correction within tol, costs one sensitivity family call, at
-    # which the Newton iteration finds it converged, and one evaluation of
-    # the fields at its leg endpoints for its correction and tangent
+    # which the Newton iteration finds it converged, one evaluation of the
+    # fields at its leg endpoints and one LU solve for its correction and
+    # tangent, and no call of np.linalg.solve
     calls = collections.Counter()
-    for name in ("integrate_flow", "flow_endpoint", "eval_field",
-                 "jacobian_field"):
-        def counted(*args, _name=name, _fn=getattr(kcycle.cycle, name)):
+    for module, name in ((kcycle.cycle, "integrate_flow"),
+                         (kcycle.cycle, "flow_endpoint"),
+                         (kcycle.cycle, "eval_field"),
+                         (kcycle.cycle, "jacobian_field"),
+                         (kcycle.linalg, "lu_solve"),
+                         (np.linalg, "solve")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(kcycle.cycle, name, counted)
+        monkeypatch.setattr(module, name, counted)
     solve, used = kcycle.cycle.solve_cycle, []
 
     def solve_counted(*args):
@@ -547,8 +572,8 @@ def test_a_converged_ladder_point_makes_one_family_call(regular_corpus,
                     scn.sweep.steps, scn.cycle_tol, scn.integrator)
     converged = [made for iters, made in used if iters == 0]
     assert len(used) == 160 and len(converged) == 141
-    assert all(made == {"integrate_flow": 1, "eval_field": 1}
-               for made in converged)
+    assert all(made == {"integrate_flow": 1, "eval_field": 1,
+                        "lu_solve": 1} for made in converged)
 
 
 def test_trig_ladder_newton_iterations_unchanged(regular_sweeps):

@@ -14,7 +14,8 @@ from kcycle import (BoundaryWeightError, DimensionError,
                     eval_field, find_stasis, find_weights, jacobian_field,
                     parse_field, stasis_residual, weight_hull_dimension,
                     weighted_jacobian)
-from kcycle.linalg import damped_newton, newton_step, singular_values
+from kcycle.linalg import (damped_newton, lu_solve, newton_step,
+                           singular_values)
 from kcycle.stasis import (MAX_NEWTON_ITERS, WEIGHT_FLOOR,
                            _simplex_least_squares, residual_norm, row_norms)
 
@@ -270,6 +271,20 @@ def test_damped_newton_tries_every_backtrack():
     assert trials == [1.0] + [1.0 - 2.0 ** (8 - i) for i in range(9)]
 
 
+def test_damped_newton_rejects_a_step_lapack_cannot_form():
+    # an inf below the diagonal passes the sigma test (the singular values
+    # of a non-finite matrix are NaN), and its LU meets an invalid
+    # operation: the step is NaN and the line search rejects it, where
+    # np.linalg.solve raised numpy's LinAlgError out of the solve
+    def evaluate(x, jacobian):
+        jac = np.array([[1.0, 0.0], [np.inf, 1.0]]) if jacobian else None
+        return float(abs(x - 1.0).max()), x - 1.0, jac, None
+
+    with pytest.raises(NewtonDivergenceError,
+                       match="no decrease .*non-finite entries$"):
+        damped_newton(evaluate, np.zeros(2), 1e-10, 5, "probe")
+
+
 def test_find_stasis_norm_overflow_is_not_called_non_finite():
     # 0.5*(e^700 - 2) - 350.5 is finite but squares past the float range;
     # Newton walks down one unit per step and runs out of steps
@@ -513,6 +528,39 @@ def test_newton_step_refuses_singular_jacobians():
     for jac in (np.array([[2.0, 1.0], [0.0, 4.0]]), np.diag([1e-6, 1e-15])):
         assert np.array_equal(newton_step(jac, np.array([3.0, 8.0]), "ok"),
                               np.linalg.solve(jac, -np.array([3.0, 8.0])))
+
+
+def test_lu_solve_is_np_linalg_solve_byte_for_byte():
+    # the same LAPACK gufunc without the wrapper: a vector and a matrix
+    # right-hand side, C- and Fortran-ordered, on well-conditioned random
+    # matrices of every size a cycle system of the corpus and the
+    # benchmark reaches
+    rng = np.random.default_rng(39)
+    for size in range(1, 25):
+        a = rng.standard_normal((size, size)) + size * np.eye(size)
+        b = rng.standard_normal(size)
+        rhs = rng.standard_normal((size, 3))
+        for got, want in ((lu_solve(a, b), np.linalg.solve(a, b)),
+                          (lu_solve(a, rhs), np.linalg.solve(a, rhs)),
+                          (lu_solve(a, rhs.T[:2].T),
+                           np.linalg.solve(a, rhs.T[:2].T))):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), size
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 3)),
+                               np.array([[1.0, 2.0], [2.0, 4.0]]),
+                               np.full((2, 2), np.nan)],
+                         ids=["zero", "rank-deficient", "nan"])
+def test_lu_solve_is_nan_without_a_warning_where_it_cannot_solve(a):
+    # np.linalg.solve raises LinAlgError on the first two and warns on
+    # none; the helper returns NaN of the right-hand side's shape instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (np.ones(len(a)), np.ones((len(a), 2))):
+            got = lu_solve(a, b)
+            assert got.shape == b.shape and np.isnan(got).all()
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
